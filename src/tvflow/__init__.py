@@ -13,6 +13,7 @@ from .graph import (
     EmpiricalGraph,
     ExtendedGraph,
     build_graph,
+    components,
     degree,
     divergence,
     extend_graph,
@@ -66,6 +67,7 @@ __all__ = [
     "EmpiricalGraph",
     "ExtendedGraph",
     "build_graph",
+    "components",
     "degree",
     "divergence",
     "extend_graph",

@@ -15,6 +15,7 @@ certificate, 64 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,13 +24,16 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .flow import (
-    Flow,
-    construct_tree_certificate,
-    mincost_objective,
-    verify_certificate,
+from .flow import Flow, construct_tree_certificate, verify_certificate
+from .graph import EmpiricalGraph, components, extend_graph
+from .instances import (
+    CHAIN_REF_DUAL,
+    CHAIN_REF_PRIMAL,
+    chain_checks,
+    chain_instance,
+    grid_instance,
+    sbm_instance,
 )
-from .graph import EmpiricalGraph, build_graph, extend_graph
 from .io import (
     read_flow_csv,
     read_graph_csv,
@@ -43,17 +47,8 @@ from .io import (
     write_partition_csv,
     write_signal_csv,
 )
-from .signal import Observations, Partition, piecewise_constant, primal_objective
-from .solver import SolverConfig, dual_objective, run
-
-# Reference values of the canonical chain experiment (lambda = 1, K = 1000):
-# flow 1/4 through the five edges feeding the two sampled nodes, recovered
-# signal 3/4 and 1/4 on the two clusters, objective 0.1875.
-_CHAIN_REF_DUAL = np.array([0.0, 0.25, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0])
-_CHAIN_REF_PRIMAL = np.array([0.75] * 5 + [0.25] * 5)
-_CHAIN_REF_OBJECTIVE = 0.1875
-_REPRODUCTION_TOL = 0.02
-_GAP_THRESHOLD = 0.01
+from .signal import Observations, Partition
+from .solver import SolverConfig, SolverResult, run
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -69,179 +64,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_list(text: str, what: str, kind: type = float) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"{what} must be a comma-separated list of integers: {text!r}")
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"{what} must be a comma-separated list of numbers: {text!r}")
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{what} must be a comma-separated list of {noun}: {text!r}")
 
 
 def _write_manifest(
-    out_dir: Path,
-    command: Sequence[str],
-    inputs: dict[str, str],
-    config: dict[str, Any],
-    outputs: list[str],
-    seed: int | None,
+    args: argparse.Namespace, config: dict[str, Any], outputs: list[str]
 ) -> None:
+    inputs = {
+        name: str(getattr(args, name))
+        for name in ("graph", "flow", "partition", "observations")
+        if hasattr(args, name)
+    }
     write_json(
-        out_dir / "manifest.json",
+        args.out_dir / "manifest.json",
         {
-            "command": list(command),
+            "command": list(args.argv),
             "inputs": inputs,
             "config": config,
             "outputs": outputs,
-            "seed": seed,
+            "seed": getattr(args, "seed", None),
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "version": __version__,
         },
     )
-
-
-def _connected(g: EmpiricalGraph) -> bool:
-    if g.node_count <= 1:
-        return True
-    parent = list(range(g.node_count))
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for h, t in zip(g._head_idx, g._tail_idx):
-        parent[find(int(h))] = find(int(t))
-    return len({find(i) for i in range(g.node_count)}) == 1
-
-
-def _chain_instance(
-    n: int,
-    split: int,
-    intra_weight: float,
-    boundary_weight: float,
-    samples: list[int],
-    coeffs: list[float],
-) -> tuple[EmpiricalGraph, Partition, np.ndarray, Observations]:
-    if n < 2:
-        raise ValueError(f"chain needs at least 2 nodes, got {n}")
-    if not (1 <= split < n):
-        raise ValueError(f"split must lie in 1..{n - 1}, got {split}")
-    edges = []
-    for i in range(1, n):
-        weight = boundary_weight if i == split else intra_weight
-        edges.append((i, i + 1, weight))
-    g = build_graph(n, edges)
-    partition = Partition(
-        (frozenset(range(1, split + 1)), frozenset(range(split + 1, n + 1))), n
-    )
-    if len(coeffs) != 2:
-        raise ValueError(f"chain expects 2 coefficients, got {len(coeffs)}")
-    signal = piecewise_constant(partition, coeffs)
-    if not samples:
-        raise ValueError("chain needs at least one sampled node")
-    if any(not (1 <= s <= n) for s in samples):
-        raise ValueError(f"sampled nodes must lie in 1..{n}, got {samples}")
-    sample_arr = np.asarray(samples, dtype=np.int64)
-    obs = Observations(sample_arr, signal[sample_arr - 1])
-    return g, partition, signal, obs
-
-
-def _sample_per_cluster(
-    partition: Partition, per_cluster: int, rng: np.random.Generator
-) -> np.ndarray:
-    chosen: list[int] = []
-    for cluster in partition.clusters:
-        members = np.asarray(sorted(cluster), dtype=np.int64)
-        take = min(per_cluster, members.size)
-        chosen.extend(rng.choice(members, size=take, replace=False).tolist())
-    return np.asarray(sorted(chosen), dtype=np.int64)
-
-
-def _grid_instance(
-    rows: int,
-    cols: int,
-    split_col: int,
-    intra_weight: float,
-    boundary_weight: float,
-    samples_per_cluster: int,
-    coeffs: list[float],
-    rng: np.random.Generator,
-) -> tuple[EmpiricalGraph, Partition, np.ndarray, Observations]:
-    if rows < 1 or cols < 2:
-        raise ValueError("grid needs rows >= 1 and cols >= 2")
-    if not (1 <= split_col < cols):
-        raise ValueError(f"split-col must lie in 1..{cols - 1}, got {split_col}")
-
-    def node(r: int, c: int) -> int:
-        return (r - 1) * cols + c
-
-    edges = []
-    for r in range(1, rows + 1):
-        for c in range(1, cols + 1):
-            if c < cols:
-                weight = boundary_weight if c == split_col else intra_weight
-                edges.append((node(r, c), node(r, c + 1), weight))
-            if r < rows:
-                edges.append((node(r, c), node(r + 1, c), intra_weight))
-    n = rows * cols
-    g = build_graph(n, edges)
-    left = frozenset(
-        node(r, c) for r in range(1, rows + 1) for c in range(1, split_col + 1)
-    )
-    right = frozenset(range(1, n + 1)) - left
-    partition = Partition((left, right), n)
-    if len(coeffs) != 2:
-        raise ValueError(f"grid expects 2 coefficients, got {len(coeffs)}")
-    signal = piecewise_constant(partition, coeffs)
-    nodes = _sample_per_cluster(partition, samples_per_cluster, rng)
-    obs = Observations(nodes, signal[nodes - 1])
-    return g, partition, signal, obs
-
-
-def _sbm_instance(
-    sizes: list[int],
-    p_in: float,
-    p_out: float,
-    intra_weight: float,
-    inter_weight: float,
-    samples_per_cluster: int,
-    coeffs: list[float],
-    rng: np.random.Generator,
-) -> tuple[EmpiricalGraph, Partition, np.ndarray, Observations]:
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"block sizes must be positive, got {sizes}")
-    if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
-        raise ValueError("edge probabilities must lie in [0, 1]")
-    n = sum(sizes)
-    block = np.empty(n, dtype=np.int64)
-    start = 0
-    clusters = []
-    for k, size in enumerate(sizes):
-        block[start : start + size] = k
-        clusters.append(frozenset(range(start + 1, start + size + 1)))
-        start += size
-    partition = Partition(tuple(clusters), n)
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            same = block[i - 1] == block[j - 1]
-            p = p_in if same else p_out
-            if rng.random() < p:
-                edges.append((i, j, intra_weight if same else inter_weight))
-    g = build_graph(n, edges)
-    if len(coeffs) != len(sizes):
-        raise ValueError(f"expected {len(sizes)} coefficients, got {len(coeffs)}")
-    signal = piecewise_constant(partition, coeffs)
-    nodes = _sample_per_cluster(partition, samples_per_cluster, rng)
-    obs = Observations(nodes, signal[nodes - 1])
-    return g, partition, signal, obs
 
 
 def _write_instance(
@@ -259,60 +109,30 @@ def _write_instance(
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    if args.kind == "chain":
-        samples = _parse_int_list(args.samples, "--samples")
-        coeffs = _parse_float_list(args.coeffs, "--coeffs")
-        g, partition, signal, obs = _chain_instance(
-            args.n, args.split, args.intra_weight, args.boundary_weight,
-            samples, coeffs,
+    out_dir = args.out_dir
+    # The generator's parameters are named after the subcommand's flags.
+    names = [name for name in inspect.signature(args.make).parameters if name != "rng"]
+    for name in ("samples", "sizes"):
+        if name in names:
+            setattr(args, name, _parse_list(getattr(args, name), f"--{name}", int))
+    args.coeffs = _parse_list(args.coeffs, "--coeffs")
+    params: dict[str, Any] = {name: getattr(args, name) for name in names}
+    seeded = {} if args.kind == "chain" else {"rng": np.random.default_rng(args.seed)}
+    g, partition, signal, obs = args.make(**params, **seeded)
+    if args.kind == "sbm" and (components(g).max() > 0 or g.min_degree() == 0):
+        print(
+            "warning: generated graph is disconnected; the solver requires"
+            " min degree >= 1 and labels in every component",
+            file=sys.stderr,
         )
-        params: dict[str, Any] = {
-            "kind": "chain", "n": args.n, "split": args.split,
-            "intra_weight": args.intra_weight,
-            "boundary_weight": args.boundary_weight,
-            "samples": samples, "coeffs": coeffs,
-        }
-    elif args.kind == "grid":
-        coeffs = _parse_float_list(args.coeffs, "--coeffs")
-        g, partition, signal, obs = _grid_instance(
-            args.rows, args.cols, args.split_col, args.intra_weight,
-            args.boundary_weight, args.samples_per_cluster, coeffs, rng,
-        )
-        params = {
-            "kind": "grid", "rows": args.rows, "cols": args.cols,
-            "split_col": args.split_col, "intra_weight": args.intra_weight,
-            "boundary_weight": args.boundary_weight,
-            "samples_per_cluster": args.samples_per_cluster, "coeffs": coeffs,
-        }
-    else:
-        sizes = _parse_int_list(args.sizes, "--sizes")
-        coeffs = _parse_float_list(args.coeffs, "--coeffs")
-        g, partition, signal, obs = _sbm_instance(
-            sizes, args.p_in, args.p_out, args.intra_weight, args.inter_weight,
-            args.samples_per_cluster, coeffs, rng,
-        )
-        params = {
-            "kind": "sbm", "sizes": sizes, "p_in": args.p_in, "p_out": args.p_out,
-            "intra_weight": args.intra_weight, "inter_weight": args.inter_weight,
-            "samples_per_cluster": args.samples_per_cluster, "coeffs": coeffs,
-        }
-        if not _connected(g) or g.min_degree() == 0:
-            print(
-                "warning: generated graph is disconnected; the solver requires"
-                " min degree >= 1 and labels in every component",
-                file=sys.stderr,
-            )
     outputs = _write_instance(out_dir, g, partition, signal, obs)
-    _write_manifest(out_dir, args.argv, {}, params, outputs, args.seed)
+    _write_manifest(args, {"kind": args.kind, **params}, outputs)
     print(f"wrote {', '.join(outputs)} to {out_dir}")
     return EXIT_OK
 
 
 def _load_config(args: argparse.Namespace) -> SolverConfig:
-    if args.config is not None:
+    if getattr(args, "config", None) is not None:
         return SolverConfig.from_mapping(read_json(args.config))
     return SolverConfig(
         lam=args.lam,
@@ -322,20 +142,26 @@ def _load_config(args: argparse.Namespace) -> SolverConfig:
     )
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    g = read_graph_csv(args.graph)
-    obs = read_observations_csv(args.observations)
-    cfg = _load_config(args)
-    result = run(g, obs, cfg)
-
+def _write_solution(
+    out_dir: Path, g: EmpiricalGraph, result: SolverResult
+) -> list[str]:
     write_signal_csv(out_dir / "primal.csv", result.x_avg)
     write_flow_csv(
         out_dir / "dual.csv",
         g,
         Flow(base=result.y, star_nodes=np.empty(0, dtype=np.int64), star=np.empty(0)),
     )
+    return ["primal.csv", "dual.csv"]
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    out_dir = args.out_dir
+    g = read_graph_csv(args.graph)
+    obs = read_observations_csv(args.observations)
+    cfg = _load_config(args)
+    result = run(g, obs, cfg)
+
+    outputs = _write_solution(out_dir, g, result)
     report = {
         "objective": result.gap.primal,
         "dual_objective": result.gap.dual,
@@ -347,14 +173,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "config": cfg.to_mapping(),
     }
     write_json(out_dir / "report.json", report)
-    _write_manifest(
-        out_dir,
-        args.argv,
-        {"graph": str(args.graph), "observations": str(args.observations)},
-        cfg.to_mapping(),
-        ["primal.csv", "dual.csv", "report.json"],
-        None,
-    )
+    _write_manifest(args, cfg.to_mapping(), outputs + ["report.json"])
     gap_text = f"{result.gap.gap:.3e}" if result.gap.gap is not None else "not-certified"
     print(
         f"solved in {result.iters} iterations:"
@@ -364,8 +183,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = args.out_dir
     g = read_graph_csv(args.graph)
     flow = read_flow_csv(args.flow, g)
     partition = read_partition_csv(args.partition)
@@ -373,27 +191,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     eg = extend_graph(g, obs.nodes)
     report = verify_certificate(eg, flow, partition, obs, args.lam, args.tol)
 
-    payload = report.to_dict()
-    payload["lambda"] = args.lam
-    payload["tol"] = args.tol
+    payload = {**report.to_dict(), "lambda": args.lam, "tol": args.tol}
     write_json(out_dir / "report.json", payload)
     outputs = ["report.json"]
     if report.reconstructed is not None:
         write_signal_csv(out_dir / "reconstructed.csv", report.reconstructed)
         outputs.append("reconstructed.csv")
-    _write_manifest(
-        out_dir,
-        args.argv,
-        {
-            "graph": str(args.graph),
-            "flow": str(args.flow),
-            "partition": str(args.partition),
-            "observations": str(args.observations),
-        },
-        {"lambda": args.lam, "tol": args.tol},
-        outputs,
-        None,
-    )
+    _write_manifest(args, {"lambda": args.lam, "tol": args.tol}, outputs)
     print(f"certificate {report.status}")
     if report.status == "verified":
         return EXIT_OK
@@ -415,92 +219,27 @@ def _diff_table(name: str, got: np.ndarray, want: np.ndarray) -> str:
 
 
 def _cmd_experiment_chain(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = args.out_dir
 
-    g, partition, signal, obs = _chain_instance(
-        n=10, split=5, intra_weight=1.0, boundary_weight=0.25,
-        samples=[2, 7], coeffs=[1.0, 0.0],
-    )
+    g, partition, signal, obs = chain_instance()
     outputs = _write_instance(out_dir, g, partition, signal, obs)
-
-    cfg = SolverConfig(
-        lam=args.lam, max_iters=args.iters, gap_tol=args.gap_tol,
-        feas_tol=args.feas_tol,
-    )
+    cfg = _load_config(args)
     result = run(g, obs, cfg)
-    write_signal_csv(out_dir / "primal.csv", result.x_avg)
-    write_flow_csv(
-        out_dir / "dual.csv",
-        g,
-        Flow(base=result.y, star_nodes=np.empty(0, dtype=np.int64), star=np.empty(0)),
-    )
-    outputs += ["primal.csv", "dual.csv"]
+    outputs += _write_solution(out_dir, g, result)
 
-    # Figure-shaped CSVs: model signal and primal iterate per node, dual
-    # iterate per chain edge (indexed by the edge's head).
-    write_signal_csv(out_dir / "chain_signal.csv", signal)
-    write_signal_csv(out_dir / "chain_primal.csv", result.x_avg)
+    # Figure-shaped dual: one row per chain edge, indexed by the edge's head.
     dual_lines = ["i,y"] + [
         f"{int(h)},{repr(float(v))}" for h, v in zip(g.heads, result.y)
     ]
     (out_dir / "chain_dual.csv").write_text("\n".join(dual_lines) + "\n", encoding="utf-8")
-    outputs += ["chain_signal.csv", "chain_primal.csv", "chain_dual.csv"]
+    outputs.append("chain_dual.csv")
 
     certificate = construct_tree_certificate(g, partition, obs, args.lam)
     write_flow_csv(out_dir / "flow.csv", g, certificate)
     outputs.append("flow.csv")
     eg = extend_graph(g, obs.nodes)
     cert_report = verify_certificate(eg, certificate, partition, obs, args.lam, 1e-9)
-
-    checks: list[dict[str, Any]] = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    dual_dev = float(np.max(np.abs(result.y - _CHAIN_REF_DUAL)))
-    check(
-        "dual_matches_reference",
-        dual_dev <= _REPRODUCTION_TOL,
-        f"max deviation {dual_dev:.3e} (tol {_REPRODUCTION_TOL})",
-    )
-    primal_dev = float(np.max(np.abs(result.x_avg - _CHAIN_REF_PRIMAL)))
-    check(
-        "primal_matches_reference",
-        primal_dev <= _REPRODUCTION_TOL,
-        f"max deviation {primal_dev:.3e} (tol {_REPRODUCTION_TOL})",
-    )
-    check(
-        "certificate_verified",
-        cert_report.verdict,
-        f"status {cert_report.status}"
-        + (f": {cert_report.failure_reason}" if cert_report.failure_reason else ""),
-    )
-    if cert_report.reconstructed is not None:
-        recon_L = primal_objective(g, obs, cert_report.reconstructed, args.lam)
-        cert_dual = dual_objective(g, obs, certificate.base, args.lam)
-        cert_cost = mincost_objective(eg, certificate, obs)
-        dual_value = cert_dual.value if cert_dual.value is not None else float("nan")
-        strong = abs(recon_L - dual_value) <= 1e-9 and abs(cert_cost + dual_value) <= 1e-9
-        check(
-            "strong_duality_at_certificate",
-            strong,
-            f"primal {recon_L:.12g}, dual {dual_value:.12g}, flow cost {cert_cost:.12g}",
-        )
-        if args.lam == 1.0:
-            check(
-                "reference_objective",
-                abs(recon_L - _CHAIN_REF_OBJECTIVE) <= 1e-9,
-                f"objective {recon_L:.12g} vs {_CHAIN_REF_OBJECTIVE}",
-            )
-    else:
-        check("strong_duality_at_certificate", False, "no reconstruction available")
-    gap_ok = result.gap.certified and result.gap.gap is not None and result.gap.gap <= _GAP_THRESHOLD
-    gap_text = (
-        f"{result.gap.gap:.3e}" if result.gap.gap is not None
-        else f"not certified (conservation residual {result.gap.conservation_residual:.3e})"
-    )
-    check("gap_below_threshold", gap_ok, f"gap {gap_text} (threshold {_GAP_THRESHOLD})")
+    checks = chain_checks(g, obs, result, certificate, cert_report, args.lam)
 
     failed = [c for c in checks if not c["passed"]]
     report = {
@@ -517,9 +256,7 @@ def _cmd_experiment_chain(args: argparse.Namespace) -> int:
     }
     write_json(out_dir / "report.json", report)
     outputs.append("report.json")
-    _write_manifest(
-        out_dir, args.argv, {}, cfg.to_mapping(), outputs, args.seed,
-    )
+    _write_manifest(args, cfg.to_mapping(), outputs)
 
     for c in checks:
         marker = "PASS" if c["passed"] else "FAIL"
@@ -527,10 +264,10 @@ def _cmd_experiment_chain(args: argparse.Namespace) -> int:
     if failed:
         if any(c["name"] == "dual_matches_reference" for c in failed):
             print("dual iterate vs reference:")
-            print(_diff_table("edge head", result.y, _CHAIN_REF_DUAL))
+            print(_diff_table("edge head", result.y, CHAIN_REF_DUAL))
         if any(c["name"] == "primal_matches_reference" for c in failed):
             print("averaged primal vs reference:")
-            print(_diff_table("node", result.x_avg, _CHAIN_REF_PRIMAL))
+            print(_diff_table("node", result.x_avg, CHAIN_REF_PRIMAL))
         return EXIT_FAILED if args.strict else EXIT_OK
     return EXIT_OK
 
@@ -589,9 +326,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default=".")
         p.set_defaults(func=_cmd_generate)
-    chain.set_defaults(kind="chain")
-    grid.set_defaults(kind="grid")
-    sbm.set_defaults(kind="sbm")
+    chain.set_defaults(kind="chain", make=chain_instance)
+    grid.set_defaults(kind="grid", make=grid_instance)
+    sbm.set_defaults(kind="sbm", make=sbm_instance)
 
     solve = sub.add_parser("solve", help="run the solver on CSV inputs")
     solve.add_argument("--graph", required=True)
@@ -617,7 +354,6 @@ def _build_parser() -> _Parser:
         help="run the canonical chain experiment end to end and check it",
     )
     _add_solver_flags(exp)
-    exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--out-dir", default=".")
     exp.add_argument("--strict", action="store_true",
                      help="exit 1 when a threshold check fails")
@@ -632,6 +368,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(resolved)
     args.argv = resolved
     try:
+        args.out_dir = Path(args.out_dir)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"tvflow: error: {exc}", file=sys.stderr)

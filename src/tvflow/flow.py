@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .graph import EmpiricalGraph, ExtendedGraph, divergence
+from .graph import EmpiricalGraph, ExtendedGraph, components, divergence
 from .signal import Observations, Partition, boundary_mask
 
 __all__ = [
@@ -137,26 +137,6 @@ class CertificateReport:
             ),
             "failure_reason": self.failure_reason,
         }
-
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, u: int) -> int:
-        while self.parent[u] != u:
-            self.parent[u] = self.parent[self.parent[u]]
-            u = self.parent[u]
-        return u
-
-    def union(self, u: int, v: int) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        if rv < ru:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        return True
 
 
 def _require_alignment(eg: ExtendedGraph, f: Flow) -> None:
@@ -368,45 +348,45 @@ def reconstruct_primal(
     """
     _require_alignment(eg, f)
     g = eg.base
+    obs.validate_for(g)
     if partition.node_count != g.node_count:
         raise ValueError("partition does not cover this graph")
-    caps = lam * g.weights
-    open_edges = np.abs(f.base) < caps - tol
-
-    uf = _UnionFind(g.node_count)
-    for h, t in zip(g._head_idx[open_edges], g._tail_idx[open_edges]):
-        uf.union(int(h), int(t))
-
-    components: dict[int, list[int]] = {}
-    for node in range(g.node_count):
-        components.setdefault(uf.find(node), []).append(node)
-
-    v = divergence(g, f.base)
-    label_by_idx = dict(zip((obs.nodes - 1).tolist(), obs.labels.tolist()))
+    comp = components(g, np.abs(f.base) < lam * g.weights - tol)
+    count = int(comp.max()) + 1
     ci = partition.cluster_index
-    x = np.empty(g.node_count)
-    for members in components.values():
-        if len({int(ci[i]) for i in members}) > 1:
-            nodes = [i + 1 for i in members]
+    lowest = np.full(count, partition.cluster_count)
+    np.minimum.at(lowest, comp, ci)
+    highest = np.full(count, -1)
+    np.maximum.at(highest, comp, ci)
+
+    sampled = obs.indices
+    candidates = obs.labels - divergence(g, f.base)[sampled]
+    sampled_comp = comp[sampled]
+    # Anchor: position in ``sampled`` of each component's lowest sampled node.
+    anchor = np.full(count, -1)
+    present, first = np.unique(sampled_comp, return_index=True)
+    anchor[present] = first
+    value = candidates[anchor]
+    off = np.abs(candidates - value[sampled_comp]) > tol
+
+    bad = (lowest != highest) | (anchor < 0)
+    bad[sampled_comp[off]] = True
+    if bad.any():
+        c = int(np.argmax(bad))
+        nodes = (np.flatnonzero(comp == c) + 1).tolist()
+        if lowest[c] != highest[c]:
             raise ValueError(
                 f"component {nodes} spans multiple clusters; the flow does not"
                 " certify this partition"
             )
-        sampled = [i for i in members if i in label_by_idx]
-        if not sampled:
-            nodes = [i + 1 for i in members]
+        if anchor[c] < 0:
             raise ValueError(f"component {nodes} contains no sampled node")
-        anchor = min(sampled)
-        value = label_by_idx[anchor] - v[anchor]
-        for other in sampled:
-            candidate = label_by_idx[other] - v[other]
-            if abs(candidate - value) > tol:
-                raise ValueError(
-                    f"sampled nodes {anchor + 1} and {other + 1} give"
-                    f" inconsistent values {value:g} vs {candidate:g}"
-                )
-        x[members] = value
-    return x
+        other = int(np.flatnonzero(off & (sampled_comp == c))[0])
+        raise ValueError(
+            f"sampled nodes {obs.nodes[anchor[c]]} and {obs.nodes[other]}"
+            f" give inconsistent values {value[c]:g} vs {candidates[other]:g}"
+        )
+    return value[comp]
 
 
 def construct_tree_certificate(
@@ -437,12 +417,11 @@ def construct_tree_certificate(
         raise ValueError(
             f"expected a tree ({n - 1} edges for {n} nodes), got {g.edge_count}"
         )
-    uf = _UnionFind(n)
-    for h, t in zip(g._head_idx, g._tail_idx):
-        if not uf.union(int(h), int(t)):
-            raise ValueError("graph contains a cycle; expected a tree")
-    if n and len({uf.find(i) for i in range(n)}) != 1:
-        raise ValueError("graph is disconnected; expected a tree")
+    # n - 1 edges and one component make a tree.
+    if components(g).max() != 0:
+        raise ValueError(
+            "graph contains a cycle and is disconnected; expected a tree"
+        )
 
     sampled_set = set((obs.nodes - 1).tolist())
     ci = partition.cluster_index

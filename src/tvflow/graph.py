@@ -9,7 +9,8 @@ The two linear operators that everything else is built on live here:
 ``incidence_apply`` maps node values to signed edge differences and
 ``divergence`` is its adjoint (net outflow per node).  Both are
 matrix-free and reduce sequentially by edge index, so results are
-bit-deterministic.
+bit-deterministic.  ``components`` labels the connected components of
+the graph or of a subset of its edges.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "EmpiricalGraph",
     "ExtendedGraph",
     "build_graph",
+    "components",
     "degree",
     "incidence_apply",
     "divergence",
@@ -145,6 +147,46 @@ def build_graph(
     for arr in (head_arr, tail_arr, weight_arr):
         arr.setflags(write=False)
     return EmpiricalGraph(n, head_arr, tail_arr, weight_arr)
+
+
+def components(
+    g: EmpiricalGraph, edge_mask: np.ndarray | None = None
+) -> np.ndarray:
+    """0-based connected-component label per node position.
+
+    Only edges where ``edge_mask`` is True connect nodes (all edges when it
+    is None).  Components are numbered in order of their smallest node, so
+    node 1 always lies in component 0.  Computed by hook-and-compress: each
+    round hooks every root to the smallest root it shares an edge with,
+    then pointer jumping flattens the forest, until no edge joins two roots.
+    """
+    heads, tails = g._head_idx, g._tail_idx
+    if edge_mask is not None:
+        mask = np.asarray(edge_mask, dtype=bool)
+        if mask.shape != (g.edge_count,):
+            raise ValueError(
+                f"edge mask has shape {mask.shape}, expected ({g.edge_count},)"
+            )
+        heads, tails = heads[mask], tails[mask]
+    # parent[i] <= i always holds, so the pointers never form a cycle and
+    # each root is the smallest node of its tree.  An edge whose endpoints
+    # share a root keeps sharing it, so it is dropped for good.
+    parent = np.arange(g.node_count)
+    while heads.size:
+        root_h, root_t = parent[heads], parent[tails]
+        crossing = root_h != root_t
+        heads, tails = heads[crossing], tails[crossing]
+        root_h, root_t = root_h[crossing], root_t[crossing]
+        low = np.minimum(root_h, root_t)
+        np.minimum.at(parent, root_h, low)
+        np.minimum.at(parent, root_t, low)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    roots = parent == np.arange(g.node_count)
+    return (np.cumsum(roots) - 1)[parent]
 
 
 def degree(g: EmpiricalGraph, i: int) -> int:

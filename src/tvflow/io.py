@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -36,6 +36,10 @@ __all__ = [
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_lines(path: Path | str, header: str, rows: Iterable[str]) -> None:
+    Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
 def _read_rows(path: Path | str, header: str) -> list[tuple[int, list[str]]]:
@@ -78,10 +82,8 @@ def _parse_float(path: Path | str, lineno: int, text: str, what: str) -> float:
 
 
 def write_graph_csv(path: Path | str, g: EmpiricalGraph) -> None:
-    lines = ["i,j,w"]
-    for h, t, w in zip(g.heads, g.tails, g.weights):
-        lines.append(f"{int(h)},{int(t)},{_fmt(w)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = zip(g.heads, g.tails, g.weights)
+    _write_lines(path, "i,j,w", (f"{int(h)},{int(t)},{_fmt(w)}" for h, t, w in rows))
 
 
 def read_graph_csv(path: Path | str, node_count: int | None = None) -> EmpiricalGraph:
@@ -104,10 +106,8 @@ def read_graph_csv(path: Path | str, node_count: int | None = None) -> Empirical
 
 
 def write_signal_csv(path: Path | str, x: np.ndarray) -> None:
-    lines = ["i,x"]
-    for i, value in enumerate(np.asarray(x, dtype=np.float64), start=1):
-        lines.append(f"{i},{_fmt(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    values = np.asarray(x, dtype=np.float64)
+    _write_lines(path, "i,x", (f"{i},{_fmt(v)}" for i, v in enumerate(values, start=1)))
 
 
 def read_signal_csv(path: Path | str) -> np.ndarray:
@@ -128,10 +128,8 @@ def read_signal_csv(path: Path | str) -> np.ndarray:
 
 
 def write_observations_csv(path: Path | str, obs: Observations) -> None:
-    lines = ["i,x"]
-    for i, value in zip(obs.nodes, obs.labels):
-        lines.append(f"{int(i)},{_fmt(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = (f"{int(i)},{_fmt(v)}" for i, v in zip(obs.nodes, obs.labels))
+    _write_lines(path, "i,x", rows)
 
 
 def read_observations_csv(path: Path | str) -> Observations:
@@ -153,11 +151,8 @@ def read_observations_csv(path: Path | str) -> Observations:
 
 
 def write_partition_csv(path: Path | str, p: Partition) -> None:
-    lines = ["i,cluster"]
-    ci = p.cluster_index
-    for i in range(1, p.node_count + 1):
-        lines.append(f"{i},{int(ci[i - 1]) + 1}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = (f"{i},{int(c) + 1}" for i, c in enumerate(p.cluster_index, start=1))
+    _write_lines(path, "i,cluster", rows)
 
 
 def read_partition_csv(path: Path | str) -> Partition:
@@ -187,12 +182,9 @@ def write_flow_csv(path: Path | str, g: EmpiricalGraph, f: Flow) -> None:
     """Base edges as head,tail,value rows; star edges use tail 'star'."""
     if f.base.shape != (g.edge_count,):
         raise ValueError("flow does not match the graph's edge count")
-    lines = ["head,tail,y"]
-    for h, t, value in zip(g.heads, g.tails, f.base):
-        lines.append(f"{int(h)},{int(t)},{_fmt(value)}")
-    for i, value in zip(f.star_nodes, f.star):
-        lines.append(f"{int(i)},star,{_fmt(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    base = (f"{int(h)},{int(t)},{_fmt(v)}" for h, t, v in zip(g.heads, g.tails, f.base))
+    star = (f"{int(i)},star,{_fmt(v)}" for i, v in zip(f.star_nodes, f.star))
+    _write_lines(path, "head,tail,y", [*base, *star])
 
 
 def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:

@@ -19,7 +19,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .graph import EmpiricalGraph, divergence, incidence_apply, scaled_operator_norm
+from .graph import EmpiricalGraph, components, divergence, incidence_apply
 from .signal import Observations, primal_objective
 
 __all__ = [
@@ -37,10 +37,6 @@ __all__ = [
 
 _CONFIG_KEYS = ("lambda", "max_iters", "gap_tol", "feas_tol")
 
-# Slack accepted on the scaled-operator-norm check: the step-size rule
-# guarantees norm <= 1, with equality on bipartite graphs.
-_NORM_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -50,7 +46,6 @@ class SolverConfig:
     max_iters: int = 1000
     gap_tol: float = 0.0
     feas_tol: float = 1e-9
-    check_operator_norm: bool = False
 
     def __post_init__(self) -> None:
         if not (self.lam > 0.0) or not np.isfinite(self.lam):
@@ -134,12 +129,23 @@ class SolverResult:
 
 
 def init_state(g: EmpiricalGraph, obs: Observations) -> SolverState:
-    """Zero-initialized state; rejects graphs with isolated nodes."""
+    """Zero-initialized state; rejects graphs with isolated nodes and
+    components without a label, whose values no label would determine."""
     obs.validate_for(g)
     if g.min_degree() == 0:
         isolated = [i + 1 for i in np.flatnonzero(g.degrees == 0)]
         raise ValueError(
             f"solver requires min degree >= 1; isolated nodes {isolated}"
+        )
+    comp = components(g)
+    labeled = np.zeros(comp.max() + 1, dtype=bool)
+    labeled[comp[obs.indices]] = True
+    if not labeled.all():
+        nodes = (np.flatnonzero(comp == np.argmin(labeled)) + 1).tolist()
+        shown = str(nodes[:5])[1:-1] + (", ..." if len(nodes) > 5 else "")
+        raise ValueError(
+            f"component with nodes {{{shown}}} has no labeled node;"
+            " the solver requires a label in every connected component"
         )
     n, m = g.node_count, g.edge_count
     return SolverState(
@@ -177,14 +183,9 @@ def pd_step(
 
 def run(g: EmpiricalGraph, obs: Observations, cfg: SolverConfig) -> SolverResult:
     """Iterate until max_iters, or until the certified gap drops below
-    gap_tol (checked every 50 iterations when gap_tol > 0)."""
+    gap_tol (checked every 50 iterations when gap_tol > 0).  Raises when
+    the final objectives or gap are not finite."""
     state = init_state(g, obs)
-    if cfg.check_operator_norm:
-        norm = scaled_operator_norm(g)
-        if not norm < 1.0 + _NORM_SLACK:
-            raise ValueError(
-                f"step-size condition violated: scaled operator norm {norm}"
-            )
     report: GapReport | None = None
     while state.k < cfg.max_iters:
         state = pd_step(state, g, obs, cfg)
@@ -195,6 +196,16 @@ def run(g: EmpiricalGraph, obs: Observations, cfg: SolverConfig) -> SolverResult
                 break
     if report is None:
         report = duality_gap(g, obs, state.x_avg, state.y, cfg.lam, cfg.feas_tol)
+    for name, value in (
+        ("primal objective", report.primal),
+        ("dual objective", report.dual),
+        ("duality gap", report.gap),
+    ):
+        if value is not None and not np.isfinite(value):
+            raise ValueError(
+                f"{name} is {value}: labels, weights or lambda are too large"
+                " for double precision"
+            )
     return SolverResult(x_avg=state.x_avg, y=state.y, iters=state.k, gap=report)
 
 

@@ -8,14 +8,11 @@ import pytest
 from tvflow.graph import EmpiricalGraph, build_graph
 from tvflow.signal import Observations, Partition
 
-# The canonical two-cluster chain: 10 nodes, unit weights except the
-# boundary edge {5, 6} at 1/4, labels 1 at node 2 and 0 at node 7.
-CHAIN_REF_DUAL = np.array([0.0, 0.25, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0])
-CHAIN_REF_PRIMAL = np.array([0.75] * 5 + [0.25] * 5)
-CHAIN_REF_OBJECTIVE = 0.1875
-
 
 def make_chain() -> tuple[EmpiricalGraph, Observations, Partition]:
+    """The canonical two-cluster chain: 10 nodes, unit weights except the
+    boundary edge {5, 6} at 1/4, labels 1 at node 2 and 0 at node 7; its
+    reference solution is ``tvflow.instances.CHAIN_REF_*``."""
     edges = [(i, i + 1, 1.0) for i in range(1, 10)]
     edges[4] = (5, 6, 0.25)
     g = build_graph(10, edges)

@@ -130,6 +130,32 @@ class TestSolve:
         ])
         assert code == 64
 
+    def test_unlabeled_component_rejected(self, tmp_path, capsys):
+        (tmp_path / "graph.csv").write_text("i,j,w\n1,2,1.0\n3,4,1.0\n")
+        (tmp_path / "obs.csv").write_text("i,x\n1,1.0\n2,0.0\n")
+        out = tmp_path / "x"
+        code = run_cli([
+            "solve", "--graph", str(tmp_path / "graph.csv"),
+            "--observations", str(tmp_path / "obs.csv"), "--out-dir", str(out),
+        ])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "component with nodes {3, 4} has no labeled node" in err
+        assert not any(out.iterdir())
+
+    def test_non_finite_objective_rejected(self, tmp_path, capsys):
+        (tmp_path / "graph.csv").write_text("i,j,w\n1,2,1.0\n2,3,1.0\n")
+        (tmp_path / "obs.csv").write_text("i,x\n1,1e300\n3,-1e300\n")
+        out = tmp_path / "x"
+        with np.errstate(over="ignore"):
+            code = run_cli([
+                "solve", "--graph", str(tmp_path / "graph.csv"),
+                "--observations", str(tmp_path / "obs.csv"), "--out-dir", str(out),
+            ])
+        assert code == 64
+        assert "primal objective is inf" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_parse_error_cites_line(self, tmp_path, instance_dir, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("i,x\n2,1.0\n7,zero\n")
@@ -242,8 +268,8 @@ class TestExperimentChain:
     def test_figure_shaped_csvs(self, tmp_path):
         out = tmp_path / "exp"
         run_cli(["experiment-chain", "--out-dir", str(out)])
-        assert read_signal_csv(out / "chain_signal.csv").tolist() == [1.0] * 5 + [0.0] * 5
-        primal = read_signal_csv(out / "chain_primal.csv")
+        assert read_signal_csv(out / "signal.csv").tolist() == [1.0] * 5 + [0.0] * 5
+        primal = read_signal_csv(out / "primal.csv")
         assert primal.shape == (10,)
         dual_lines = (out / "chain_dual.csv").read_text().splitlines()
         assert dual_lines[0] == "i,y"
@@ -278,7 +304,7 @@ class TestDeterminism:
         a = tmp_path / "a"
         b = tmp_path / "b"
         for out in (a, b):
-            assert run_cli(["experiment-chain", "--seed", "3", "--out-dir", str(out)]) == 0
+            assert run_cli(["experiment-chain", "--out-dir", str(out)]) == 0
         assert artifact_bytes(a) == artifact_bytes(b)
 
     def test_sbm_generation_deterministic(self, tmp_path):

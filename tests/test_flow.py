@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    CHAIN_REF_DUAL,
-    CHAIN_REF_PRIMAL,
     make_chain,
     random_connected_instance,
     random_tree_instance,
@@ -20,6 +18,7 @@ from tvflow.flow import (
     verify_certificate,
 )
 from tvflow.graph import build_graph, divergence, extend_graph
+from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL
 from tvflow.signal import Observations, Partition, primal_objective
 from tvflow.solver import dual_objective
 
@@ -229,6 +228,29 @@ class TestReconstructPrimal:
         f = Flow(y, np.array([2]), divergence(g, y)[[1]])
         with pytest.raises(ValueError, match="no sampled node"):
             reconstruct_primal(eg, f, p, obs, lam)
+
+    def test_component_across_clusters_rejected(self):
+        # Zero flow leaves every edge open, so one component spans both
+        # clusters of the path.
+        g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
+        p = Partition((frozenset({1}), frozenset({2, 3})), 3)
+        obs = Observations.from_dict({1: 1.0, 3: 0.0})
+        eg = extend_graph(g, obs.nodes)
+        f = Flow(np.zeros(2), obs.nodes, np.zeros(2))
+        with pytest.raises(ValueError, match=r"component \[1, 2, 3\] spans multiple"):
+            reconstruct_primal(eg, f, p, obs, 1.0)
+
+    def test_inconsistent_samples_rejected(self):
+        # Component {3, 4, 5} is sampled at 3 and 5 with labels that
+        # disagree; component {1, 2} is consistent and comes first.
+        g = build_graph(5, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
+        p = Partition((frozenset({1, 2}), frozenset({3, 4, 5})), 5)
+        obs = Observations.from_dict({1: 1.0, 3: 0.0, 5: 0.5})
+        eg = extend_graph(g, obs.nodes)
+        y = np.array([0.0, 1.0, 0.0, 0.0])  # saturates edge (2, 3) only
+        f = Flow(y, obs.nodes, divergence(g, y)[obs.indices])
+        with pytest.raises(ValueError, match="sampled nodes 3 and 5 give inconsistent"):
+            reconstruct_primal(eg, f, p, obs, 1.0)
 
 
 class TestConstructTreeCertificate:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_chain
 from tvflow.graph import (
     build_graph,
+    components,
     degree,
     divergence,
     extend_graph,
@@ -265,3 +266,71 @@ class TestScaledOperatorNorm:
         assert scaled_operator_norm(g1) == pytest.approx(
             scaled_operator_norm(g2), abs=1e-9
         )
+
+
+def _union_find_labels(n, pairs):
+    """Reference: plain union-find, roots relabeled 0, 1, ... in order of
+    each component's smallest node."""
+    parent = list(range(n))
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for h, t in pairs:
+        parent[find(h)] = find(t)
+    relabel: dict[int, int] = {}
+    return np.array([relabel.setdefault(find(i), len(relabel)) for i in range(n)])
+
+
+@st.composite
+def sparse_graphs_with_masks(draw):
+    """Graphs on 1..30 nodes with 0..45 edges (often disconnected, with
+    isolated nodes) and a random edge mask."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = []
+    if pairs:
+        chosen = draw(st.lists(st.sampled_from(pairs), max_size=45, unique=True))
+    g = build_graph(n, [(i, j, 1.0) for i, j in chosen])
+    m = g.edge_count
+    mask = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return g, np.array(mask, dtype=bool)
+
+
+class TestComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_graphs_with_masks())
+    def test_matches_union_find(self, case):
+        g, mask = case
+        n = g.node_count
+        pairs = list(zip(g._head_idx.tolist(), g._tail_idx.tolist()))
+        assert np.array_equal(components(g), _union_find_labels(n, pairs))
+        kept = [p for p, keep in zip(pairs, mask) if keep]
+        assert np.array_equal(components(g, mask), _union_find_labels(n, kept))
+
+    def test_random_large_graphs(self):
+        rng = np.random.default_rng(61)
+        for n, m in ((500, 300), (500, 600), (2000, 1999)):
+            ends = rng.integers(1, n + 1, (m, 2)).tolist()
+            pairs = sorted({(min(p), max(p)) for p in ends if p[0] != p[1]})
+            g = build_graph(n, [(i, j, 1.0) for i, j in pairs])
+            mask = rng.random(g.edge_count) < 0.7
+            for edge_mask in (None, mask):
+                keep = np.ones(g.edge_count, bool) if edge_mask is None else edge_mask
+                kept = zip(g._head_idx[keep].tolist(), g._tail_idx[keep].tolist())
+                assert np.array_equal(components(g, edge_mask), _union_find_labels(n, kept))
+
+    def test_chain_split_by_mask(self):
+        g, _, _ = make_chain()
+        assert components(g).tolist() == [0] * 10
+        open_edges = np.ones(9, dtype=bool)
+        open_edges[4] = False  # the boundary edge {5, 6}
+        assert components(g, open_edges).tolist() == [0] * 5 + [1] * 5
+
+    def test_mask_shape_checked(self):
+        g, _, _ = make_chain()
+        with pytest.raises(ValueError, match="edge mask"):
+            components(g, np.ones(3, dtype=bool))

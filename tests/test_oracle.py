@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import (
-    CHAIN_REF_DUAL,
-    CHAIN_REF_PRIMAL,
     make_chain,
     random_connected_instance,
 )
 from tvflow.graph import build_graph, divergence, extend_graph
+from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL
 from tvflow.oracle import oracle_mincost_flow, oracle_nlasso, project_dual_feasible
 from tvflow.signal import Observations, primal_objective
 from tvflow.solver import SolverConfig, run

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import (
-    CHAIN_REF_DUAL,
-    CHAIN_REF_PRIMAL,
     make_chain,
     random_connected_instance,
 )
 from tvflow.graph import build_graph
+from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL
 from tvflow.oracle import project_dual_feasible
 from tvflow.signal import Observations, primal_objective
 from tvflow.solver import (
@@ -96,6 +95,13 @@ class TestInitState:
         g = build_graph(3, [(1, 2, 1.0)])
         with pytest.raises(ValueError, match="isolated"):
             init_state(g, Observations.from_dict({1: 1.0}))
+
+    def test_unlabeled_component_rejected(self):
+        g = build_graph(6, [(1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0)])
+        with pytest.raises(ValueError, match=r"component with nodes \{3, 4, 5, 6\}"):
+            init_state(g, Observations.from_dict({1: 1.0, 2: 0.0}))
+        # One label per component is enough.
+        init_state(g, Observations.from_dict({2: 0.0, 6: 1.0}))
 
 
 class TestPdStep:
@@ -282,12 +288,14 @@ class TestRun:
             mean = float(np.mean(obs.labels))
             assert np.max(np.abs(result.x_avg - mean)) <= 1e-2
 
-    def test_operator_norm_check_accepts_chain(self, chain):
-        g, obs, _ = chain
-        result = run(
-            g, obs, SolverConfig(lam=1.0, max_iters=10, check_operator_norm=True)
-        )
-        assert result.iters == 10
+    def test_non_finite_objective_rejected(self):
+        # Labels of +-1e300 overflow the squared error to inf.
+        g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
+        obs = Observations.from_dict({1: 1e300, 3: -1e300})
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="primal objective is inf"
+        ):
+            run(g, obs, SolverConfig(lam=1.0, max_iters=10))
 
     def test_gap_checkpoints_decrease(self, chain):
         # Certified gap of (averaged primal, feasibility-projected dual)
