@@ -11,12 +11,10 @@ it induces.
 
 from .graph import (
     EmpiricalGraph,
-    ExtendedGraph,
     build_graph,
     components,
     degree,
     divergence,
-    extend_graph,
     incidence_apply,
     scaled_operator_norm,
 )
@@ -24,6 +22,7 @@ from .signal import (
     GraphSignal,
     Observations,
     Partition,
+    Problem,
     boundary_edges,
     boundary_mask,
     empirical_error,
@@ -65,17 +64,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EmpiricalGraph",
-    "ExtendedGraph",
     "build_graph",
     "components",
     "degree",
     "divergence",
-    "extend_graph",
     "incidence_apply",
     "scaled_operator_norm",
     "GraphSignal",
     "Observations",
     "Partition",
+    "Problem",
     "boundary_edges",
     "boundary_mask",
     "empirical_error",

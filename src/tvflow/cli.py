@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .flow import Flow, construct_tree_certificate, verify_certificate
-from .graph import EmpiricalGraph, components, extend_graph
+from .graph import EmpiricalGraph, components
 from .instances import (
     CHAIN_REF_DUAL,
     CHAIN_REF_PRIMAL,
@@ -47,7 +47,7 @@ from .io import (
     write_partition_csv,
     write_signal_csv,
 )
-from .signal import Observations, Partition
+from .signal import Observations, Partition, Problem
 from .solver import SolverConfig, SolverResult, run
 
 EXIT_OK = 0
@@ -188,8 +188,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     flow = read_flow_csv(args.flow, g)
     partition = read_partition_csv(args.partition)
     obs = read_observations_csv(args.observations)
-    eg = extend_graph(g, obs.nodes)
-    report = verify_certificate(eg, flow, partition, obs, args.lam, args.tol)
+    report = verify_certificate(Problem(g, obs, args.lam), flow, partition, args.tol)
 
     payload = {**report.to_dict(), "lambda": args.lam, "tol": args.tol}
     write_json(out_dir / "report.json", payload)
@@ -221,9 +220,9 @@ def _diff_table(name: str, got: np.ndarray, want: np.ndarray) -> str:
 def _cmd_experiment_chain(args: argparse.Namespace) -> int:
     out_dir = args.out_dir
 
+    cfg = _load_config(args)
     g, partition, signal, obs = chain_instance()
     outputs = _write_instance(out_dir, g, partition, signal, obs)
-    cfg = _load_config(args)
     result = run(g, obs, cfg)
     outputs += _write_solution(out_dir, g, result)
 
@@ -234,12 +233,12 @@ def _cmd_experiment_chain(args: argparse.Namespace) -> int:
     (out_dir / "chain_dual.csv").write_text("\n".join(dual_lines) + "\n", encoding="utf-8")
     outputs.append("chain_dual.csv")
 
-    certificate = construct_tree_certificate(g, partition, obs, args.lam)
+    certificate = construct_tree_certificate(g, partition, obs, cfg.lam)
     write_flow_csv(out_dir / "flow.csv", g, certificate)
     outputs.append("flow.csv")
-    eg = extend_graph(g, obs.nodes)
-    cert_report = verify_certificate(eg, certificate, partition, obs, args.lam, 1e-9)
-    checks = chain_checks(g, obs, result, certificate, cert_report, args.lam)
+    problem = Problem(g, obs, cfg.lam)
+    cert_report = verify_certificate(problem, certificate, partition, 1e-9)
+    checks = chain_checks(problem, result, certificate, cert_report)
 
     failed = [c for c in checks if not c["passed"]]
     report = {
@@ -367,9 +366,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(resolved)
     args.argv = resolved
+    args.out_dir = Path(args.out_dir)
     try:
-        args.out_dir = Path(args.out_dir)
-        args.out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"tvflow: error: {exc}", file=sys.stderr)

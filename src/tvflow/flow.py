@@ -2,9 +2,10 @@
 certificates for piecewise-constant signals.
 
 A flow assigns a value to every base edge plus one value per sampled node
-(the amount absorbed through that node's accumulator edge).  A flow whose
-divergence matches its accumulator values, saturates exactly the
-cross-cluster edges and stays strictly inside capacity elsewhere, and
+(the amount absorbed through that node's accumulator edge); the extended
+graph and its capacities are those of a :class:`~tvflow.signal.Problem`.
+A flow whose divergence matches its accumulator values, saturates exactly
+the cross-cluster edges and stays strictly inside capacity elsewhere, and
 whose per-cluster balances agree, certifies optimality of the
 piecewise-constant signal it reconstructs.
 """
@@ -16,8 +17,8 @@ from typing import Any
 
 import numpy as np
 
-from .graph import EmpiricalGraph, ExtendedGraph, components, divergence
-from .signal import Observations, Partition, boundary_mask
+from .graph import EmpiricalGraph, components, divergence
+from .signal import Observations, Partition, Problem, boundary_mask
 
 __all__ = [
     "Flow",
@@ -139,19 +140,21 @@ class CertificateReport:
         }
 
 
-def _require_alignment(eg: ExtendedGraph, f: Flow) -> None:
-    if f.base.shape != (eg.base.edge_count,):
+def _check_flow_inputs(problem: Problem, f: Flow, tol: float = 0.0) -> None:
+    """Reject a flow that does not live on the problem's extended graph,
+    and a tolerance that is negative or not finite."""
+    if not (0.0 <= tol < np.inf):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if f.base.shape != (problem.graph.edge_count,):
         raise ValueError(
             f"flow has {f.base.shape[0]} base values, graph has"
-            f" {eg.base.edge_count} edges"
+            f" {problem.graph.edge_count} edges"
         )
-    if not np.array_equal(f.star_nodes, eg.star_nodes):
+    if not np.array_equal(f.star_nodes, problem.obs.nodes):
         raise ValueError("flow star nodes do not match the extended graph")
 
 
-def check_flow(
-    eg: ExtendedGraph, f: Flow, lam: float, tol: float = 1e-9
-) -> CertificateReport:
+def check_flow(problem: Problem, f: Flow, tol: float = 1e-9) -> CertificateReport:
     """Conservation and capacity checks only.
 
     The conservation residual is the largest node imbalance: divergence
@@ -159,18 +162,13 @@ def check_flow(
     nodes, and the star-value sum at the accumulator.  Capacities apply to
     base edges only; accumulator edges are uncapacitated.
     """
-    if not (lam > 0.0):
-        raise ValueError(f"lambda must be positive, got {lam}")
-    _require_alignment(eg, f)
-    g = eg.base
-    imbalance = divergence(g, f.base)
-    imbalance[eg._star_idx] -= f.star
-    star_sum = float(abs(np.sum(f.star)))
-    conservation = max(float(np.max(np.abs(imbalance))), star_sum)
-    if g.edge_count:
-        capacity_excess = float(max(0.0, np.max(np.abs(f.base) - lam * g.weights)))
-    else:
-        capacity_excess = 0.0
+    _check_flow_inputs(problem, f, tol)
+    v, capacity_excess, conservation = problem.dual_residuals(f.base)
+    conservation = max(
+        conservation,
+        float(np.max(np.abs(v[problem.sampled] - f.star))),
+        float(abs(np.sum(f.star))),
+    )
     return CertificateReport(
         conservation_residual=conservation,
         capacity_excess=capacity_excess,
@@ -178,20 +176,16 @@ def check_flow(
     )
 
 
-def mincost_objective(eg: ExtendedGraph, f: Flow, obs: Observations) -> float:
+def mincost_objective(problem: Problem, f: Flow) -> float:
     """Cost of the accumulator edges: sum of v_i * (v_i / 2 - label_i).
 
     At an optimal flow this equals minus the recovery objective.
     """
-    _require_alignment(eg, f)
-    if not np.array_equal(eg.star_nodes, obs.nodes):
-        raise ValueError("observations do not match the extended graph's star nodes")
-    return float(np.sum(f.star * (0.5 * f.star - obs.labels)))
+    _check_flow_inputs(problem, f)
+    return float(np.sum(f.star * (0.5 * f.star - problem.obs.labels)))
 
 
-def dual_to_extended_flow(
-    g: EmpiricalGraph, obs: Observations, y: np.ndarray, tol: float = 1e-9
-) -> Flow:
+def dual_to_extended_flow(problem: Problem, y: np.ndarray, tol: float = 1e-9) -> Flow:
     """Lift a dual edge vector to a conserving flow on the extended graph.
 
     Star values take whatever divergence the base flow leaves at each
@@ -199,30 +193,19 @@ def dual_to_extended_flow(
     if y leaves more than ``tol`` divergence at an unsampled node, since
     such a vector is not dual-feasible and cannot be lifted.
     """
-    obs.validate_for(g)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (g.edge_count,):
-        raise ValueError(f"flow has shape {y.shape}, expected ({g.edge_count},)")
-    v = divergence(g, y)
-    mask = obs.unsampled_mask(g.node_count)
-    if mask.any():
-        worst = float(np.max(np.abs(v[mask])))
-        if worst > tol:
-            node = int(np.flatnonzero(mask)[np.argmax(np.abs(v[mask]))] + 1)
-            raise ValueError(
-                f"divergence {worst:g} at unsampled node {node} exceeds {tol:g};"
-                " not a conserving dual vector"
-            )
-    return Flow(base=y.copy(), star_nodes=obs.nodes.copy(), star=v[obs.indices])
+    v, _, worst = problem.dual_residuals(y)
+    if worst > tol:
+        free = np.flatnonzero(problem.unsampled)
+        node = int(free[np.argmax(np.abs(v[free]))] + 1)
+        raise ValueError(
+            f"divergence {worst:g} at unsampled node {node} exceeds {tol:g};"
+            " not a conserving dual vector"
+        )
+    return Flow(base=y, star_nodes=problem.obs.nodes, star=v[problem.sampled])
 
 
 def verify_certificate(
-    eg: ExtendedGraph,
-    f: Flow,
-    partition: Partition,
-    obs: Observations,
-    lam: float,
-    tol: float = 1e-9,
+    problem: Problem, f: Flow, partition: Partition, tol: float = 1e-9
 ) -> CertificateReport:
     """Run the full optimality-certificate checks for a flow.
 
@@ -242,13 +225,10 @@ def verify_certificate(
     would certify non-optimal flows whenever lam times the boundary weight
     exceeds half the label gap.
     """
-    base_report = check_flow(eg, f, lam, tol)
-    g = eg.base
-    if not np.array_equal(eg.star_nodes, obs.nodes):
-        raise ValueError("observations do not match the extended graph's star nodes")
+    base_report = check_flow(problem, f, tol)
+    g, obs, caps = problem.graph, problem.obs, problem.capacities
 
     bmask = boundary_mask(g, partition)
-    caps = lam * g.weights
     abs_y = np.abs(f.base)
 
     boundary_residuals = tuple(
@@ -259,12 +239,12 @@ def verify_certificate(
     )
     saturation_ok = all(r <= tol for _, _, r in boundary_residuals)
 
+    # None when no edge lies inside a cluster; the condition then holds.
     interior = ~bmask
+    interior_slack = None
     if interior.any():
         interior_slack = float(np.min(caps[interior] - abs_y[interior]))
-    else:
-        interior_slack = float("inf")
-    strict_interior_ok = interior_slack >= tol
+    strict_interior_ok = interior_slack is None or interior_slack >= tol
 
     star_by_node = dict(zip(f.star_nodes.tolist(), f.star.tolist()))
     label_by_node = dict(zip(obs.nodes.tolist(), obs.labels.tolist()))
@@ -291,7 +271,7 @@ def verify_certificate(
     )
     if verdict_so_far and not indeterminate:
         try:
-            reconstructed = reconstruct_primal(eg, f, partition, obs, lam, tol)
+            reconstructed = reconstruct_primal(problem, f, partition, tol)
         except ValueError as exc:
             failure_reason = str(exc)
         if reconstructed is not None:
@@ -332,12 +312,7 @@ def verify_certificate(
 
 
 def reconstruct_primal(
-    eg: ExtendedGraph,
-    f: Flow,
-    partition: Partition,
-    obs: Observations,
-    lam: float,
-    tol: float = 1e-9,
+    problem: Problem, f: Flow, partition: Partition, tol: float = 1e-9
 ) -> np.ndarray:
     """Recover the optimal signal from a verified certificate flow.
 
@@ -346,12 +321,11 @@ def reconstruct_primal(
     divergence at the lowest sampled node i of the component.  Other
     sampled nodes in the component must agree to within ``tol``.
     """
-    _require_alignment(eg, f)
-    g = eg.base
-    obs.validate_for(g)
+    _check_flow_inputs(problem, f, tol)
+    g, obs = problem.graph, problem.obs
     if partition.node_count != g.node_count:
         raise ValueError("partition does not cover this graph")
-    comp = components(g, np.abs(f.base) < lam * g.weights - tol)
+    comp = components(g, np.abs(f.base) < problem.capacities - tol)
     count = int(comp.max()) + 1
     ci = partition.cluster_index
     lowest = np.full(count, partition.cluster_count)
@@ -359,7 +333,7 @@ def reconstruct_primal(
     highest = np.full(count, -1)
     np.maximum.at(highest, comp, ci)
 
-    sampled = obs.indices
+    sampled = problem.sampled
     candidates = obs.labels - divergence(g, f.base)[sampled]
     sampled_comp = comp[sampled]
     # Anchor: position in ``sampled`` of each component's lowest sampled node.
@@ -407,9 +381,7 @@ def construct_tree_certificate(
     (and, with several samples per cluster, the balance condition) may
     still fail; run it through :func:`verify_certificate`.
     """
-    if not (lam > 0.0):
-        raise ValueError(f"lambda must be positive, got {lam}")
-    obs.validate_for(g)
+    caps = Problem(g, obs, lam).capacities
     if partition.node_count != g.node_count:
         raise ValueError("partition does not cover this graph")
     n = g.node_count
@@ -437,10 +409,8 @@ def construct_tree_certificate(
 
     y = np.zeros(g.edge_count)
     bmask = boundary_mask(g, partition)
-    for e in np.flatnonzero(bmask):
-        hc = ci[g._head_idx[e]]
-        tc = ci[g._tail_idx[e]]
-        y[e] = np.sign(coeffs[hc] - coeffs[tc]) * lam * g.weights[e]
+    jumps = coeffs[ci[g._head_idx[bmask]]] - coeffs[ci[g._tail_idx[bmask]]]
+    y[bmask] = np.sign(jumps) * caps[bmask]
 
     # Incidence lists: (edge index, +1 if the node is the edge's head).
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]

@@ -23,13 +23,11 @@ import numpy as np
 
 __all__ = [
     "EmpiricalGraph",
-    "ExtendedGraph",
     "build_graph",
     "components",
     "degree",
     "incidence_apply",
     "divergence",
-    "extend_graph",
     "scaled_operator_norm",
 ]
 
@@ -80,23 +78,6 @@ class EmpiricalGraph:
             (int(h), int(t), float(w))
             for h, t, w in zip(self.heads, self.tails, self.weights)
         ]
-
-
-@dataclass(frozen=True, eq=False)
-class ExtendedGraph:
-    """Base graph plus one uncapacitated edge from each sampled node to a
-    shared accumulator node."""
-
-    base: EmpiricalGraph
-    star_nodes: np.ndarray  # sorted unique 1-based ids of sampled nodes
-
-    @property
-    def star_count(self) -> int:
-        return int(self.star_nodes.shape[0])
-
-    @cached_property
-    def _star_idx(self) -> np.ndarray:
-        return self.star_nodes - 1
 
 
 def build_graph(
@@ -223,19 +204,6 @@ def divergence(g: EmpiricalGraph, y: np.ndarray) -> np.ndarray:
     )
     out -= np.bincount(g._tail_idx, weights=y, minlength=g.node_count)
     return out
-
-
-def extend_graph(g: EmpiricalGraph, sampling_set: Iterable[int]) -> ExtendedGraph:
-    """Attach one accumulator edge per sampled node."""
-    nodes = np.unique(np.asarray(list(sampling_set), dtype=np.int64))
-    if nodes.size == 0:
-        raise ValueError("sampling set must be non-empty")
-    if nodes[0] < 1 or nodes[-1] > g.node_count:
-        raise ValueError(
-            f"sampling set contains ids outside 1..{g.node_count}: {nodes.tolist()}"
-        )
-    nodes.setflags(write=False)
-    return ExtendedGraph(base=g, star_nodes=nodes)
 
 
 def scaled_operator_norm(

@@ -15,8 +15,14 @@ from typing import Any, Sequence
 import numpy as np
 
 from .flow import CertificateReport, Flow, mincost_objective
-from .graph import EmpiricalGraph, build_graph, extend_graph
-from .signal import Observations, Partition, piecewise_constant, primal_objective
+from .graph import EmpiricalGraph, build_graph
+from .signal import (
+    Observations,
+    Partition,
+    Problem,
+    piecewise_constant,
+    primal_objective,
+)
 from .solver import SolverResult, dual_objective
 
 __all__ = [
@@ -166,12 +172,10 @@ def sbm_instance(
 
 
 def chain_checks(
-    g: EmpiricalGraph,
-    obs: Observations,
+    problem: Problem,
     result: SolverResult,
     certificate: Flow,
     cert_report: CertificateReport,
-    lam: float,
 ) -> list[dict[str, Any]]:
     """Threshold checks of a chain experiment run, one dict per check with
     ``name``, ``passed`` and ``detail``.
@@ -202,9 +206,9 @@ def chain_checks(
         f"status {cert_report.status}" + (f": {reason}" if reason else ""),
     )
     if cert_report.reconstructed is not None:
-        recon_L = primal_objective(g, obs, cert_report.reconstructed, lam)
-        cert_dual = dual_objective(g, obs, certificate.base, lam)
-        cert_cost = mincost_objective(extend_graph(g, obs.nodes), certificate, obs)
+        recon_L = primal_objective(problem, cert_report.reconstructed)
+        cert_dual = dual_objective(problem, certificate.base)
+        cert_cost = mincost_objective(problem, certificate)
         dual_value = cert_dual.value if cert_dual.value is not None else float("nan")
         strong = abs(recon_L - dual_value) <= 1e-9 and abs(cert_cost + dual_value) <= 1e-9
         check(
@@ -212,7 +216,7 @@ def chain_checks(
             strong,
             f"primal {recon_L:.12g}, dual {dual_value:.12g}, flow cost {cert_cost:.12g}",
         )
-        if lam == 1.0:
+        if problem.lam == 1.0:
             check(
                 "reference_objective",
                 abs(recon_L - CHAIN_REF_OBJECTIVE) <= 1e-9,

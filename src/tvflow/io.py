@@ -3,7 +3,9 @@
 All CSVs carry a header row and 1-based node ids.  Floats are written
 with ``repr``, the shortest string that round-trips exactly, so writer
 output is byte-deterministic and readers recover identical values.
-Reader errors cite the offending file and line number.
+Reader errors cite the offending file and line number.  Writers create
+missing parent directories, and JSON writers reject non-finite numbers,
+which JSON cannot represent.
 """
 
 from __future__ import annotations
@@ -38,8 +40,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_text(path: Path | str, text: str) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def _write_lines(path: Path | str, header: str, rows: Iterable[str]) -> None:
-    Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join([header, *rows]) + "\n")
 
 
 def _read_rows(path: Path | str, header: str) -> list[tuple[int, list[str]]]:
@@ -220,9 +228,8 @@ def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:
 
 
 def write_json(path: Path | str, payload: dict[str, Any]) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    _write_text(path, text + "\n")
 
 
 def read_json(path: Path | str) -> dict[str, Any]:

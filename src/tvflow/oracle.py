@@ -15,14 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import Flow, mincost_objective
-from .graph import (
-    EmpiricalGraph,
-    ExtendedGraph,
-    divergence,
-    extend_graph,
-    incidence_apply,
-)
-from .signal import Observations, primal_objective
+from .graph import divergence, incidence_apply
+from .signal import Problem, primal_objective
 
 __all__ = [
     "OracleResult",
@@ -56,10 +50,10 @@ class FlowOracleResult:
     flagged: bool
 
 
-def _dual_subspace_projector(g: EmpiricalGraph, obs: Observations) -> np.ndarray:
+def _dual_subspace_projector(problem: Problem) -> np.ndarray:
     """Orthogonal projector onto {y : divergence(y) = 0 at unsampled nodes}."""
-    mask = obs.unsampled_mask(g.node_count)
-    rows = np.flatnonzero(mask)
+    g = problem.graph
+    rows = np.flatnonzero(problem.unsampled)
     m = g.edge_count
     if rows.size == 0:
         return np.eye(m)
@@ -71,10 +65,8 @@ def _dual_subspace_projector(g: EmpiricalGraph, obs: Observations) -> np.ndarray
 
 
 def project_dual_feasible(
-    g: EmpiricalGraph,
-    obs: Observations,
+    problem: Problem,
     y: np.ndarray,
-    lam: float,
     tol: float = 1e-12,
     max_iters: int = 20_000,
     _projector: np.ndarray | None = None,
@@ -88,8 +80,8 @@ def project_dual_feasible(
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
         return y.copy()
-    caps = lam * g.weights
-    proj = _dual_subspace_projector(g, obs) if _projector is None else _projector
+    caps = problem.capacities
+    proj = _dual_subspace_projector(problem) if _projector is None else _projector
     x = proj @ y
     p = np.zeros_like(x)
     q = np.zeros_like(x)
@@ -104,12 +96,7 @@ def project_dual_feasible(
     return x
 
 
-def oracle_mincost_flow(
-    eg: ExtendedGraph,
-    obs: Observations,
-    lam: float,
-    budget: int = 50_000,
-) -> FlowOracleResult:
+def oracle_mincost_flow(problem: Problem, budget: int = 50_000) -> FlowOracleResult:
     """Solve the flow problem by projected gradient over base edges.
 
     Star values are eliminated through conservation (each becomes the base
@@ -119,15 +106,10 @@ def oracle_mincost_flow(
     curvature bound; each step re-projects with Dykstra.  Flagged when the
     objective has not settled within ``budget`` iterations.
     """
-    if not (lam > 0.0):
-        raise ValueError(f"lambda must be positive, got {lam}")
-    g = eg.base
-    obs.validate_for(g)
-    if not np.array_equal(eg.star_nodes, obs.nodes):
-        raise ValueError("observations do not match the extended graph's star nodes")
-    m_idx = obs.indices
+    g, obs = problem.graph, problem.obs
+    m_idx = problem.sampled
 
-    proj = _dual_subspace_projector(g, obs)
+    proj = _dual_subspace_projector(problem)
 
     # Exact Lipschitz constant of the gradient: top eigenvalue of the
     # sampled-node Gram matrix of the incidence operator.
@@ -155,9 +137,7 @@ def oracle_mincost_flow(
         u = np.zeros(g.node_count)
         u[m_idx] = v[m_idx] - obs.labels
         grad = incidence_apply(g, u)
-        y = project_dual_feasible(
-            g, obs, y - step * grad, lam, tol=1e-13, _projector=proj
-        )
+        y = project_dual_feasible(problem, y - step * grad, tol=1e-13, _projector=proj)
         if it % 50 == 0:
             obj = objective(y)
             if abs(obj - prev_obj) <= 1e-13 * max(1.0, abs(obj)):
@@ -168,18 +148,17 @@ def oracle_mincost_flow(
     flow = Flow(base=y, star_nodes=obs.nodes.copy(), star=divergence(g, y)[m_idx])
     return FlowOracleResult(
         flow=flow,
-        objective=mincost_objective(eg, flow, obs),
+        objective=mincost_objective(problem, flow),
         method="projected-gradient",
         iterations=used,
         flagged=not converged,
     )
 
 
-def _subgradient(
-    g: EmpiricalGraph, obs: Observations, x: np.ndarray, lam: float
-) -> np.ndarray:
+def _subgradient(problem: Problem, x: np.ndarray) -> np.ndarray:
+    g, obs = problem.graph, problem.obs
     diff = incidence_apply(g, x)
-    edge_part = lam * g.weights * np.sign(diff)  # 0 at kinks
+    edge_part = problem.lam * g.weights * np.sign(diff)  # 0 at kinks
     sg = np.bincount(
         g._head_idx, weights=edge_part, minlength=g.node_count
     ).astype(np.float64, copy=False)
@@ -189,9 +168,7 @@ def _subgradient(
 
 
 def oracle_nlasso(
-    g: EmpiricalGraph,
-    obs: Observations,
-    lam: float,
+    problem: Problem,
     budget: int = 1_000_000,
     target_gap: float = 5e-4,
 ) -> OracleResult:
@@ -207,12 +184,8 @@ def oracle_nlasso(
     certified gap falls below ``target_gap`` and is flagged when the gap is
     still above 1e-3 at the end of the budget.
     """
-    if not (lam > 0.0):
-        raise ValueError(f"lambda must be positive, got {lam}")
-    obs.validate_for(g)
-
-    eg = extend_graph(g, obs.nodes)
-    mc = oracle_mincost_flow(eg, obs, lam)
+    g, obs = problem.graph, problem.obs
+    mc = oracle_mincost_flow(problem)
     dual_bound = -mc.objective
 
     lo = float(np.min(obs.labels))
@@ -225,12 +198,12 @@ def oracle_nlasso(
     best_x = None
     best_obj = np.inf
     for start in (np.full(n, mean), imputed):
-        obj = primal_objective(g, obs, start, lam)
+        obj = primal_objective(problem, start)
         if obj < best_obj:
             best_obj = obj
             best_x = start.copy()
 
-    g0 = _subgradient(g, obs, best_x, lam)
+    g0 = _subgradient(problem, best_x)
     scale = max(hi - lo, 1.0) * np.sqrt(n)
     c = scale / max(float(np.linalg.norm(g0)), 1e-12)
 
@@ -241,12 +214,12 @@ def oracle_nlasso(
         avg = np.zeros(n)
         xp = best_x.copy()
         for t in range(1, steps + 1):
-            sg = _subgradient(g, obs, xp, lam)
+            sg = _subgradient(problem, xp)
             xp = np.clip(xp - (c / np.sqrt(t)) * sg, lo, hi)
             avg += (xp - avg) / t
         used += steps
         for candidate in (avg, xp):
-            obj = primal_objective(g, obs, candidate, lam)
+            obj = primal_objective(problem, candidate)
             if obj < best_obj:
                 best_obj = obj
                 best_x = candidate.copy()

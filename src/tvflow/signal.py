@@ -1,5 +1,5 @@
-"""Graph signals, sparse observations, cluster partitions and the primal
-objective pieces built from them.
+"""Graph signals, sparse observations, cluster partitions, the prepared
+recovery problem and the primal objective pieces built from them.
 
 A graph signal is a plain float array of length ``node_count``; position
 i - 1 holds the value at node i.  Observed labels are stored sparsely as
@@ -8,18 +8,19 @@ a sorted node-id array plus an aligned label array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import EmpiricalGraph
+from .graph import EmpiricalGraph, divergence
 
 __all__ = [
     "GraphSignal",
     "Observations",
     "Partition",
+    "Problem",
     "tv",
     "piecewise_constant",
     "boundary_edges",
@@ -81,17 +82,6 @@ class Observations:
     def count(self) -> int:
         return int(self.nodes.size)
 
-    def validate_for(self, g: EmpiricalGraph) -> None:
-        if self.nodes[-1] > g.node_count:
-            raise ValueError(
-                f"sampled node {int(self.nodes[-1])} exceeds node count {g.node_count}"
-            )
-
-    def unsampled_mask(self, node_count: int) -> np.ndarray:
-        mask = np.ones(node_count, dtype=bool)
-        mask[self.indices] = False
-        return mask
-
 
 @dataclass(frozen=True, eq=False)
 class Partition:
@@ -134,6 +124,75 @@ class Partition:
                 idx[i - 1] = k
         idx.setflags(write=False)
         return idx
+
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """The recovery problem: a graph, its observed labels and lambda.
+
+    Seen from the flow side it is the extended graph: the base edges with
+    capacities lambda * W_e plus one uncapacitated accumulator edge per
+    sampled node.  Construction validates the three inputs together once
+    and derives the read-only arrays every consumer shares: ``capacities``,
+    ``sampled`` (0-based positions of the labeled nodes), the ``unsampled``
+    node mask and, on first use, ``inv_degrees`` (the solver's node steps).
+    """
+
+    graph: EmpiricalGraph
+    obs: Observations
+    lam: float
+    capacities: np.ndarray = field(init=False, repr=False)
+    sampled: np.ndarray = field(init=False, repr=False)
+    unsampled: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.check_lambda(self.lam)
+        g, obs = self.graph, self.obs
+        if obs.nodes[-1] > g.node_count:
+            raise ValueError(
+                f"sampled node {int(obs.nodes[-1])} exceeds node count {g.node_count}"
+            )
+        lam = float(self.lam)
+        unsampled = np.ones(g.node_count, dtype=bool)
+        unsampled[obs.indices] = False
+        object.__setattr__(self, "lam", lam)
+        for name, value in (
+            ("capacities", lam * g.weights),
+            ("sampled", obs.indices),
+            ("unsampled", unsampled),
+        ):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def check_lambda(lam: float) -> None:
+        """The one rule for lambda: positive and finite."""
+        if not (lam > 0.0) or not np.isfinite(lam):
+            raise ValueError(f"lambda must be positive and finite, got {lam}")
+
+    @cached_property
+    def inv_degrees(self) -> np.ndarray:
+        """1/d_i per node position; defined when no node is isolated."""
+        gamma = 1.0 / self.graph.degrees
+        gamma.setflags(write=False)
+        return gamma
+
+    def dual_residuals(self, y: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """Divergence of the edge flow y, its capacity excess (largest
+        |y_e| - lambda * W_e, at least 0) and its conservation residual
+        (largest |divergence| at an unsampled node, 0 when there is none).
+        y is dual feasible when both residuals are zero."""
+        g = self.graph
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (g.edge_count,):
+            raise ValueError(f"flow has shape {y.shape}, expected ({g.edge_count},)")
+        excess = 0.0
+        if g.edge_count:
+            excess = float(max(0.0, np.max(np.abs(y) - self.capacities)))
+        v = divergence(g, y)
+        free = v[self.unsampled]
+        conservation = float(np.max(np.abs(free))) if free.size else 0.0
+        return v, excess, conservation
 
 
 def tv(g: EmpiricalGraph, x: GraphSignal) -> float:
@@ -188,10 +247,9 @@ def empirical_error(obs: Observations, x: GraphSignal) -> float:
     return float(0.5 * np.dot(diff, diff))
 
 
-def primal_objective(
-    g: EmpiricalGraph, obs: Observations, x: GraphSignal, lam: float
-) -> float:
-    """Empirical error plus lam times total variation; lam must be positive."""
-    if not (lam > 0.0):
-        raise ValueError(f"regularization parameter must be positive, got {lam}")
-    return empirical_error(obs, x) + lam * tv(g, x)
+def primal_objective(problem: Problem, x: GraphSignal) -> float:
+    """Empirical error plus lambda times total variation.  Terms too large
+    for double precision give inf without a numpy warning; callers that
+    need a finite value check for it."""
+    with np.errstate(over="ignore"):
+        return empirical_error(problem.obs, x) + problem.lam * tv(problem.graph, x)

@@ -20,7 +20,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .graph import EmpiricalGraph, components, divergence, incidence_apply
-from .signal import Observations, primal_objective
+from .signal import Observations, Problem, primal_objective
 
 __all__ = [
     "SolverConfig",
@@ -48,8 +48,7 @@ class SolverConfig:
     feas_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0) or not np.isfinite(self.lam):
-            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        Problem.check_lambda(self.lam)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.gap_tol < 0.0 or self.feas_tol < 0.0:
@@ -128,10 +127,10 @@ class SolverResult:
     gap: GapReport
 
 
-def init_state(g: EmpiricalGraph, obs: Observations) -> SolverState:
+def init_state(problem: Problem) -> SolverState:
     """Zero-initialized state; rejects graphs with isolated nodes and
     components without a label, whose values no label would determine."""
-    obs.validate_for(g)
+    g = problem.graph
     if g.min_degree() == 0:
         isolated = [i + 1 for i in np.flatnonzero(g.degrees == 0)]
         raise ValueError(
@@ -139,7 +138,7 @@ def init_state(g: EmpiricalGraph, obs: Observations) -> SolverState:
         )
     comp = components(g)
     labeled = np.zeros(comp.max() + 1, dtype=bool)
-    labeled[comp[obs.indices]] = True
+    labeled[comp[problem.sampled]] = True
     if not labeled.all():
         nodes = (np.flatnonzero(comp == np.argmin(labeled)) + 1).tolist()
         shown = str(nodes[:5])[1:-1] + (", ..." if len(nodes) > 5 else "")
@@ -157,24 +156,23 @@ def init_state(g: EmpiricalGraph, obs: Observations) -> SolverState:
     )
 
 
-def pd_step(
-    state: SolverState, g: EmpiricalGraph, obs: Observations, cfg: SolverConfig
-) -> SolverState:
+def pd_step(state: SolverState, problem: Problem) -> SolverState:
     """Run one full primal-dual iteration and return the new state."""
+    g = problem.graph
     if state.x_curr.shape != (g.node_count,) or state.y.shape != (g.edge_count,):
         raise ValueError("state dimensions do not match the graph")
-    gamma = 1.0 / g.degrees
+    gamma = problem.inv_degrees
 
     x_tilde = 2.0 * state.x_curr - state.x_prev
     y = state.y + 0.5 * incidence_apply(g, x_tilde)
-    cap = cfg.lam * g.weights
+    cap = problem.capacities
     # Exact box projection; same point as y / max(1, |y|/cap) but keeps
     # |y_e| <= cap_e bitwise.
     y = np.clip(y, -cap, cap)
 
     x = state.x_curr - gamma * divergence(g, y)
-    m = obs.indices
-    x[m] = (gamma[m] * obs.labels + x[m]) / (gamma[m] + 1.0)
+    m = problem.sampled
+    x[m] = (gamma[m] * problem.obs.labels + x[m]) / (gamma[m] + 1.0)
 
     k = state.k + 1
     x_avg = (1.0 - 1.0 / k) * state.x_avg + (1.0 / k) * x
@@ -185,17 +183,18 @@ def run(g: EmpiricalGraph, obs: Observations, cfg: SolverConfig) -> SolverResult
     """Iterate until max_iters, or until the certified gap drops below
     gap_tol (checked every 50 iterations when gap_tol > 0).  Raises when
     the final objectives or gap are not finite."""
-    state = init_state(g, obs)
+    problem = Problem(g, obs, cfg.lam)
+    state = init_state(problem)
     report: GapReport | None = None
     while state.k < cfg.max_iters:
-        state = pd_step(state, g, obs, cfg)
+        state = pd_step(state, problem)
         if cfg.gap_tol > 0.0 and state.k % 50 == 0:
-            probe = duality_gap(g, obs, state.x_avg, state.y, cfg.lam, cfg.feas_tol)
+            probe = duality_gap(problem, state.x_avg, state.y, cfg.feas_tol)
             if probe.certified and probe.gap <= cfg.gap_tol:
                 report = probe
                 break
     if report is None:
-        report = duality_gap(g, obs, state.x_avg, state.y, cfg.lam, cfg.feas_tol)
+        report = duality_gap(problem, state.x_avg, state.y, cfg.feas_tol)
     for name, value in (
         ("primal objective", report.primal),
         ("dual objective", report.dual),
@@ -210,11 +209,7 @@ def run(g: EmpiricalGraph, obs: Observations, cfg: SolverConfig) -> SolverResult
 
 
 def dual_objective(
-    g: EmpiricalGraph,
-    obs: Observations,
-    y: np.ndarray,
-    lam: float,
-    feas_tol: float = 1e-9,
+    problem: Problem, y: np.ndarray, feas_tol: float = 1e-9
 ) -> DualReport:
     """Evaluate the dual (flow) objective at y.
 
@@ -223,26 +218,12 @@ def dual_objective(
     sums v_i * label_i - v_i^2 / 2 over sampled nodes, with v the divergence;
     it is None for infeasible y (the residual fields say why).
     """
-    if not (lam > 0.0):
-        raise ValueError(f"lambda must be positive, got {lam}")
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (g.edge_count,):
-        raise ValueError(f"flow has shape {y.shape}, expected ({g.edge_count},)")
-    obs.validate_for(g)
-
-    if g.edge_count:
-        capacity_excess = float(max(0.0, np.max(np.abs(y) - lam * g.weights)))
-    else:
-        capacity_excess = 0.0
-    v = divergence(g, y)
-    mask = obs.unsampled_mask(g.node_count)
-    conservation = float(np.max(np.abs(v[mask]))) if mask.any() else 0.0
-
+    v, capacity_excess, conservation = problem.dual_residuals(y)
     feasible = capacity_excess <= feas_tol and conservation <= feas_tol
     value = None
     if feasible:
-        vm = v[obs.indices]
-        value = float(np.sum(vm * obs.labels - 0.5 * vm * vm))
+        vm = v[problem.sampled]
+        value = float(np.sum(vm * problem.obs.labels - 0.5 * vm * vm))
     return DualReport(
         value=value,
         feasible=feasible,
@@ -252,16 +233,11 @@ def dual_objective(
 
 
 def duality_gap(
-    g: EmpiricalGraph,
-    obs: Observations,
-    x: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    feas_tol: float = 1e-9,
+    problem: Problem, x: np.ndarray, y: np.ndarray, feas_tol: float = 1e-9
 ) -> GapReport:
     """Primal objective minus dual objective, certified only for feasible y."""
-    primal = primal_objective(g, obs, x, lam)
-    dual = dual_objective(g, obs, y, lam, feas_tol)
+    primal = primal_objective(problem, x)
+    dual = dual_objective(problem, y, feas_tol)
     gap = primal - dual.value if dual.feasible else None
     return GapReport(
         primal=primal,

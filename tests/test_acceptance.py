@@ -26,13 +26,12 @@ from tvflow.flow import (
 from tvflow.graph import (
     build_graph,
     divergence,
-    extend_graph,
     incidence_apply,
     scaled_operator_norm,
 )
 from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL, CHAIN_REF_OBJECTIVE
 from tvflow.oracle import oracle_mincost_flow, oracle_nlasso, project_dual_feasible
-from tvflow.signal import Observations, primal_objective
+from tvflow.signal import Observations, Problem, primal_objective
 from tvflow.solver import (
     SolverConfig,
     dual_objective,
@@ -67,7 +66,7 @@ def test_criterion_2_primal_reproduction(chain):
     result = run(g, obs, SolverConfig(lam=1.0, max_iters=1000))
     deviation = float(np.max(np.abs(result.x_avg - CHAIN_REF_PRIMAL)))
     assert deviation <= 0.02
-    oracle = oracle_nlasso(g, obs, 1.0)
+    oracle = oracle_nlasso(Problem(g, obs, 1.0))
     assert not oracle.flagged
     assert float(np.max(np.abs(oracle.x - CHAIN_REF_PRIMAL))) <= 1e-2
     _report(
@@ -78,12 +77,12 @@ def test_criterion_2_primal_reproduction(chain):
 
 def test_criterion_3_strong_duality_at_certificate(chain):
     g, obs, partition = chain
-    eg = extend_graph(g, obs.nodes)
+    problem = Problem(g, obs, 1.0)
     certificate = construct_tree_certificate(g, partition, obs, 1.0)
-    recon = reconstruct_primal(eg, certificate, partition, obs, 1.0)
-    primal = primal_objective(g, obs, recon, 1.0)
-    dual = dual_objective(g, obs, certificate.base, 1.0)
-    cost = mincost_objective(eg, certificate, obs)
+    recon = reconstruct_primal(problem, certificate, partition)
+    primal = primal_objective(problem, recon)
+    dual = dual_objective(problem, certificate.base)
+    cost = mincost_objective(problem, certificate)
     assert dual.feasible
     assert abs(primal - CHAIN_REF_OBJECTIVE) <= 1e-9
     assert abs(dual.value - CHAIN_REF_OBJECTIVE) <= 1e-9
@@ -97,9 +96,8 @@ def test_criterion_3_strong_duality_at_certificate(chain):
 
 def test_criterion_4_certificate_round_trip(chain):
     g, obs, partition = chain
-    eg = extend_graph(g, obs.nodes)
     certificate = construct_tree_certificate(g, partition, obs, 1.0)
-    report = verify_certificate(eg, certificate, partition, obs, 1.0, tol=1e-9)
+    report = verify_certificate(Problem(g, obs, 1.0), certificate, partition, tol=1e-9)
     assert report.verdict
     assert np.array_equal(report.reconstructed, CHAIN_REF_PRIMAL)
     _report("4 certificate round trip: PASS (verified at 1e-9, exact signal)")
@@ -114,10 +112,11 @@ def test_criterion_5_oracle_equivalence():
     for trial in range(20):
         g, obs = random_connected_instance(rng)
         lam = lams[trial % 3]
-        nl = oracle_nlasso(g, obs, lam, target_gap=3e-4)
-        mc = oracle_mincost_flow(extend_graph(g, obs.nodes), obs, lam)
+        problem = Problem(g, obs, lam)
+        nl = oracle_nlasso(problem, target_gap=3e-4)
+        mc = oracle_mincost_flow(problem)
         result = run(g, obs, SolverConfig(lam=lam, max_iters=80_000))
-        L_solver = primal_objective(g, obs, result.x_avg, lam)
+        L_solver = primal_objective(problem, result.x_avg)
         assert not nl.flagged
         assert not mc.flagged
         worst_solver = max(worst_solver, abs(L_solver - nl.objective))
@@ -134,14 +133,14 @@ def test_criterion_5_oracle_equivalence():
 
 def test_criterion_6_convergence_rate(chain):
     g, obs, _ = chain
-    cfg = SolverConfig(lam=1.0, max_iters=800)
-    state = init_state(g, obs)
+    problem = Problem(g, obs, 1.0)
+    state = init_state(problem)
     gaps = {}
     while state.k < 800:
-        state = pd_step(state, g, obs, cfg)
+        state = pd_step(state, problem)
         if state.k in (100, 200, 400, 800):
-            y_feas = project_dual_feasible(g, obs, state.y, 1.0)
-            report = duality_gap(g, obs, state.x_avg, y_feas, 1.0, feas_tol=1e-8)
+            y_feas = project_dual_feasible(problem, state.y)
+            report = duality_gap(problem, state.x_avg, y_feas, feas_tol=1e-8)
             assert report.certified
             gaps[state.k] = report.gap
     for k in (100, 200, 400):
@@ -174,8 +173,8 @@ def test_criterion_7_invariant_suites():
     # Post-projection capacities hold exactly after every step.
     for g, obs in graphs[:10]:
         lam = float(rng.uniform(0.1, 2.0))
-        cfg = SolverConfig(lam=lam, max_iters=1)
-        state = init_state(g, obs)
+        problem = Problem(g, obs, lam)
+        state = init_state(problem)
         state = type(state)(
             x_curr=rng.standard_normal(g.node_count) * 5,
             x_prev=rng.standard_normal(g.node_count) * 5,
@@ -183,7 +182,7 @@ def test_criterion_7_invariant_suites():
             x_avg=np.zeros(g.node_count),
             k=0,
         )
-        state = pd_step(state, g, obs, cfg)
+        state = pd_step(state, problem)
         assert np.all(np.abs(state.y) <= lam * g.weights)
 
     # Weak duality on 1000 random feasible pairs (fully labeled graphs so
@@ -199,7 +198,7 @@ def test_criterion_7_invariant_suites():
         for _ in range(50):
             x = rng.uniform(-2, 2, g.node_count)
             y = rng.uniform(-caps, caps)
-            report = duality_gap(g, obs, x, y, lam)
+            report = duality_gap(Problem(g, obs, lam), x, y)
             assert report.certified and report.gap >= -1e-9
             checked += 1
 
@@ -220,7 +219,7 @@ def test_criterion_7_invariant_suites():
             np.arange(1, g.node_count + 1), rng.uniform(-1, 1, g.node_count)
         )
         y = rng.uniform(-1, 1, g.edge_count)
-        flow = dual_to_extended_flow(g, obs, y)
+        flow = dual_to_extended_flow(Problem(g, obs, 1.0), y)
         assert abs(float(flow.star.sum())) <= 1e-12
 
     _report(

@@ -141,20 +141,19 @@ class TestSolve:
         assert code == 64
         err = capsys.readouterr().err
         assert "component with nodes {3, 4} has no labeled node" in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_non_finite_objective_rejected(self, tmp_path, capsys):
         (tmp_path / "graph.csv").write_text("i,j,w\n1,2,1.0\n2,3,1.0\n")
         (tmp_path / "obs.csv").write_text("i,x\n1,1e300\n3,-1e300\n")
         out = tmp_path / "x"
-        with np.errstate(over="ignore"):
-            code = run_cli([
-                "solve", "--graph", str(tmp_path / "graph.csv"),
-                "--observations", str(tmp_path / "obs.csv"), "--out-dir", str(out),
-            ])
+        code = run_cli([
+            "solve", "--graph", str(tmp_path / "graph.csv"),
+            "--observations", str(tmp_path / "obs.csv"), "--out-dir", str(out),
+        ])
         assert code == 64
         assert "primal objective is inf" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_parse_error_cites_line(self, tmp_path, instance_dir, capsys):
         bad = tmp_path / "bad.csv"
@@ -234,6 +233,51 @@ class TestCertify:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "indeterminate"
         assert report["indeterminate_clusters"] == [1]
+
+    def test_no_interior_edge_report_is_strict_json(self, tmp_path, experiment_dir):
+        # Every node its own cluster: no edge lies inside a cluster, so the
+        # interior slack is undefined and reported as null.
+        partition = tmp_path / "singletons.csv"
+        rows = "".join(f"{i},{i}\n" for i in range(1, 11))
+        partition.write_text("i,cluster\n" + rows)
+        out = tmp_path / "cert"
+        code = run_cli([
+            "certify",
+            "--graph", str(experiment_dir / "graph.csv"),
+            "--flow", str(experiment_dir / "flow.csv"),
+            "--partition", str(partition),
+            "--observations", str(experiment_dir / "observations.csv"),
+            "--lambda", "1", "--out-dir", str(out),
+        ])
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-finite number {token} in report")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["interior_slack"] is None
+        assert report["strict_interior_ok"] is True
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lambda", "inf", "lambda must be positive and finite, got inf"),
+        ("--tol", "nan", "tol must be finite and non-negative, got nan"),
+        ("--tol", "-1", "tol must be finite and non-negative, got -1.0"),
+    ])
+    def test_bad_lambda_or_tol_rejected(
+        self, tmp_path, experiment_dir, capsys, flag, value, message
+    ):
+        out = tmp_path / "cert"
+        code = run_cli([
+            "certify",
+            "--graph", str(experiment_dir / "graph.csv"),
+            "--flow", str(experiment_dir / "flow.csv"),
+            "--partition", str(experiment_dir / "partition.csv"),
+            "--observations", str(experiment_dir / "observations.csv"),
+            flag, value, "--out-dir", str(out),
+        ])
+        assert code == 64
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_partition_usage_error(self, tmp_path, experiment_dir):
         code = run_cli([

@@ -11,7 +11,6 @@ from tvflow.graph import (
     components,
     degree,
     divergence,
-    extend_graph,
     incidence_apply,
     scaled_operator_norm,
 )
@@ -187,29 +186,6 @@ class TestAdjointness:
             1.0, float(np.linalg.norm(x) * np.linalg.norm(y)) * np.sqrt(g.edge_count)
         )
         assert abs(lhs - rhs) <= 1e-12 * scale
-
-
-class TestExtendGraph:
-    def test_chain_sampling_set(self):
-        g, obs, _ = make_chain()
-        eg = extend_graph(g, obs.nodes)
-        assert eg.star_nodes.tolist() == [2, 7]
-        assert eg.base is g
-
-    def test_all_nodes(self):
-        g, _, _ = make_chain()
-        eg = extend_graph(g, range(1, 11))
-        assert eg.star_count == 10
-
-    def test_empty_rejected(self):
-        g, _, _ = make_chain()
-        with pytest.raises(ValueError, match="non-empty"):
-            extend_graph(g, [])
-
-    def test_out_of_range_rejected(self):
-        g, _, _ = make_chain()
-        with pytest.raises(ValueError):
-            extend_graph(g, [11])
 
 
 def _dense_scaled_norm(g) -> float:

@@ -1,4 +1,5 @@
-"""Seeded generator outputs are pinned byte for byte."""
+"""Seeded generator outputs and fixed-iteration solver outputs are pinned
+byte for byte."""
 
 from __future__ import annotations
 
@@ -41,18 +42,50 @@ PINNED = {
 }
 
 
-def instance_digest(out_dir) -> str:
-    digest = hashlib.sha256()
-    for name in INSTANCE_FILES:
-        digest.update(name.encode() + b"\0" + (out_dir / name).read_bytes())
-    return digest.hexdigest()
+# SHA-256 over (name, bytes) of primal.csv and dual.csv written by
+# ``solve --gap-tol 0`` on a generated instance: the iterates must stay
+# bit-identical.
+SOLVE_PINNED = {
+    "chain": (
+        ["chain"], ["--iters", "1000"],
+        "cb2be40814c10c7cd059bf7992e7377d75f2c786b67f0481422037d5a5fc26fa",
+    ),
+    "grid": (
+        PINNED["grid"][0], ["--lambda", "0.5", "--iters", "700"],
+        "c928a1a50d57d7b2b799cbdaf410ba08745a6f4cc0eabfc19424ee9042ca1a74",
+    ),
+    "sbm": (
+        PINNED["sbm-3-blocks"][0], ["--iters", "400"],
+        "563ed6812a37e641f8cbd931f8386fdd45ca109f35b5cdc32ceb8fe455266ec7",
+    ),
+}
+
+
+def digest(out_dir, names) -> str:
+    sha = hashlib.sha256()
+    for name in names:
+        sha.update(name.encode() + b"\0" + (out_dir / name).read_bytes())
+    return sha.hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_generate_output_pinned(case, tmp_path):
     args, expected = PINNED[case]
     assert cli.main(["generate", *args, "--out-dir", str(tmp_path)]) == 0
-    assert instance_digest(tmp_path) == expected
+    assert digest(tmp_path, INSTANCE_FILES) == expected
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_PINNED))
+def test_solve_output_pinned(case, tmp_path):
+    generate, solve, expected = SOLVE_PINNED[case]
+    inst, out = tmp_path / "instance", tmp_path / "solution"
+    assert cli.main(["generate", *generate, "--out-dir", str(inst)]) == 0
+    assert cli.main([
+        "solve", "--graph", str(inst / "graph.csv"),
+        "--observations", str(inst / "observations.csv"),
+        *solve, "--gap-tol", "0", "--out-dir", str(out),
+    ]) == 0
+    assert digest(out, ("primal.csv", "dual.csv")) == expected
 
 
 def test_chain_defaults_are_the_canonical_chain():

@@ -7,17 +7,17 @@ from conftest import (
     make_chain,
     random_connected_instance,
 )
-from tvflow.graph import build_graph, divergence, extend_graph
+from tvflow.graph import build_graph, divergence
 from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL
 from tvflow.oracle import oracle_mincost_flow, oracle_nlasso, project_dual_feasible
-from tvflow.signal import Observations, primal_objective
+from tvflow.signal import Observations, Problem, primal_objective
 from tvflow.solver import SolverConfig, run
 
 
 class TestNlassoOracle:
     def test_chain_instance(self, chain):
         g, obs, _ = chain
-        result = oracle_nlasso(g, obs, 1.0)
+        result = oracle_nlasso(Problem(g, obs, 1.0))
         assert not result.flagged
         assert result.objective == pytest.approx(0.1875, abs=1e-3)
         assert np.max(np.abs(result.x - CHAIN_REF_PRIMAL)) <= 1e-2
@@ -25,14 +25,14 @@ class TestNlassoOracle:
     def test_fully_labeled_constant_instance(self):
         g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
         obs = Observations.from_dict({1: 0.6, 2: 0.6, 3: 0.6})
-        result = oracle_nlasso(g, obs, 1.0)
+        result = oracle_nlasso(Problem(g, obs, 1.0))
         assert result.objective == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(result.x, 0.6, atol=1e-6)
 
     def test_two_nodes_one_label(self):
         g = build_graph(2, [(1, 2, 1.0)])
         obs = Observations.from_dict({1: 0.9})
-        result = oracle_nlasso(g, obs, 1.0)
+        result = oracle_nlasso(Problem(g, obs, 1.0))
         assert np.allclose(result.x, 0.9, atol=1e-3)
 
     def test_single_node(self):
@@ -41,7 +41,7 @@ class TestNlassoOracle:
         # degree-based steps and need not.
         g = build_graph(1, [])
         obs = Observations.from_dict({1: -2.5})
-        result = oracle_nlasso(g, obs, 1.0)
+        result = oracle_nlasso(Problem(g, obs, 1.0))
         assert result.x.tolist() == [-2.5]
         assert result.objective == 0.0
         assert not result.flagged
@@ -49,31 +49,29 @@ class TestNlassoOracle:
     def test_lambda_must_be_positive(self, chain):
         g, obs, _ = chain
         with pytest.raises(ValueError):
-            oracle_nlasso(g, obs, 0.0)
+            oracle_nlasso(Problem(g, obs, 0.0))
 
 
 class TestMincostOracle:
     def test_chain_instance(self, chain):
         g, obs, _ = chain
-        eg = extend_graph(g, obs.nodes)
-        result = oracle_mincost_flow(eg, obs, 1.0)
+        result = oracle_mincost_flow(Problem(g, obs, 1.0))
         assert not result.flagged
         assert result.objective == pytest.approx(-0.1875, abs=1e-4)
         assert np.max(np.abs(result.flow.base - CHAIN_REF_DUAL)) <= 1e-2
 
     def test_flow_is_feasible(self, chain):
         g, obs, _ = chain
-        eg = extend_graph(g, obs.nodes)
-        result = oracle_mincost_flow(eg, obs, 1.0)
+        problem = Problem(g, obs, 1.0)
+        result = oracle_mincost_flow(problem)
         assert np.all(np.abs(result.flow.base) <= 1.0 * g.weights + 1e-9)
         v = divergence(g, result.flow.base)
-        unsampled = obs.unsampled_mask(g.node_count)
-        assert np.max(np.abs(v[unsampled])) <= 1e-9
+        assert np.max(np.abs(v[problem.unsampled])) <= 1e-9
 
     def test_tiny_lambda_forces_small_flow(self):
         g = build_graph(2, [(1, 2, 1.0)])
         obs = Observations.from_dict({1: 1.0, 2: 0.0})
-        result = oracle_mincost_flow(extend_graph(g, obs.nodes), obs, 1e-6)
+        result = oracle_mincost_flow(Problem(g, obs, 1e-6))
         assert np.all(np.abs(result.flow.base) <= 1e-6 + 1e-12)
         assert result.objective == pytest.approx(0.0, abs=1e-5)
 
@@ -86,10 +84,10 @@ class TestMincostOracle:
         for _ in range(4):
             cases.append(random_connected_instance(rng, max_nodes=6))
         for lam, (g, obs) in zip((1.0, 0.5, 1.0, 2.0, 0.2), cases):
-            eg = extend_graph(g, obs.nodes)
-            ours = oracle_mincost_flow(eg, obs, lam)
+            problem = Problem(g, obs, lam)
+            ours = oracle_mincost_flow(problem)
             m_idx = obs.indices
-            unsampled = np.flatnonzero(obs.unsampled_mask(g.node_count))
+            unsampled = np.flatnonzero(problem.unsampled)
 
             def objective(y):
                 vm = divergence(g, y)[m_idx]
@@ -115,28 +113,22 @@ class TestMincostOracle:
             assert res.success
             assert ours.objective == pytest.approx(res.fun, abs=1e-6)
 
-    def test_empty_observations_rejected(self, chain):
-        g, obs, _ = chain
-        eg = extend_graph(g, obs.nodes)
-        other = Observations.from_dict({3: 1.0})
-        with pytest.raises(ValueError, match="star nodes"):
-            oracle_mincost_flow(eg, other, 1.0)
-
 
 class TestProjectDualFeasible:
     def test_projected_point_is_feasible(self, chain):
         g, obs, _ = chain
+        problem = Problem(g, obs, 1.0)
         rng = np.random.default_rng(61)
         for _ in range(10):
             y = rng.standard_normal(9) * 2
-            y_proj = project_dual_feasible(g, obs, y, 1.0)
+            y_proj = project_dual_feasible(problem, y)
             assert np.all(np.abs(y_proj) <= g.weights + 1e-9)
             v = divergence(g, y_proj)
-            assert np.max(np.abs(v[obs.unsampled_mask(10)])) <= 1e-10
+            assert np.max(np.abs(v[problem.unsampled])) <= 1e-10
 
     def test_feasible_point_unchanged(self, chain):
         g, obs, _ = chain
-        y_proj = project_dual_feasible(g, obs, CHAIN_REF_DUAL, 1.0)
+        y_proj = project_dual_feasible(Problem(g, obs, 1.0), CHAIN_REF_DUAL)
         assert np.allclose(y_proj, CHAIN_REF_DUAL, atol=1e-10)
 
 
@@ -148,8 +140,9 @@ class TestStrongDuality:
         for trial in range(8):
             g, obs = random_connected_instance(rng)
             lam = lams[trial % 3]
-            nl = oracle_nlasso(g, obs, lam)
-            mc = oracle_mincost_flow(extend_graph(g, obs.nodes), obs, lam)
+            problem = Problem(g, obs, lam)
+            nl = oracle_nlasso(problem)
+            mc = oracle_mincost_flow(problem)
             assert not nl.flagged
             assert abs(nl.objective + mc.objective) <= 2e-3
 
@@ -160,9 +153,9 @@ class TestStrongDuality:
         for trial in range(6):
             g, obs = random_connected_instance(rng)
             lam = lams[trial % 3]
-            nl = oracle_nlasso(g, obs, lam, target_gap=3e-4)
+            nl = oracle_nlasso(Problem(g, obs, lam), target_gap=3e-4)
             result = run(g, obs, SolverConfig(lam=lam, max_iters=80_000))
-            L_solver = primal_objective(g, obs, result.x_avg, lam)
+            L_solver = primal_objective(Problem(g, obs, lam), result.x_avg)
             assert abs(L_solver - nl.objective) <= 1e-3
             # Secondary check; minimizers need not be unique in general,
             # but on these seeded instances the solutions coincide.

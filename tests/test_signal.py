@@ -10,6 +10,7 @@ from tvflow.graph import build_graph, incidence_apply
 from tvflow.signal import (
     Observations,
     Partition,
+    Problem,
     boundary_edges,
     empirical_error,
     piecewise_constant,
@@ -40,9 +41,52 @@ class TestObservations:
 
     def test_validate_for_range(self):
         g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
-        Observations.from_dict({3: 1.0}).validate_for(g)
+        Problem(g, Observations.from_dict({3: 1.0}), 1.0)
         with pytest.raises(ValueError):
-            Observations.from_dict({4: 1.0}).validate_for(g)
+            Problem(g, Observations.from_dict({4: 1.0}), 1.0)
+
+
+class TestProblem:
+    def test_chain_sampling_set(self):
+        g, obs, _ = make_chain()
+        problem = Problem(g, obs, 1.0)
+        assert problem.graph is g and problem.obs is obs
+        assert problem.sampled.tolist() == [1, 6]
+        assert np.flatnonzero(~problem.unsampled).tolist() == [1, 6]
+        assert np.array_equal(problem.capacities, g.weights)
+
+    def test_all_nodes(self):
+        g, _, _ = make_chain()
+        problem = Problem(g, Observations(np.arange(1, 11), np.zeros(10)), 2.0)
+        assert problem.sampled.size == 10
+        assert not problem.unsampled.any()
+        assert np.array_equal(problem.capacities, 2.0 * g.weights)
+
+    def test_empty_rejected(self):
+        # Observations refuse an empty sampling set before a Problem exists.
+        g, _, _ = make_chain()
+        with pytest.raises(ValueError, match="non-empty"):
+            Problem(g, Observations(np.array([], dtype=np.int64), np.array([])), 1.0)
+
+    def test_out_of_range_rejected(self):
+        g, _, _ = make_chain()
+        with pytest.raises(ValueError, match="sampled node 11 exceeds node count 10"):
+            Problem(g, Observations.from_dict({11: 0.0}), 1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
+    def test_lambda_must_be_positive_and_finite(self, lam):
+        g, obs, _ = make_chain()
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            Problem(g, obs, lam)
+
+    def test_derived_arrays(self):
+        g = build_graph(3, [(1, 2, 0.5), (2, 3, 1.0)])
+        problem = Problem(g, Observations.from_dict({2: 1.0}), 3)
+        assert problem.lam == 3.0 and isinstance(problem.lam, float)
+        assert problem.inv_degrees.tolist() == [1.0, 0.5, 1.0]
+        for arr in (problem.capacities, problem.sampled, problem.unsampled,
+                    problem.inv_degrees):
+            assert not arr.flags.writeable
 
 
 class TestPartition:
@@ -202,14 +246,14 @@ class TestEmpiricalError:
 class TestPrimalObjective:
     def test_chain_recovered_value(self, chain):
         g, obs, _ = chain
-        assert primal_objective(g, obs, CHAIN_XHAT, 1.0) == 0.1875
+        assert primal_objective(Problem(g, obs, 1.0), CHAIN_XHAT) == 0.1875
 
     def test_constant_exact_fit_is_zero(self):
         g = build_graph(2, [(1, 2, 1.0)])
         obs = Observations.from_dict({1: 3.0})
-        assert primal_objective(g, obs, np.array([3.0, 3.0]), 1.0) == 0.0
+        assert primal_objective(Problem(g, obs, 1.0), np.array([3.0, 3.0])) == 0.0
 
     def test_lambda_zero_rejected(self, chain):
         g, obs, _ = chain
         with pytest.raises(ValueError, match="positive"):
-            primal_objective(g, obs, CHAIN_XHAT, 0.0)
+            primal_objective(Problem(g, obs, 0.0), CHAIN_XHAT)

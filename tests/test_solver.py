@@ -12,7 +12,7 @@ from conftest import (
 from tvflow.graph import build_graph
 from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL
 from tvflow.oracle import project_dual_feasible
-from tvflow.signal import Observations, primal_objective
+from tvflow.signal import Observations, Problem, primal_objective
 from tvflow.solver import (
     SolverConfig,
     dual_objective,
@@ -79,7 +79,7 @@ class TestConfig:
 class TestInitState:
     def test_chain_dimensions(self, chain):
         g, obs, _ = chain
-        state = init_state(g, obs)
+        state = init_state(Problem(g, obs, 1.0))
         assert state.x_curr.shape == (10,)
         assert state.y.shape == (9,)
         assert state.k == 0
@@ -87,29 +87,28 @@ class TestInitState:
 
     def test_two_node_graph(self):
         g = build_graph(2, [(1, 2, 1.0)])
-        state = init_state(g, Observations.from_dict({1: 1.0}))
+        state = init_state(Problem(g, Observations.from_dict({1: 1.0}), 1.0))
         assert state.x_curr.shape == (2,)
         assert state.y.shape == (1,)
 
     def test_isolated_node_rejected(self):
         g = build_graph(3, [(1, 2, 1.0)])
         with pytest.raises(ValueError, match="isolated"):
-            init_state(g, Observations.from_dict({1: 1.0}))
+            init_state(Problem(g, Observations.from_dict({1: 1.0}), 1.0))
 
     def test_unlabeled_component_rejected(self):
         g = build_graph(6, [(1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0)])
         with pytest.raises(ValueError, match=r"component with nodes \{3, 4, 5, 6\}"):
-            init_state(g, Observations.from_dict({1: 1.0, 2: 0.0}))
+            init_state(Problem(g, Observations.from_dict({1: 1.0, 2: 0.0}), 1.0))
         # One label per component is enough.
-        init_state(g, Observations.from_dict({2: 0.0, 6: 1.0}))
+        init_state(Problem(g, Observations.from_dict({2: 0.0, 6: 1.0}), 1.0))
 
 
 class TestPdStep:
     def test_two_node_hand_trace(self):
         g = build_graph(2, [(1, 2, 1.0)])
-        obs = Observations.from_dict({1: 1.0})
-        cfg = SolverConfig(lam=1.0)
-        state = pd_step(init_state(g, obs), g, obs, cfg)
+        problem = Problem(g, Observations.from_dict({1: 1.0}), 1.0)
+        state = pd_step(init_state(problem), problem)
         assert state.x_curr.tolist() == [0.5, 0.0]
         assert state.y.tolist() == [0.0]
         assert state.x_avg.tolist() == [0.5, 0.0]
@@ -121,11 +120,11 @@ class TestPdStep:
         for trial in range(25):
             g, obs = random_connected_instance(rng)
             lam = float(rng.uniform(0.2, 3.0))
-            cfg = SolverConfig(lam=lam)
-            state = init_state(g, obs)
+            problem = Problem(g, obs, lam)
+            state = init_state(problem)
             for _ in range(4):
                 expected = scripted_step(state, g, obs, lam)
-                state = pd_step(state, g, obs, cfg)
+                state = pd_step(state, problem)
                 x_ref, y_ref, xavg_ref, k_ref = expected
                 # The projection here divides instead of clipping, so allow
                 # one rounding step per entry.
@@ -136,9 +135,8 @@ class TestPdStep:
 
     def test_unlabeled_zero_region_stays_zero(self):
         g, _, _ = make_chain()
-        obs = Observations.from_dict({2: 1.0})
-        cfg = SolverConfig(lam=1.0)
-        state = pd_step(init_state(g, obs), g, obs, cfg)
+        problem = Problem(g, Observations.from_dict({2: 1.0}), 1.0)
+        state = pd_step(init_state(problem), problem)
         # Only the labeled node moves after one step from zero.
         assert state.x_curr[1] != 0.0
         assert np.all(state.x_curr[2:] == 0.0)
@@ -149,8 +147,8 @@ class TestPdStep:
         for _ in range(40):
             g, obs = random_connected_instance(rng)
             lam = float(rng.uniform(0.05, 2.0))
-            cfg = SolverConfig(lam=lam)
-            state = init_state(g, obs)
+            problem = Problem(g, obs, lam)
+            state = init_state(problem)
             # Start from a wild state to stress the projection.
             state = type(state)(
                 x_curr=rng.standard_normal(g.node_count) * 10,
@@ -159,27 +157,27 @@ class TestPdStep:
                 x_avg=np.zeros(g.node_count),
                 k=0,
             )
-            state = pd_step(state, g, obs, cfg)
+            state = pd_step(state, problem)
             assert np.all(np.abs(state.y) <= lam * g.weights)
 
     def test_dimension_mismatch(self, chain):
         g, obs, _ = chain
         other = build_graph(2, [(1, 2, 1.0)])
         with pytest.raises(ValueError):
-            pd_step(init_state(other, Observations.from_dict({1: 0.0})), g, obs,
-                    SolverConfig(lam=1.0))
+            pd_step(init_state(Problem(other, Observations.from_dict({1: 0.0}), 1.0)),
+                    Problem(g, obs, 1.0))
 
 
 class TestDualObjective:
     def test_zero_flow(self, chain):
         g, obs, _ = chain
-        report = dual_objective(g, obs, np.zeros(9), 1.0)
+        report = dual_objective(Problem(g, obs, 1.0), np.zeros(9))
         assert report.feasible
         assert report.value == 0.0
 
     def test_chain_certificate_flow(self, chain):
         g, obs, _ = chain
-        report = dual_objective(g, obs, CHAIN_REF_DUAL, 1.0)
+        report = dual_objective(Problem(g, obs, 1.0), CHAIN_REF_DUAL)
         assert report.feasible
         assert report.value == 0.1875
 
@@ -187,7 +185,7 @@ class TestDualObjective:
         g, obs, _ = chain
         y = np.zeros(9)
         y[0] = 1.0 + 2e-9  # capacity on edge (1,2) is 1
-        report = dual_objective(g, obs, y, 1.0, feas_tol=1e-9)
+        report = dual_objective(Problem(g, obs, 1.0), y, feas_tol=1e-9)
         assert not report.feasible
         assert report.value is None
         assert report.capacity_excess == pytest.approx(2e-9)
@@ -196,7 +194,7 @@ class TestDualObjective:
         g, obs, _ = chain
         y = np.zeros(9)
         y[0] = 0.5  # leaves divergence at unsampled nodes 1
-        report = dual_objective(g, obs, y, 1.0)
+        report = dual_objective(Problem(g, obs, 1.0), y)
         assert not report.feasible
         assert report.conservation_residual == pytest.approx(0.5)
 
@@ -204,14 +202,14 @@ class TestDualObjective:
 class TestDualityGap:
     def test_optimal_pair(self, chain):
         g, obs, _ = chain
-        report = duality_gap(g, obs, CHAIN_REF_PRIMAL, CHAIN_REF_DUAL, 1.0)
+        report = duality_gap(Problem(g, obs, 1.0), CHAIN_REF_PRIMAL, CHAIN_REF_DUAL)
         assert report.certified
         assert abs(report.gap) <= 1e-6
 
     def test_zero_pair_single_label(self):
         g = build_graph(2, [(1, 2, 1.0)])
         obs = Observations.from_dict({1: 1.0})
-        report = duality_gap(g, obs, np.zeros(2), np.zeros(1), 1.0)
+        report = duality_gap(Problem(g, obs, 1.0), np.zeros(2), np.zeros(1))
         assert report.certified
         assert report.gap == 0.5
 
@@ -230,7 +228,7 @@ class TestDualityGap:
             for _ in range(25):
                 x = rng.uniform(-2, 2, size=g.node_count)
                 y = rng.uniform(-caps, caps)
-                report = duality_gap(g, obs, x, y, lam)
+                report = duality_gap(Problem(g, obs, lam), x, y)
                 assert report.certified
                 assert report.gap >= -1e-9
                 checked += 1
@@ -292,23 +290,21 @@ class TestRun:
         # Labels of +-1e300 overflow the squared error to inf.
         g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
         obs = Observations.from_dict({1: 1e300, 3: -1e300})
-        with np.errstate(over="ignore"), pytest.raises(
-            ValueError, match="primal objective is inf"
-        ):
+        with pytest.raises(ValueError, match="primal objective is inf"):
             run(g, obs, SolverConfig(lam=1.0, max_iters=10))
 
     def test_gap_checkpoints_decrease(self, chain):
         # Certified gap of (averaged primal, feasibility-projected dual)
         # roughly halves when the iteration count doubles.
         g, obs, _ = chain
-        cfg = SolverConfig(lam=1.0, max_iters=800)
-        state = init_state(g, obs)
+        problem = Problem(g, obs, 1.0)
+        state = init_state(problem)
         gaps = {}
         while state.k < 800:
-            state = pd_step(state, g, obs, cfg)
+            state = pd_step(state, problem)
             if state.k in (100, 200, 400, 800):
-                y_feas = project_dual_feasible(g, obs, state.y, 1.0)
-                report = duality_gap(g, obs, state.x_avg, y_feas, 1.0, feas_tol=1e-8)
+                y_feas = project_dual_feasible(problem, state.y)
+                report = duality_gap(problem, state.x_avg, y_feas, feas_tol=1e-8)
                 assert report.certified
                 gaps[state.k] = report.gap
         for k in (100, 200, 400):
