@@ -40,6 +40,7 @@ from .solver import (
     duality_gap,
     init_state,
     pd_step,
+    repair_dual,
     run,
 )
 from .flow import (
@@ -89,6 +90,7 @@ __all__ = [
     "duality_gap",
     "init_state",
     "pd_step",
+    "repair_dual",
     "run",
     "CertificateReport",
     "Flow",

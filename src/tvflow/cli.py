@@ -145,7 +145,7 @@ def _load_config(args: argparse.Namespace) -> SolverConfig:
 def _write_solution(
     out_dir: Path, g: EmpiricalGraph, result: SolverResult
 ) -> list[str]:
-    write_signal_csv(out_dir / "primal.csv", result.x_avg)
+    write_signal_csv(out_dir / "primal.csv", result.x)
     write_flow_csv(
         out_dir / "dual.csv",
         g,
@@ -170,6 +170,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "capacity_excess": result.gap.capacity_excess,
         "conservation_residual": result.gap.conservation_residual,
         "iters": result.iters,
+        "stop_reason": result.stop_reason,
+        "primal_iterate": result.primal_iterate,
         "config": cfg.to_mapping(),
     }
     write_json(out_dir / "report.json", report)
@@ -250,6 +252,8 @@ def _cmd_experiment_chain(args: argparse.Namespace) -> int:
             "objective": result.gap.primal,
             "gap": result.gap.gap,
             "certified": result.gap.certified,
+            "stop_reason": result.stop_reason,
+            "primal_iterate": result.primal_iterate,
         },
         "certificate": cert_report.to_dict(),
     }
@@ -265,8 +269,8 @@ def _cmd_experiment_chain(args: argparse.Namespace) -> int:
             print("dual iterate vs reference:")
             print(_diff_table("edge head", result.y, CHAIN_REF_DUAL))
         if any(c["name"] == "primal_matches_reference" for c in failed):
-            print("averaged primal vs reference:")
-            print(_diff_table("node", result.x_avg, CHAIN_REF_PRIMAL))
+            print(f"primal ({result.primal_iterate} iterate) vs reference:")
+            print(_diff_table("node", result.x, CHAIN_REF_PRIMAL))
         return EXIT_FAILED if args.strict else EXIT_OK
     return EXIT_OK
 
@@ -277,8 +281,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=int, default=1000,
                    help="maximum iterations (default 1000)")
     p.add_argument("--gap-tol", type=float, default=0.0,
-                   help="stop once the certified gap drops below this;"
-                        " 0 runs a fixed number of iterations (default 0)")
+                   help="stop once a gap probe (repaired dual, better of the"
+                        " averaged and last primal iterate) certifies a gap of"
+                        " at most this; 0 runs a fixed number of iterations"
+                        " (default 0)")
     p.add_argument("--feas-tol", type=float, default=1e-9,
                    help="dual feasibility tolerance for gap certification")
 

@@ -3,14 +3,15 @@
 All CSVs carry a header row and 1-based node ids.  Floats are written
 with ``repr``, the shortest string that round-trips exactly, so writer
 output is byte-deterministic and readers recover identical values.
-Reader errors cite the offending file and line number.  Writers create
-missing parent directories, and JSON writers reject non-finite numbers,
-which JSON cannot represent.
+Reader errors cite the offending file and line number, and readers reject
+non-finite numbers.  Writers create missing parent directories, and JSON
+writers reject non-finite numbers, which JSON cannot represent.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -84,9 +85,12 @@ def _parse_int(path: Path | str, lineno: int, text: str, what: str) -> int:
 
 def _parse_float(path: Path | str, lineno: int, text: str, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: {what} is not a number: '{text}'")
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: {what} must be finite, got '{text}'")
+    return value
 
 
 def write_graph_csv(path: Path | str, g: EmpiricalGraph) -> None:

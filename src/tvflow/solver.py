@@ -9,12 +9,16 @@ The running average is the sequence that converges to a minimizer.
 The dual iterate is a flow on the edges; its feasibility (capacities plus
 zero divergence at unsampled nodes) is what certifies a duality gap, so
 gap reports carry the residuals and say whether they certify anything.
+With a gap tolerance the solver probes the gap as it runs: each probe
+repairs the dual iterate into an exactly feasible point (a lower bound on
+the optimum) and takes the better of the running average and the last
+iterate as the upper bound.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 import numpy as np
@@ -33,9 +37,20 @@ __all__ = [
     "run",
     "dual_objective",
     "duality_gap",
+    "repair_dual",
 ]
 
 _CONFIG_KEYS = ("lambda", "max_iters", "gap_tol", "feas_tol")
+
+# Gap probes fall on multiples of _PROBE_EVERY; after a probe the next one
+# waits at least as many steps as the repair took CG iterations (a CG
+# iteration costs about one step), so on graphs where the repair is slow
+# the probes still take at most about half of the time.
+_PROBE_EVERY = 50
+# CG for the dual repair stops when the residual norm falls below
+# _CG_RTOL times the starting one, or after _CG_MAX_ITERS iterations.
+_CG_RTOL = 1e-13
+_CG_MAX_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -121,10 +136,20 @@ class GapReport:
 
 @dataclass(frozen=True, eq=False)
 class SolverResult:
+    """Solver output.  ``x`` and ``y`` are the pair the gap report belongs
+    to: in fixed-iteration mode the running average ``x_avg`` and the dual
+    iterate; in gap mode the better of the running average and the last
+    iterate (``primal_iterate`` says which) and the repaired dual.
+    ``stop_reason`` is "gap_tol" when the certified gap met the tolerance,
+    else "max_iters"."""
+
     x_avg: np.ndarray
     y: np.ndarray
     iters: int
     gap: GapReport
+    x: np.ndarray
+    stop_reason: str
+    primal_iterate: str
 
 
 def init_state(problem: Problem) -> SolverState:
@@ -180,21 +205,30 @@ def pd_step(state: SolverState, problem: Problem) -> SolverState:
 
 
 def run(g: EmpiricalGraph, obs: Observations, cfg: SolverConfig) -> SolverResult:
-    """Iterate until max_iters, or until the certified gap drops below
-    gap_tol (checked every 50 iterations when gap_tol > 0).  Raises when
-    the final objectives or gap are not finite."""
+    """Iterate until max_iters, or, when gap_tol > 0, until a gap probe
+    certifies a gap of at most gap_tol.  Probes (at multiples of 50 steps
+    and after the last step) pair the repaired dual with the better of the
+    running average and the last iterate.  Raises when the final objectives
+    or gap are not finite."""
     problem = Problem(g, obs, cfg.lam)
     state = init_state(problem)
-    report: GapReport | None = None
-    while state.k < cfg.max_iters:
+    gap_mode = cfg.gap_tol > 0.0
+    next_probe = _PROBE_EVERY
+    while True:
         state = pd_step(state, problem)
-        if cfg.gap_tol > 0.0 and state.k % 50 == 0:
-            probe = duality_gap(problem, state.x_avg, state.y, cfg.feas_tol)
-            if probe.certified and probe.gap <= cfg.gap_tol:
-                report = probe
+        done = state.k >= cfg.max_iters
+        if gap_mode and (done or state.k == next_probe):
+            x, y, report, iterate, cg_iters = _probe(problem, state, cfg.feas_tol)
+            met = report.certified and report.gap <= cfg.gap_tol
+            if met or done:
+                stop_reason = "gap_tol" if met else "max_iters"
                 break
-    if report is None:
-        report = duality_gap(problem, state.x_avg, state.y, cfg.feas_tol)
+            steps = max(_PROBE_EVERY, cg_iters)
+            next_probe += -(-steps // _PROBE_EVERY) * _PROBE_EVERY
+        elif done:
+            x, y, iterate, stop_reason = state.x_avg, state.y, "average", "max_iters"
+            report = duality_gap(problem, x, y, cfg.feas_tol)
+            break
     for name, value in (
         ("primal objective", report.primal),
         ("dual objective", report.dual),
@@ -205,7 +239,94 @@ def run(g: EmpiricalGraph, obs: Observations, cfg: SolverConfig) -> SolverResult
                 f"{name} is {value}: labels, weights or lambda are too large"
                 " for double precision"
             )
-    return SolverResult(x_avg=state.x_avg, y=state.y, iters=state.k, gap=report)
+    return SolverResult(
+        x_avg=state.x_avg,
+        y=y,
+        iters=state.k,
+        gap=report,
+        x=x,
+        stop_reason=stop_reason,
+        primal_iterate=iterate,
+    )
+
+
+def _probe(
+    problem: Problem, state: SolverState, feas_tol: float
+) -> tuple[np.ndarray, np.ndarray, GapReport, str, int]:
+    """Gap of the better primal iterate against the repaired dual: returns
+    the primal point, the dual point, their gap report, which iterate
+    ("average" or "last") won and the repair's CG iteration count."""
+    y, cg_iters = repair_dual(problem, state.y)
+    report = duality_gap(problem, state.x_avg, y, feas_tol)
+    last = primal_objective(problem, state.x_curr)
+    if last < report.primal:
+        gap = last - report.dual if report.certified else None
+        report = replace(report, primal=last, gap=gap)
+        return state.x_curr, y, report, "last", cg_iters
+    return state.x_avg, y, report, "average", cg_iters
+
+
+def repair_dual(problem: Problem, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exactly feasible dual point near the edge flow y.
+
+    First y moves by B u onto zero divergence at the unsampled nodes U,
+    with u zero on the sampled nodes and L_UU u_U = -divergence(y)_U
+    (L = B^T B, the unit-weight graph Laplacian; B is ``incidence_apply``):
+    the orthogonal projection onto the conservation constraints, solved by
+    Jacobi-preconditioned conjugate gradient over ``incidence_apply`` and
+    ``divergence``.  Then the flow is scaled by min(1, min_e cap_e/|y_e|)
+    into the capacity box, which keeps conservation, and clipped so that
+    |y_e| <= cap_e holds bitwise.  Returns the repaired flow and the CG
+    iteration count; a CG that stops at its iteration cap leaves a
+    conservation residual that the gap report shows.  Needs what
+    ``init_state`` checks: no isolated node and a label in every component.
+    """
+    g = problem.graph
+    y = np.asarray(y, dtype=np.float64)
+    free = problem.unsampled
+    rhs = -divergence(g, y)[free]
+    u = np.zeros(g.node_count)
+    iters = 0
+    if rhs.any():
+        u[free], iters = _grounded_cg(problem, rhs)
+        y = y + incidence_apply(g, u)
+    cap = problem.capacities
+    ratio = float(np.max(np.abs(y) / cap, initial=0.0))
+    if ratio > 1.0:
+        y = y / ratio
+    return np.clip(y, -cap, cap), iters
+
+
+def _grounded_cg(problem: Problem, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve L_UU u = rhs by CG preconditioned with the node degrees, the
+    diagonal of L.  L_UU is positive definite when every component holds a
+    sampled node."""
+    g = problem.graph
+    free = problem.unsampled
+    full = np.zeros(g.node_count)
+
+    def laplacian(p: np.ndarray) -> np.ndarray:
+        full[free] = p
+        return divergence(g, incidence_apply(g, full))[free]
+
+    inv_diag = problem.inv_degrees[free]
+    u = np.zeros(rhs.size)
+    r = rhs.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    stop = (_CG_RTOL * float(np.linalg.norm(rhs))) ** 2
+    iters = 0
+    while iters < _CG_MAX_ITERS and float(r @ r) > stop:
+        q = laplacian(p)
+        alpha = rz / float(p @ q)
+        u += alpha * p
+        r -= alpha * q
+        z = inv_diag * r
+        rz, rz_prev = float(r @ z), rz
+        p = z + (rz / rz_prev) * p
+        iters += 1
+    return u, iters
 
 
 def dual_objective(

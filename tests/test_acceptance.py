@@ -115,8 +115,8 @@ def test_criterion_5_oracle_equivalence():
         problem = Problem(g, obs, lam)
         nl = oracle_nlasso(problem, target_gap=3e-4)
         mc = oracle_mincost_flow(problem)
-        result = run(g, obs, SolverConfig(lam=lam, max_iters=80_000))
-        L_solver = primal_objective(problem, result.x_avg)
+        result = run(g, obs, SolverConfig(lam=lam, max_iters=80_000, gap_tol=1e-6))
+        L_solver = primal_objective(problem, result.x)
         assert not nl.flagged
         assert not mc.flagged
         worst_solver = max(worst_solver, abs(L_solver - nl.objective))

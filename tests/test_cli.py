@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from tvflow import cli
-from tvflow.io import read_graph_csv, read_observations_csv, read_signal_csv
+from tvflow.io import (
+    read_flow_csv,
+    read_graph_csv,
+    read_observations_csv,
+    read_signal_csv,
+)
+from tvflow.signal import Problem
+from tvflow.solver import duality_gap
 
 
 def run_cli(args: list[str]) -> int:
@@ -100,6 +107,32 @@ class TestSolve:
         assert report["iters"] == 1000
         assert report["objective"] == pytest.approx(0.1875, abs=2e-3)
         assert report["certified"] is True
+        assert report["stop_reason"] == "max_iters"
+        assert report["primal_iterate"] == "average"
+
+    def test_gap_mode_files_reproduce_report(self, tmp_path, instance_dir):
+        # primal.csv and dual.csv are the pair the reported gap belongs to.
+        out = tmp_path / "sol"
+        code = run_cli([
+            "solve", "--graph", str(instance_dir / "graph.csv"),
+            "--observations", str(instance_dir / "observations.csv"),
+            "--gap-tol", "1e-6", "--out-dir", str(out),
+        ])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["stop_reason"] == "gap_tol"
+        assert report["primal_iterate"] in ("average", "last")
+        assert report["iters"] < 1000
+        g = read_graph_csv(instance_dir / "graph.csv")
+        problem = Problem(g, read_observations_csv(instance_dir / "observations.csv"), 1.0)
+        x = read_signal_csv(out / "primal.csv")
+        y = read_flow_csv(out / "dual.csv", g).base
+        recomputed = duality_gap(problem, x, y, report["config"]["feas_tol"])
+        assert recomputed.certified
+        assert recomputed.primal == report["objective"]
+        assert recomputed.dual == report["dual_objective"]
+        assert recomputed.gap == report["gap"]
+        assert 0.0 <= report["gap"] <= 1e-6
 
     def test_solve_with_config_json(self, tmp_path, instance_dir):
         config = tmp_path / "config.json"
@@ -279,6 +312,25 @@ class TestCertify:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_flow_value_cites_line(self, tmp_path, experiment_dir, capsys):
+        lines = (experiment_dir / "flow.csv").read_text().splitlines()
+        head, tail, _ = lines[3].split(",")
+        lines[3] = f"{head},{tail},nan"
+        flow = tmp_path / "flow.csv"
+        flow.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "cert"
+        code = run_cli([
+            "certify",
+            "--graph", str(experiment_dir / "graph.csv"),
+            "--flow", str(flow),
+            "--partition", str(experiment_dir / "partition.csv"),
+            "--observations", str(experiment_dir / "observations.csv"),
+            "--out-dir", str(out),
+        ])
+        assert code == 64
+        assert f"{flow}:4: flow value must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_partition_usage_error(self, tmp_path, experiment_dir):
         code = run_cli([
             "certify",
@@ -308,6 +360,19 @@ class TestExperimentChain:
         }
         stdout = capsys.readouterr().out
         assert "FAIL" not in stdout
+
+    def test_gap_mode_checks_returned_pair(self, tmp_path):
+        out = tmp_path / "exp"
+        code = run_cli([
+            "experiment-chain", "--gap-tol", "1e-6", "--strict", "--out-dir", str(out),
+        ])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["all_passed"] is True
+        assert report["solver"]["stop_reason"] == "gap_tol"
+        assert report["solver"]["gap"] <= 1e-6
+        primal = read_signal_csv(out / "primal.csv")
+        assert np.max(np.abs(primal - np.array([0.75] * 5 + [0.25] * 5))) <= 1e-3
 
     def test_figure_shaped_csvs(self, tmp_path):
         out = tmp_path / "exp"

@@ -184,6 +184,19 @@ class TestFlowCsv:
             read_flow_csv(path, g)
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("read, body, what", [
+    (read_graph_csv, "i,j,w\n1,2,1.0\n2,3,{}\n", "weight"),
+    (read_signal_csv, "i,x\n1,0.5\n2,{}\n", "value"),
+    (read_observations_csv, "i,x\n1,0.5\n3,{}\n", "label"),
+])
+def test_non_finite_number_cites_line(tmp_path, text, read, body, what):
+    path = tmp_path / "data.csv"
+    path.write_text(body.format(text))
+    with pytest.raises(ValueError, match=f"data.csv:3: {what} must be finite"):
+        read(path)
+
+
 class TestJson:
     def test_round_trip(self, tmp_path):
         payload = {"a": 1, "b": [1.5, None], "c": {"d": True}}

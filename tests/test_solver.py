@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     make_chain,
     random_connected_instance,
 )
-from tvflow.graph import build_graph
+from tvflow.graph import build_graph, divergence
 from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL
 from tvflow.oracle import project_dual_feasible
 from tvflow.signal import Observations, Problem, primal_objective
@@ -19,6 +21,7 @@ from tvflow.solver import (
     duality_gap,
     init_state,
     pd_step,
+    repair_dual,
     run,
 )
 
@@ -310,3 +313,110 @@ class TestRun:
         for k in (100, 200, 400):
             assert gaps[2 * k] <= 0.9 * gaps[k]
             assert gaps[2 * k] <= gaps[k]  # non-increasing at checkpoints
+
+
+class TestRepairDual:
+    def test_conserving_and_inside_capacities(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            g, obs = random_connected_instance(rng, max_nodes=12)
+            problem = Problem(g, obs, float(rng.uniform(0.1, 3.0)))
+            caps = problem.capacities
+            y = rng.uniform(-3.0, 3.0, g.edge_count) * caps
+            repaired, _ = repair_dual(problem, y)
+            _, excess, conservation = problem.dual_residuals(repaired)
+            assert conservation <= 1e-12
+            assert excess == 0.0
+            assert np.all(np.abs(repaired) <= caps)
+
+    def test_orthogonal_projection_inside_box(self):
+        # A small flow stays inside the box, so the repair is the plain
+        # orthogonal projection onto the conservation constraints.
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            g, obs = random_connected_instance(rng, max_nodes=10)
+            problem = Problem(g, obs, 1.0)
+            y = rng.uniform(-1e-3, 1e-3, g.edge_count)
+            rows = np.flatnonzero(problem.unsampled)
+            a = np.zeros((rows.size, g.edge_count))
+            for r, node in enumerate(rows):
+                a[r, g._head_idx == node] = 1.0
+                a[r, g._tail_idx == node] = -1.0
+            expected = y - np.linalg.pinv(a) @ (a @ y) if rows.size else y
+            repaired, _ = repair_dual(problem, y)
+            assert np.max(np.abs(repaired - expected)) <= 1e-14
+
+    def test_no_op_when_every_node_labelled(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            g, _ = random_connected_instance(rng)
+            obs = Observations(
+                np.arange(1, g.node_count + 1), rng.uniform(-1, 1, g.node_count)
+            )
+            problem = Problem(g, obs, 0.7)
+            y = rng.uniform(-1.0, 1.0, g.edge_count) * problem.capacities
+            repaired, cg_iters = repair_dual(problem, y)
+            assert cg_iters == 0
+            assert np.array_equal(repaired, y)
+
+    def test_scaling_keeps_conservation(self):
+        # Chain labelled at its ends: the repaired flow is constant along
+        # the path; scaling brings it down to the smallest capacity.
+        g = build_graph(4, [(1, 2, 1.0), (2, 3, 0.25), (3, 4, 1.0)])
+        problem = Problem(g, Observations.from_dict({1: 1.0, 4: 0.0}), 1.0)
+        repaired, _ = repair_dual(problem, np.array([3.0, 3.0, 3.0]))
+        assert repaired.tolist() == [0.25, 0.25, 0.25]
+        assert not divergence(g, repaired)[1:3].any()
+
+
+class TestGapMode:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.01, 10.0),
+        max_iters=st.integers(1, 400),
+        gap_tol=st.sampled_from([1e-2, 1e-6, 1e-14]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_certified_gap_never_negative(self, seed, lam, max_iters, gap_tol):
+        g, obs = random_connected_instance(np.random.default_rng(seed))
+        cfg = SolverConfig(lam=lam, max_iters=max_iters, gap_tol=gap_tol)
+        result = run(g, obs, cfg)
+        report = result.gap
+        assert report.certified
+        assert report.gap >= -1e-12 * max(1.0, abs(report.primal))
+        # The returned pair reproduces the report.
+        again = duality_gap(Problem(g, obs, lam), result.x, result.y, cfg.feas_tol)
+        assert again == report
+        assert (result.stop_reason == "gap_tol") == (report.gap <= gap_tol)
+
+    def test_chain_certifies_1e6_within_1000_iterations(self, chain):
+        g, obs, _ = chain
+        result = run(g, obs, SolverConfig(lam=1.0, max_iters=1000, gap_tol=1e-6))
+        assert result.stop_reason == "gap_tol"
+        assert result.iters <= 1000
+        assert result.gap.certified
+        assert result.gap.gap <= 1e-6
+        assert np.max(np.abs(result.x - CHAIN_REF_PRIMAL)) <= 1e-3
+
+    def test_budget_exhausted_reports_final_probe(self, chain):
+        g, obs, _ = chain
+        result = run(g, obs, SolverConfig(lam=1.0, max_iters=70, gap_tol=1e-12))
+        assert result.iters == 70
+        assert result.stop_reason == "max_iters"
+        assert result.gap.certified
+        problem = Problem(g, obs, 1.0)
+        assert duality_gap(problem, result.x, result.y) == result.gap
+
+    def test_fixed_mode_returns_average_and_raw_dual(self, chain):
+        g, obs, _ = chain
+        problem = Problem(g, obs, 1.0)
+        state = init_state(problem)
+        for _ in range(300):
+            state = pd_step(state, problem)
+        result = run(g, obs, SolverConfig(lam=1.0, max_iters=300))
+        assert result.stop_reason == "max_iters"
+        assert result.primal_iterate == "average"
+        assert result.x is result.x_avg
+        assert np.array_equal(result.x_avg, state.x_avg)
+        assert np.array_equal(result.y, state.y)
+        assert result.gap == duality_gap(problem, state.x_avg, state.y)
