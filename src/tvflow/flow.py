@@ -150,8 +150,28 @@ def _check_flow_inputs(problem: Problem, f: Flow, tol: float = 0.0) -> None:
             f"flow has {f.base.shape[0]} base values, graph has"
             f" {problem.graph.edge_count} edges"
         )
-    if not np.array_equal(f.star_nodes, problem.obs.nodes):
-        raise ValueError("flow star nodes do not match the extended graph")
+    labeled = problem.obs.nodes
+    if not np.array_equal(f.star_nodes, labeled):
+        missing = np.setdiff1d(labeled, f.star_nodes)[:1].tolist()
+        extra = np.setdiff1d(f.star_nodes, labeled)[:1].tolist()
+        raise ValueError(
+            "flow star nodes do not match the labeled nodes: first labeled node"
+            f" without a star row {missing}, first star row at an unlabeled node {extra}"
+        )
+
+
+def _group_min_max(
+    groups: np.ndarray, values: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest of ``values`` per group 0..count-1; +inf and
+    -inf for a group without a member."""
+    # Float values keep ufunc.at on its fast path; mixed dtypes are 20x slower.
+    values = np.asarray(values, dtype=np.float64)
+    low = np.full(count, np.inf)
+    high = np.full(count, -np.inf)
+    np.minimum.at(low, groups, values)
+    np.maximum.at(high, groups, values)
+    return low, high
 
 
 def check_flow(problem: Problem, f: Flow, tol: float = 1e-9) -> CertificateReport:
@@ -246,22 +266,15 @@ def verify_certificate(
         interior_slack = float(np.min(caps[interior] - abs_y[interior]))
     strict_interior_ok = interior_slack is None or interior_slack >= tol
 
-    star_by_node = dict(zip(f.star_nodes.tolist(), f.star.tolist()))
-    label_by_node = dict(zip(obs.nodes.tolist(), obs.labels.tolist()))
-    spreads: list[float | None] = []
-    indeterminate: list[int] = []
-    balance_ok = True
-    for k, cluster in enumerate(partition.clusters):
-        sampled = sorted(cluster & set(label_by_node))
-        if not sampled:
-            spreads.append(None)
-            indeterminate.append(k)
-            continue
-        values = [label_by_node[i] - star_by_node[i] for i in sampled]
-        spread = max(values) - min(values)
-        spreads.append(float(spread))
-        if spread > tol:
-            balance_ok = False
+    groups, count = partition.cluster_index[problem.sampled], partition.cluster_count
+    labeled = np.bincount(groups, minlength=count) > 0
+    low, high = _group_min_max(groups, obs.labels - f.star, count)
+    spread = high - low
+    balance_ok = not np.any(spread[labeled] > tol)
+    spreads = tuple(
+        s if ok else None for s, ok in zip(spread.tolist(), labeled.tolist())
+    )
+    indeterminate = tuple(np.flatnonzero(~labeled).tolist())
 
     reconstructed = None
     orientation_ok: bool | None = None
@@ -303,9 +316,9 @@ def verify_certificate(
         strict_interior_ok=strict_interior_ok,
         interior_slack=interior_slack,
         balance_ok=balance_ok,
-        cluster_spreads=tuple(spreads),
+        cluster_spreads=spreads,
         orientation_ok=orientation_ok,
-        indeterminate_clusters=tuple(indeterminate),
+        indeterminate_clusters=indeterminate,
         reconstructed=reconstructed,
         failure_reason=failure_reason,
     )
@@ -323,15 +336,10 @@ def reconstruct_primal(
     """
     _check_flow_inputs(problem, f, tol)
     g, obs = problem.graph, problem.obs
-    if partition.node_count != g.node_count:
-        raise ValueError("partition does not cover this graph")
+    partition.check_graph(g)
     comp = components(g, np.abs(f.base) < problem.capacities - tol)
     count = int(comp.max()) + 1
-    ci = partition.cluster_index
-    lowest = np.full(count, partition.cluster_count)
-    np.minimum.at(lowest, comp, ci)
-    highest = np.full(count, -1)
-    np.maximum.at(highest, comp, ci)
+    lowest, highest = _group_min_max(comp, partition.cluster_index, count)
 
     sampled = problem.sampled
     candidates = obs.labels - divergence(g, f.base)[sampled]
@@ -381,9 +389,8 @@ def construct_tree_certificate(
     (and, with several samples per cluster, the balance condition) may
     still fail; run it through :func:`verify_certificate`.
     """
-    caps = Problem(g, obs, lam).capacities
-    if partition.node_count != g.node_count:
-        raise ValueError("partition does not cover this graph")
+    problem = Problem(g, obs, lam)
+    partition.check_graph(g)
     n = g.node_count
     if g.edge_count != n - 1:
         raise ValueError(
@@ -395,58 +402,57 @@ def construct_tree_certificate(
             "graph contains a cycle and is disconnected; expected a tree"
         )
 
-    sampled_set = set((obs.nodes - 1).tolist())
-    ci = partition.cluster_index
+    ci, count = partition.cluster_index, partition.cluster_count
+    sampled_ci = ci[problem.sampled]
+    label_counts = np.bincount(sampled_ci, minlength=count)
+    if not label_counts.all():
+        k = int(np.argmin(label_counts))
+        raise ValueError(f"cluster {k + 1} has no sampled node")
+    bmask = boundary_mask(g, partition)
+    low, high = _group_min_max(ci, components(g, ~bmask), count)
+    if np.any(low != high):
+        raise ValueError(
+            f"cluster {int(np.argmax(low != high)) + 1} is not connected in the graph"
+        )
 
     # Mean label per cluster defines the model coefficients used for signs.
-    coeffs = np.empty(partition.cluster_count)
-    for k, cluster in enumerate(partition.clusters):
-        in_cluster = sorted((i - 1) for i in cluster if (i - 1) in sampled_set)
-        if not in_cluster:
-            raise ValueError(f"cluster {k + 1} has no sampled node")
-        labels = [obs.labels[np.searchsorted(obs.nodes, i + 1)] for i in in_cluster]
-        coeffs[k] = float(np.mean(labels))
-
+    coeffs = np.bincount(sampled_ci, weights=obs.labels, minlength=count) / label_counts
     y = np.zeros(g.edge_count)
-    bmask = boundary_mask(g, partition)
     jumps = coeffs[ci[g._head_idx[bmask]]] - coeffs[ci[g._tail_idx[bmask]]]
-    y[bmask] = np.sign(jumps) * caps[bmask]
+    y[bmask] = np.sign(jumps) * problem.capacities[bmask]
 
-    # Incidence lists: (edge index, +1 if the node is the edge's head).
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in range(g.edge_count):
-        incident[g._head_idx[e]].append((e, +1))
-        incident[g._tail_idx[e]].append((e, -1))
+    # Breadth-first order of the interior forest from each cluster's lowest
+    # sampled node, so that every node comes after its parent.
+    interior = np.flatnonzero(~bmask)
+    ends = np.concatenate([g._head_idx[interior], g._tail_idx[interior]])
+    by_end = np.argsort(ends, kind="stable")
+    bounds = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
+    others = np.concatenate([g._tail_idx[interior], g._head_idx[interior]])
+    others = others[by_end].tolist()
+    edges = np.concatenate([interior, interior])[by_end].tolist()
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    order = _group_min_max(sampled_ci, problem.sampled, count)[0].astype(int).tolist()
+    for node in order:
+        lo, hi = bounds[node], bounds[node + 1]
+        for other, e in zip(others[lo:hi], edges[lo:hi]):
+            if other != parent[node]:
+                parent[other], parent_edge[other] = node, e
+                order.append(other)
 
-    for k, cluster in enumerate(partition.clusters):
-        members = {i - 1 for i in cluster}
-        adjacency: dict[int, list[tuple[int, int, int]]] = {i: [] for i in members}
-        for e in np.flatnonzero(~bmask):
-            h, t = int(g._head_idx[e]), int(g._tail_idx[e])
-            if h in members:
-                adjacency[h].append((t, e, +1))
-                adjacency[t].append((h, e, -1))
-        root = min(i for i in members if i in sampled_set)
-        parent_edge: dict[int, tuple[int, int]] = {}
-        order = [root]
-        seen = {root}
-        for node in order:
-            for neighbor, e, sign_at_node in adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    # Neighbor sees the edge with the opposite sign.
-                    parent_edge[neighbor] = (e, -sign_at_node)
-                    order.append(neighbor)
-        if seen != members:
-            raise ValueError(f"cluster {k + 1} is not connected in the graph")
-        for node in reversed(order[1:]):
-            if node in sampled_set:
-                continue
-            e_p, sign_p = parent_edge[node]
-            partial = sum(
-                sign * y[e] for e, sign in incident[node] if e != e_p
-            )
-            y[e_p] = -partial * sign_p
+    # Leaf to root: an unsampled node sends its boundary outflow plus what
+    # its children sent up its parent edge, which zeroes its divergence.
+    # Sampled nodes (every root among them) send nothing and keep the rest.
+    carried = divergence(g, y).tolist()
+    free = problem.unsampled.tolist()
+    for node in reversed(order):
+        if free[node]:
+            carried[parent[node]] += carried[node]
+    child = np.flatnonzero(problem.unsampled)
+    edge = np.asarray(parent_edge, dtype=np.int64)[child]
+    up = np.asarray(carried)[child]
+    # 0.0 - up, not -up: a zero flow into a head stays +0.0.
+    y[edge] = np.where(g._head_idx[edge] == child, 0.0 - up, up)
 
     star = divergence(g, y)[obs.indices]
     return Flow(base=y, star_nodes=obs.nodes.copy(), star=star)

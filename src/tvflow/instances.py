@@ -66,12 +66,13 @@ def _finish(
 def _sample_per_cluster(
     partition: Partition, per_cluster: int, rng: np.random.Generator
 ) -> np.ndarray:
-    chosen: list[int] = []
-    for cluster in partition.clusters:
-        members = np.asarray(sorted(cluster), dtype=np.int64)
+    # One draw per cluster, in cluster order: seeded instances depend on it.
+    chosen = []
+    for k in range(partition.cluster_count):
+        members = np.flatnonzero(partition.cluster_index == k) + 1
         take = min(per_cluster, members.size)
-        chosen.extend(rng.choice(members, size=take, replace=False).tolist())
-    return np.asarray(sorted(chosen), dtype=np.int64)
+        chosen.append(rng.choice(members, size=take, replace=False))
+    return np.sort(np.concatenate(chosen))
 
 
 def chain_instance(
@@ -94,9 +95,7 @@ def chain_instance(
         raise ValueError(f"sampled nodes must lie in 1..{n}, got {list(samples)}")
     heads = np.arange(1, n)
     weights = np.where(heads == split, boundary_weight, intra_weight)
-    partition = Partition(
-        (frozenset(range(1, split + 1)), frozenset(range(split + 1, n + 1))), n
-    )
+    partition = Partition((np.arange(n) >= split).astype(np.int64))
     sampled = np.asarray(samples, dtype=np.int64)
     return _finish(n, heads, heads + 1, weights, partition, coeffs, sampled)
 
@@ -124,9 +123,8 @@ def grid_instance(
     weights = np.concatenate(
         [np.tile(right_w, rows), np.full((rows - 1) * cols, intra_weight)]
     )
-    left = frozenset(node[:, :split_col].ravel().tolist())
     n = rows * cols
-    partition = Partition((left, frozenset(range(1, n + 1)) - left), n)
+    partition = Partition(np.tile(np.arange(cols) >= split_col, rows).astype(np.int64))
     sampled = _sample_per_cluster(partition, samples_per_cluster, rng)
     return _finish(n, heads, tails, weights, partition, coeffs, sampled)
 
@@ -154,10 +152,7 @@ def sbm_instance(
         raise ValueError("edge probabilities must lie in [0, 1]")
     n = sum(sizes)
     block = np.repeat(np.arange(len(sizes)), sizes)
-    starts = np.cumsum([0, *sizes])
-    partition = Partition(
-        tuple(frozenset(range(a + 1, b + 1)) for a, b in zip(starts, starts[1:])), n
-    )
+    partition = Partition(block)
     heads, tails = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     weights = [np.empty(0)]
     for i in range(n - 1):

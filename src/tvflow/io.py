@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -122,21 +122,33 @@ def write_signal_csv(path: Path | str, x: np.ndarray) -> None:
     _write_lines(path, "i,x", (f"{i},{_fmt(v)}" for i, v in enumerate(values, start=1)))
 
 
+def _read_per_node(
+    path: Path | str, header: str, kind: str, parse: Callable[..., Any], what: str
+) -> list:
+    """The value column of a per-node file in node order, each value parsed
+    by ``parse(path, lineno, text, what)``.  Rows must cover ids 1..n
+    exactly, in any order."""
+    rows = _read_rows(path, header)
+    if not rows:
+        raise ValueError(f"{path}: {kind} file has no rows")
+    n = len(rows)
+    values: list = [None] * n
+    for lineno, (si, sv) in rows:
+        i = _parse_int(path, lineno, si, "node id")
+        if not 1 <= i <= n:
+            raise ValueError(
+                f"{path}:{lineno}: node id {i} is outside 1..{n}; the {n} rows"
+                f" must cover node ids 1..{n} exactly"
+            )
+        if values[i - 1] is not None:
+            raise ValueError(f"{path}:{lineno}: duplicate node id {i}")
+        values[i - 1] = parse(path, lineno, sv, what)
+    return values
+
+
 def read_signal_csv(path: Path | str) -> np.ndarray:
     """Read a dense signal; rows must cover 1..n exactly (any order)."""
-    rows = _read_rows(path, "i,x")
-    if not rows:
-        raise ValueError(f"{path}: signal file has no rows")
-    entries = {}
-    for lineno, (si, sx) in rows:
-        i = _parse_int(path, lineno, si, "node id")
-        if i in entries:
-            raise ValueError(f"{path}:{lineno}: duplicate node id {i}")
-        entries[i] = _parse_float(path, lineno, sx, "value")
-    n = max(entries)
-    if set(entries) != set(range(1, n + 1)):
-        raise ValueError(f"{path}: rows must cover node ids 1..{n} exactly")
-    return np.asarray([entries[i] for i in range(1, n + 1)])
+    return np.asarray(_read_per_node(path, "i,x", "signal", _parse_float, "value"))
 
 
 def write_observations_csv(path: Path | str, obs: Observations) -> None:
@@ -168,26 +180,13 @@ def write_partition_csv(path: Path | str, p: Partition) -> None:
 
 
 def read_partition_csv(path: Path | str) -> Partition:
-    """Read node-to-cluster rows; clusters are ordered by their file id."""
-    rows = _read_rows(path, "i,cluster")
-    if not rows:
-        raise ValueError(f"{path}: partition file has no rows")
-    assignment: dict[int, int] = {}
-    for lineno, (si, sc) in rows:
-        i = _parse_int(path, lineno, si, "node id")
-        if i in assignment:
-            raise ValueError(f"{path}:{lineno}: duplicate node id {i}")
-        assignment[i] = _parse_int(path, lineno, sc, "cluster id")
-    n = max(assignment)
-    cluster_ids = sorted(set(assignment.values()))
-    clusters = tuple(
-        frozenset(i for i, c in assignment.items() if c == cid)
-        for cid in cluster_ids
-    )
-    try:
-        return Partition(clusters, n)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}")
+    """Read node-to-cluster rows covering 1..n exactly (any order).  Cluster
+    ids are any integers; clusters are numbered by ascending id."""
+    values = _read_per_node(path, "i,cluster", "partition", _parse_int, "cluster id")
+    ids = np.asarray(values)
+    if ids.dtype.kind != "i":  # ids beyond 64 bits: sort them as Python ints
+        ids = np.asarray(values, dtype=object)
+    return Partition(np.unique(ids, return_inverse=True)[1])
 
 
 def write_flow_csv(path: Path | str, g: EmpiricalGraph, f: Flow) -> None:

@@ -85,45 +85,40 @@ class Observations:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint clusters covering nodes 1..node_count, in a fixed order."""
+    """Clusters of nodes 1..node_count: ``cluster_index[i]`` is the 0-based
+    cluster of node i + 1, and every cluster 0..cluster_count - 1 has a
+    node.  Messages name a cluster by its 1-based position."""
 
-    clusters: tuple[frozenset[int], ...]
-    node_count: int
+    cluster_index: np.ndarray
 
     def __post_init__(self) -> None:
-        clusters = tuple(frozenset(c) for c in self.clusters)
-        object.__setattr__(self, "clusters", clusters)
-        if not clusters:
-            raise ValueError("partition needs at least one cluster")
-        seen: set[int] = set()
-        for k, cluster in enumerate(clusters):
-            if not cluster:
-                raise ValueError(f"cluster {k + 1} is empty")
-            if seen & cluster:
-                raise ValueError(f"cluster {k + 1} overlaps an earlier cluster")
-            seen |= cluster
-        expected = set(range(1, self.node_count + 1))
-        if seen != expected:
-            missing = sorted(expected - seen)
-            extra = sorted(seen - expected)
-            raise ValueError(
-                f"clusters must cover 1..{self.node_count} exactly"
-                f" (missing {missing}, extraneous {extra})"
-            )
+        ci = np.asarray(self.cluster_index)
+        if ci.ndim != 1 or not ci.size or not np.issubdtype(ci.dtype, np.integer):
+            raise ValueError("partition needs a non-empty 1-d integer array")
+        ci = ci.astype(np.int64)  # a copy: the caller's writes cannot reach it
+        ids = np.unique(ci)
+        if ids[0] < 0:
+            raise ValueError(f"cluster ids must be >= 0, got {int(ids[0])}")
+        if ids[-1] != ids.size - 1:
+            k = int(np.argmax(ids != np.arange(ids.size)))
+            raise ValueError(f"cluster {k + 1} is empty")
+        ci.setflags(write=False)
+        object.__setattr__(self, "cluster_index", ci)
+
+    @property
+    def node_count(self) -> int:
+        return int(self.cluster_index.size)
 
     @property
     def cluster_count(self) -> int:
-        return len(self.clusters)
+        return int(self.cluster_index.max()) + 1
 
-    @cached_property
-    def cluster_index(self) -> np.ndarray:
-        """0-based cluster position per node position."""
-        idx = np.empty(self.node_count, dtype=np.int64)
-        for k, cluster in enumerate(self.clusters):
-            for i in cluster:
-                idx[i - 1] = k
-        idx.setflags(write=False)
-        return idx
+    def check_graph(self, g: EmpiricalGraph) -> None:
+        """Raise unless the partition has one entry per node of ``g``."""
+        if self.node_count != g.node_count:
+            raise ValueError(
+                f"partition covers {self.node_count} nodes, graph has {g.node_count}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,10 +214,7 @@ def piecewise_constant(p: Partition, coeffs: Sequence[float]) -> GraphSignal:
 
 def boundary_mask(g: EmpiricalGraph, p: Partition) -> np.ndarray:
     """Boolean edge mask, True where the endpoints lie in different clusters."""
-    if p.node_count != g.node_count:
-        raise ValueError(
-            f"partition covers {p.node_count} nodes, graph has {g.node_count}"
-        )
+    p.check_graph(g)
     ci = p.cluster_index
     return ci[g._head_idx] != ci[g._tail_idx]
 

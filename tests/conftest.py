@@ -17,9 +17,7 @@ def make_chain() -> tuple[EmpiricalGraph, Observations, Partition]:
     edges[4] = (5, 6, 0.25)
     g = build_graph(10, edges)
     obs = Observations.from_dict({2: 1.0, 7: 0.0})
-    partition = Partition(
-        (frozenset(range(1, 6)), frozenset(range(6, 11))), 10
-    )
+    partition = Partition(np.repeat([0, 1], 5))
     return g, obs, partition
 
 
@@ -80,7 +78,9 @@ def random_tree_instance(
         weight = 0.1 if v == boundary_child else 1.0
         triples.append((p, v, weight))
     g = build_graph(n, triples)
-    partition = Partition((frozenset(first), frozenset(second)), n)
+    cluster_index = np.zeros(n, dtype=np.int64)
+    cluster_index[[v - 1 for v in second]] = 1
+    partition = Partition(cluster_index)
     c1 = float(rng.uniform(1.0, 2.0))
     c2 = float(rng.uniform(-2.0, -1.0))
     if rng.random() < 0.5:

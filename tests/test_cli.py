@@ -331,6 +331,25 @@ class TestCertify:
         assert f"{flow}:4: flow value must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mislabelled_star_row_names_nodes(self, tmp_path, experiment_dir, capsys):
+        text = (experiment_dir / "flow.csv").read_text()
+        assert "\n7,star," in text
+        flow = tmp_path / "flow.csv"
+        flow.write_text(text.replace("\n7,star,", "\n8,star,"))
+        code = run_cli([
+            "certify",
+            "--graph", str(experiment_dir / "graph.csv"),
+            "--flow", str(flow),
+            "--partition", str(experiment_dir / "partition.csv"),
+            "--observations", str(experiment_dir / "observations.csv"),
+            "--out-dir", str(tmp_path / "cert"),
+        ])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "star nodes" in err
+        assert "first labeled node without a star row [7]" in err
+        assert "first star row at an unlabeled node [8]" in err
+
     def test_missing_partition_usage_error(self, tmp_path, experiment_dir):
         code = run_cli([
             "certify",

@@ -17,10 +17,125 @@ from tvflow.flow import (
     reconstruct_primal,
     verify_certificate,
 )
-from tvflow.graph import build_graph, divergence
+from tvflow.graph import EmpiricalGraph, build_graph, components, divergence
 from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL
-from tvflow.signal import Observations, Partition, Problem, primal_objective
+from tvflow.signal import (
+    Observations,
+    Partition,
+    Problem,
+    boundary_mask,
+    primal_objective,
+)
 from tvflow.solver import dual_objective
+
+
+def reference_tree_certificate(
+    g: EmpiricalGraph, partition: Partition, obs: Observations, lam: float
+) -> Flow:
+    """construct_tree_certificate as a breadth-first search per cluster over
+    node sets, which scans every edge once per cluster: the reference for
+    the single-pass version."""
+    caps = Problem(g, obs, lam).capacities
+    n = g.node_count
+    if g.edge_count != n - 1:
+        raise ValueError(
+            f"expected a tree ({n - 1} edges for {n} nodes), got {g.edge_count}"
+        )
+    if components(g).max() != 0:
+        raise ValueError(
+            "graph contains a cycle and is disconnected; expected a tree"
+        )
+    ci = partition.cluster_index
+    clusters = [
+        set((np.flatnonzero(ci == k) + 1).tolist())
+        for k in range(partition.cluster_count)
+    ]
+    sampled_set = set((obs.nodes - 1).tolist())
+
+    coeffs = np.empty(partition.cluster_count)
+    for k, cluster in enumerate(clusters):
+        in_cluster = sorted((i - 1) for i in cluster if (i - 1) in sampled_set)
+        if not in_cluster:
+            raise ValueError(f"cluster {k + 1} has no sampled node")
+        labels = [obs.labels[np.searchsorted(obs.nodes, i + 1)] for i in in_cluster]
+        coeffs[k] = float(np.mean(labels))
+
+    y = np.zeros(g.edge_count)
+    bmask = boundary_mask(g, partition)
+    jumps = coeffs[ci[g._head_idx[bmask]]] - coeffs[ci[g._tail_idx[bmask]]]
+    y[bmask] = np.sign(jumps) * caps[bmask]
+
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e in range(g.edge_count):
+        incident[g._head_idx[e]].append((e, +1))
+        incident[g._tail_idx[e]].append((e, -1))
+
+    for k, cluster in enumerate(clusters):
+        members = {i - 1 for i in cluster}
+        adjacency: dict[int, list[tuple[int, int, int]]] = {i: [] for i in members}
+        for e in np.flatnonzero(~bmask):
+            h, t = int(g._head_idx[e]), int(g._tail_idx[e])
+            if h in members:
+                adjacency[h].append((t, e, +1))
+                adjacency[t].append((h, e, -1))
+        root = min(i for i in members if i in sampled_set)
+        parent_edge: dict[int, tuple[int, int]] = {}
+        order = [root]
+        seen = {root}
+        for node in order:
+            for neighbor, e, sign_at_node in adjacency[node]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    parent_edge[neighbor] = (e, -sign_at_node)
+                    order.append(neighbor)
+        if seen != members:
+            raise ValueError(f"cluster {k + 1} is not connected in the graph")
+        for node in reversed(order[1:]):
+            if node in sampled_set:
+                continue
+            e_p, sign_p = parent_edge[node]
+            partial = sum(sign * y[e] for e, sign in incident[node] if e != e_p)
+            y[e_p] = -partial * sign_p
+
+    star = divergence(g, y)[obs.indices]
+    return Flow(base=y, star_nodes=obs.nodes.copy(), star=star)
+
+
+def random_clustered_tree(
+    rng: np.random.Generator,
+) -> tuple[EmpiricalGraph, Partition, Observations]:
+    """Random tree cut into 1-60 connected clusters with 1-3 labels each.
+    Some draws break one precondition of the tree certificate: an extra
+    edge closes a cycle, two clusters merge into one that may be
+    disconnected, or a cluster loses its labels."""
+    k = int(rng.integers(1, 61))
+    n = k + int(rng.integers(0, 4 * k + 1))
+    ids = rng.permutation(n) + 1
+    pairs = [(int(ids[int(rng.integers(0, v))]), int(ids[v])) for v in range(1, n)]
+    if n > 2 and rng.random() < 0.1:
+        a, b = rng.choice(ids, size=2, replace=False).tolist()
+        if (a, b) not in pairs and (b, a) not in pairs:
+            pairs.append((a, b))
+    g = build_graph(n, [(i, j, float(rng.uniform(0.1, 2.0))) for i, j in pairs])
+    cut = np.zeros(g.edge_count, dtype=bool)
+    cut[rng.choice(g.edge_count, size=min(k - 1, g.edge_count), replace=False)] = True
+    comp = components(g, ~cut)
+    count = int(comp.max()) + 1
+    cluster_of = rng.permutation(count)[comp]
+    if count > 2 and rng.random() < 0.15:
+        a, b = rng.choice(count, size=2, replace=False)
+        cluster_of[cluster_of == b] = a
+        cluster_of[cluster_of == count - 1] = b
+        count -= 1
+    unlabeled = int(rng.integers(0, count)) if count > 1 and rng.random() < 0.1 else -1
+    nodes = []
+    for c in range(count):
+        if c != unlabeled:
+            members = np.flatnonzero(cluster_of == c) + 1
+            take = min(int(rng.integers(1, 4)), members.size)
+            nodes += rng.choice(members, size=take, replace=False).tolist()
+    labels = rng.uniform(-2.0, 2.0, size=len(nodes))
+    return g, Partition(cluster_of), Observations(np.asarray(nodes), labels)
 
 
 def chain_certificate_flow() -> Flow:
@@ -158,6 +273,7 @@ class TestVerifyCertificate:
         p = partition
         report = verify_certificate(Problem(g, obs, 1.0), f, p)
         assert report.indeterminate_clusters == (1,)
+        assert report.cluster_spreads == (0.0, None)
         assert report.status in ("failed", "indeterminate")
 
     def test_misoriented_saturation_rejected(self):
@@ -166,7 +282,7 @@ class TestVerifyCertificate:
         # 3-chain, boundary weight 0.8, labels 1 and 0.  The reconstruction
         # would be x1 = 0.2 < x2 = 0.8 while the flow points 1 -> 2.
         g = build_graph(3, [(1, 2, 0.8), (2, 3, 1.0)])
-        p = Partition((frozenset({1}), frozenset({2, 3})), 3)
+        p = Partition([0, 1, 1])
         obs = Observations.from_dict({1: 1.0, 2: 0.0})
         problem = Problem(g, obs, 1.0)
         f = construct_tree_certificate(g, p, obs, 1.0)
@@ -183,7 +299,7 @@ class TestVerifyCertificate:
         # Two sampled nodes in one cluster with different label-minus-star
         # values must fail the balance condition.
         g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
-        p = Partition((frozenset({1, 2, 3}),), 3)
+        p = Partition([0, 0, 0])
         obs = Observations.from_dict({1: 1.0, 3: 0.0})
         f = Flow(np.zeros(2), np.array([1, 3]), np.zeros(2))
         report = verify_certificate(Problem(g, obs, 1.0), f, p)
@@ -200,7 +316,7 @@ class TestReconstructPrimal:
 
     def test_fully_saturated_singletons(self):
         g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
-        p = Partition(tuple(frozenset({i}) for i in (1, 2, 3)), 3)
+        p = Partition([0, 1, 2])
         obs = Observations.from_dict({1: 1.0, 2: 0.5, 3: -1.0})
         lam = 0.25
         y = lam * np.array([1.0, -1.0])  # saturate both edges
@@ -211,7 +327,7 @@ class TestReconstructPrimal:
 
     def test_component_without_sample_rejected(self):
         g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
-        p = Partition((frozenset({1}), frozenset({2, 3})), 3)
+        p = Partition([0, 1, 1])
         obs = Observations.from_dict({2: 1.0})
         lam = 1.0
         y = np.array([1.0, 0.0])  # saturates edge (1,2), isolating node 1
@@ -223,7 +339,7 @@ class TestReconstructPrimal:
         # Zero flow leaves every edge open, so one component spans both
         # clusters of the path.
         g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
-        p = Partition((frozenset({1}), frozenset({2, 3})), 3)
+        p = Partition([0, 1, 1])
         obs = Observations.from_dict({1: 1.0, 3: 0.0})
         f = Flow(np.zeros(2), obs.nodes, np.zeros(2))
         with pytest.raises(ValueError, match=r"component \[1, 2, 3\] spans multiple"):
@@ -233,7 +349,7 @@ class TestReconstructPrimal:
         # Component {3, 4, 5} is sampled at 3 and 5 with labels that
         # disagree; component {1, 2} is consistent and comes first.
         g = build_graph(5, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
-        p = Partition((frozenset({1, 2}), frozenset({3, 4, 5})), 5)
+        p = Partition([0, 0, 1, 1, 1])
         obs = Observations.from_dict({1: 1.0, 3: 0.0, 5: 0.5})
         y = np.array([0.0, 1.0, 0.0, 0.0])  # saturates edge (2, 3) only
         f = Flow(y, obs.nodes, divergence(g, y)[obs.indices])
@@ -250,14 +366,14 @@ class TestConstructTreeCertificate:
 
     def test_single_cluster_equal_labels_zero_flow(self):
         g = build_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-        p = Partition((frozenset({1, 2, 3, 4}),), 4)
+        p = Partition([0, 0, 0, 0])
         obs = Observations.from_dict({2: 0.7, 4: 0.7})
         f = construct_tree_certificate(g, p, obs, 1.0)
         assert np.array_equal(f.base, np.zeros(3))
 
     def test_cycle_rejected(self):
         g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
-        p = Partition((frozenset({1, 2, 3}),), 3)
+        p = Partition([0, 0, 0])
         obs = Observations.from_dict({1: 1.0})
         with pytest.raises(ValueError, match="tree"):
             construct_tree_certificate(g, p, obs, 1.0)
@@ -265,7 +381,7 @@ class TestConstructTreeCertificate:
     def test_disconnected_cluster_rejected(self):
         # Path 1-2-3-4 split as {1, 4} / {2, 3}: cluster one is disconnected.
         g = build_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-        p = Partition((frozenset({1, 4}), frozenset({2, 3})), 4)
+        p = Partition([0, 1, 1, 0])
         obs = Observations.from_dict({1: 1.0, 2: 0.0})
         with pytest.raises(ValueError, match="not connected"):
             construct_tree_certificate(g, p, obs, 1.0)
@@ -286,9 +402,57 @@ class TestConstructTreeCertificate:
             assert report.verdict, report.failure_reason
             assert report.reconstructed is not None
             # Reconstruction is exactly piecewise constant on the partition.
-            for cluster in partition.clusters:
-                values = {report.reconstructed[i - 1] for i in cluster}
-                assert len(values) == 1
+            for k in range(partition.cluster_count):
+                values = report.reconstructed[partition.cluster_index == k]
+                assert np.unique(values).size == 1
+
+
+    def test_matches_per_cluster_reference(self):
+        rng = np.random.default_rng(61)
+        errors = set()
+        for _ in range(150):
+            g, partition, obs = random_clustered_tree(rng)
+            lam = float(rng.choice([0.1, 1.0, 5.0]))
+            try:
+                want = reference_tree_certificate(g, partition, obs, lam)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    construct_tree_certificate(g, partition, obs, lam)
+                assert str(got.value) == str(exc)
+                kinds = ("expected a tree", "is not connected", "has no sampled node")
+                errors.update(kind for kind in kinds if kind in str(exc))
+                continue
+            f = construct_tree_certificate(g, partition, obs, lam)
+            for got, ref in ((f.base, want.base), (f.star, want.star)):
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+            assert np.array_equal(f.star_nodes, want.star_nodes)
+        assert len(errors) == 3
+
+    def test_deep_path_verifies(self):
+        # 2 * 10^4 nodes in 50 clusters of 400: every cluster is a path
+        # hundreds of levels deep.
+        n, size = 20_000, 400
+        edges = [(i, i + 1, 0.1 if i % size == 0 else 1.0) for i in range(1, n)]
+        g = build_graph(n, edges)
+        partition = Partition(np.arange(n) // size)
+        nodes = np.arange(1, n + 1, size) + size // 2
+        obs = Observations(nodes, (np.arange(nodes.size) % 2).astype(float))
+        f = construct_tree_certificate(g, partition, obs, 1.0)
+        report = verify_certificate(Problem(g, obs, 1.0), f, partition)
+        assert report.verdict, report.failure_reason
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, obs, p: boundary_mask(g, p),
+    lambda g, obs, p: reconstruct_primal(
+        Problem(g, obs, 1.0), chain_certificate_flow(), p
+    ),
+    lambda g, obs, p: construct_tree_certificate(g, p, obs, 1.0),
+], ids=["boundary_mask", "reconstruct_primal", "construct_tree_certificate"])
+def test_partition_size_checked(chain, call):
+    g, obs, _ = chain
+    with pytest.raises(ValueError, match="partition covers 3 nodes, graph has 10"):
+        call(g, obs, Partition([0, 0, 1]))
 
 
 class TestDualityIdentities:

@@ -132,14 +132,29 @@ class TestPartitionCsv:
         path = tmp_path / "partition.csv"
         write_partition_csv(path, partition)
         back = read_partition_csv(path)
-        assert back.clusters == partition.clusters
-        assert back.node_count == partition.node_count
+        assert np.array_equal(back.cluster_index, partition.cluster_index)
 
-    def test_gap_rejected(self, tmp_path):
+    @pytest.mark.parametrize("rows, message", [
+        pytest.param("1,1\n3,2\n", ":3: node id 3 is outside 1..2; the 2 rows must cover",
+                     id="gap"),
+        pytest.param("1,1\n1,2\n", ":3: duplicate node id 1", id="duplicate"),
+        pytest.param("0,1\n1,1\n", ":2: node id 0 is outside", id="node-zero"),
+        pytest.param("1,1\n2,1.5\n", ":3: cluster id is not an integer", id="float-id"),
+    ])
+    def test_gap_rejected(self, tmp_path, rows, message):
         path = tmp_path / "partition.csv"
-        path.write_text("i,cluster\n1,1\n3,2\n")
-        with pytest.raises(ValueError, match="cover"):
+        path.write_text("i,cluster\n" + rows)
+        with pytest.raises(ValueError, match=f"partition.csv{message}"):
             read_partition_csv(path)
+
+    @pytest.mark.parametrize("extra, expected", [
+        ("", [1, 0, 2, 0]),
+        (f"5,{2**63}\n6,{-2**70}\n", [2, 1, 3, 1, 4, 0]),  # beyond 64 bits
+    ])
+    def test_sparse_ids_numbered_by_ascending_id(self, tmp_path, extra, expected):
+        path = tmp_path / "partition.csv"
+        path.write_text("i,cluster\n3,30\n1,20\n2,10\n4,10\n" + extra)
+        assert read_partition_csv(path).cluster_index.tolist() == expected
 
 
 class TestFlowCsv:

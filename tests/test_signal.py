@@ -91,21 +91,30 @@ class TestProblem:
 
 class TestPartition:
     def test_valid(self):
-        p = Partition((frozenset({1, 2}), frozenset({3})), 3)
-        assert p.cluster_count == 2
+        ids = np.array([0, 0, 1])
+        p = Partition(ids)
+        ids[0] = 1
+        assert (p.node_count, p.cluster_count) == (3, 2)
         assert p.cluster_index.tolist() == [0, 0, 1]
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            Partition((frozenset({1, 2}), frozenset({2, 3})), 3)
+        assert not p.cluster_index.flags.writeable
 
     def test_gap_rejected(self):
-        with pytest.raises(ValueError, match="cover"):
-            Partition((frozenset({1}), frozenset({3})), 3)
+        with pytest.raises(ValueError, match="cluster 2 is empty"):
+            Partition(np.array([0, 2, 2]))
 
     def test_empty_cluster_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            Partition((frozenset({1, 2, 3}), frozenset()), 3)
+        with pytest.raises(ValueError, match="cluster 1 is empty"):
+            Partition(np.array([1, 1, 1]))
+
+    @pytest.mark.parametrize("cluster_index, message", [
+        ([], "non-empty 1-d integer"),
+        ([[0, 1]], "non-empty 1-d integer"),
+        ([0.0, 1.0], "non-empty 1-d integer"),
+        ([0, -1], "must be >= 0"),
+    ])
+    def test_malformed_array_rejected(self, cluster_index, message):
+        with pytest.raises(ValueError, match=message):
+            Partition(np.array(cluster_index))
 
 
 class TestTv:
@@ -165,7 +174,7 @@ class TestPiecewiseConstant:
         assert x.tolist() == [1.0] * 5 + [0.0] * 5
 
     def test_single_cluster(self):
-        p = Partition((frozenset({1, 2, 3}),), 3)
+        p = Partition([0, 0, 0])
         assert piecewise_constant(p, [5.0]).tolist() == [5.0, 5.0, 5.0]
 
     def test_coefficient_count_mismatch(self, chain):
@@ -189,11 +198,7 @@ class TestPiecewiseConstant:
             k = int(rng.integers(1, n + 1))
             assignment = rng.integers(0, k, size=n)
             assignment[: k] = np.arange(k)  # keep every cluster non-empty
-            clusters = tuple(
-                frozenset((np.flatnonzero(assignment == c) + 1).tolist())
-                for c in range(k)
-            )
-            p = Partition(clusters, n)
+            p = Partition(assignment)
             coeffs = rng.uniform(-3, 3, size=k)
             x = piecewise_constant(p, coeffs)
             expected = 0.0
@@ -212,12 +217,12 @@ class TestBoundaryEdges:
 
     def test_single_cluster_empty(self):
         g, _, _ = make_chain()
-        p = Partition((frozenset(range(1, 11)),), 10)
+        p = Partition(np.zeros(10, dtype=int))
         assert boundary_edges(g, p) == set()
 
     def test_singletons_all_edges(self):
         g, _, _ = make_chain()
-        p = Partition(tuple(frozenset({i}) for i in range(1, 11)), 10)
+        p = Partition(np.arange(10))
         assert boundary_edges(g, p) == set(g.edge_pairs())
 
 
