@@ -67,6 +67,9 @@ class CertificateReport:
     ``check_flow`` fills only the conservation/capacity fields; the
     saturation, interior and balance fields stay None until
     ``verify_certificate`` runs the full set of conditions.
+    ``indeterminate_clusters`` holds 0-based cluster positions, like
+    ``Partition.cluster_index``; ``to_dict`` lists them 1-based, as
+    messages and ``certify``'s printout name clusters.
     """
 
     conservation_residual: float
@@ -132,7 +135,7 @@ class CertificateReport:
                 None if self.cluster_spreads is None else list(self.cluster_spreads)
             ),
             "orientation_ok": self.orientation_ok,
-            "indeterminate_clusters": list(self.indeterminate_clusters),
+            "indeterminate_clusters": [k + 1 for k in self.indeterminate_clusters],
             "reconstructed": (
                 None if self.reconstructed is None else self.reconstructed.tolist()
             ),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -85,49 +85,95 @@ def build_graph(
 ) -> EmpiricalGraph:
     """Build a validated graph from (i, j, w) triples.
 
-    Each pair {i, j} is stored as (min, max, w); edges are sorted by
-    (head, tail).  Rejects self-loops, duplicate pairs, non-positive or
-    non-finite weights and out-of-range ids.  Isolated nodes are allowed
-    here (the solver rejects them later, where inverse degrees are needed).
+    ``edge_list`` is an iterable of triples; a structured array of three
+    fields (id, id, weight), as ``np.loadtxt`` returns, is read column by
+    column.  Each pair {i, j} is stored as (min, max, w); edges are sorted
+    by (head, tail).  Rejects self-loops, duplicate pairs, non-positive or
+    non-finite weights, out-of-range ids and items that are not triples,
+    naming the first faulty edge in input order.  Isolated nodes are
+    allowed here (the solver rejects them later, where inverse degrees are
+    needed).
     """
     if not isinstance(node_count, (int, np.integer)) or node_count < 1:
         raise ValueError(f"node_count must be a positive integer, got {node_count!r}")
     n = int(node_count)
 
-    heads: list[int] = []
-    tails: list[int] = []
-    weights: list[float] = []
-    seen: set[tuple[int, int]] = set()
-    for pos, item in enumerate(edge_list):
-        try:
-            i, j, w = item
-        except (TypeError, ValueError):
-            raise ValueError(f"edge #{pos}: expected an (i, j, w) triple, got {item!r}")
-        i, j, w = int(i), int(j), float(w)
-        if not (1 <= i <= n) or not (1 <= j <= n):
-            raise ValueError(f"edge #{pos}: node id out of range 1..{n}: ({i}, {j})")
-        if i == j:
-            raise ValueError(f"edge #{pos}: self-loop at node {i}")
-        if not np.isfinite(w) or w <= 0.0:
-            raise ValueError(f"edge #{pos}: weight must be finite and positive, got {w}")
-        h, t = (i, j) if i < j else (j, i)
-        if (h, t) in seen:
-            raise ValueError(f"edge #{pos}: duplicate edge {{{h}, {t}}}")
-        seen.add((h, t))
-        heads.append(h)
-        tails.append(t)
-        weights.append(w)
+    columns, non_triple = _edge_columns(edge_list)
+    i, j = (_id_array(c, n) for c in columns[:2])
+    w = np.asarray(columns[2], dtype=np.float64)
+    heads, tails = np.minimum(i, j), np.maximum(i, j)
+    out_of_range = (heads < 1) | (tails > n)
+    self_loop = i == j
+    bad_weight = ~np.isfinite(w) | (w <= 0.0)
+    # A stable sort keeps equal pairs in input order, so the later of two
+    # adjacent equal pairs is the duplicate.
+    order = np.lexsort((tails, heads))
+    sorted_heads, sorted_tails = heads[order], tails[order]
+    same = (sorted_heads[1:] == sorted_heads[:-1]) & (
+        sorted_tails[1:] == sorted_tails[:-1]
+    )
+    duplicate = np.zeros(i.size, dtype=bool)
+    duplicate[order[1:][same]] = True
+    faults = np.flatnonzero(out_of_range | self_loop | bad_weight | duplicate)
+    if faults.size:
+        pos = int(faults[0])
+        if out_of_range[pos]:
+            a, b = (int(c[pos]) for c in columns[:2])
+            raise ValueError(f"edge #{pos}: node id out of range 1..{n}: ({a}, {b})")
+        if self_loop[pos]:
+            raise ValueError(f"edge #{pos}: self-loop at node {int(i[pos])}")
+        if bad_weight[pos]:
+            raise ValueError(
+                f"edge #{pos}: weight must be finite and positive, got {float(w[pos])}"
+            )
+        raise ValueError(
+            f"edge #{pos}: duplicate edge {{{int(heads[pos])}, {int(tails[pos])}}}"
+        )
+    if non_triple is not None:
+        pos, item = non_triple
+        raise ValueError(f"edge #{pos}: expected an (i, j, w) triple, got {item!r}")
 
-    head_arr = np.asarray(heads, dtype=np.int64)
-    tail_arr = np.asarray(tails, dtype=np.int64)
-    weight_arr = np.asarray(weights, dtype=np.float64)
-    order = np.lexsort((tail_arr, head_arr))
-    head_arr = head_arr[order]
-    tail_arr = tail_arr[order]
-    weight_arr = weight_arr[order]
-    for arr in (head_arr, tail_arr, weight_arr):
+    weights = w[order]
+    for arr in (sorted_heads, sorted_tails, weights):
         arr.setflags(write=False)
-    return EmpiricalGraph(n, head_arr, tail_arr, weight_arr)
+    return EmpiricalGraph(n, sorted_heads, sorted_tails, weights)
+
+
+def _edge_columns(
+    edge_list: Iterable[Sequence[float]],
+) -> tuple[list[Sequence[float]], tuple[int, Any] | None]:
+    """The i, j and w columns of the triples before the first item that is
+    not a triple, and that item with its position (None if every item is a
+    triple)."""
+    if isinstance(edge_list, np.ndarray) and len(edge_list.dtype.names or ()) == 3:
+        return [edge_list[name] for name in edge_list.dtype.names], None
+    items = list(edge_list)
+    try:
+        columns = list(zip(*items, strict=True))
+    except (TypeError, ValueError):  # an item is not a sequence, or not of one length
+        columns = []
+    if len(columns) == 3 or not items:
+        return columns or [(), (), ()], None
+    pos = next(p for p, item in enumerate(items) if not _is_triple(item))
+    return list(zip(*items[:pos])) or [(), (), ()], (pos, items[pos])
+
+
+def _is_triple(item: Any) -> bool:
+    try:
+        _, _, _ = item
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _id_array(ids: Sequence[float], n: int) -> np.ndarray:
+    try:
+        return np.asarray(ids, dtype=np.int64)
+    except OverflowError:
+        # An id beyond 64 bits lies outside 1..n; 0 stands in for it, so
+        # the range check reports it with the original value.
+        big = np.asarray(ids, dtype=object)
+        return np.where((big >= 1) & (big <= n), big, 0).astype(np.int64)
 
 
 def components(

@@ -58,7 +58,7 @@ def _finish(
     coeffs: Sequence[float],
     sampled: np.ndarray,
 ) -> Instance:
-    g = build_graph(n, zip(heads.tolist(), tails.tolist(), weights.tolist()))
+    g = build_graph(n, np.rec.fromarrays([heads, tails, weights], names="i,j,w"))
     signal = piecewise_constant(partition, coeffs)
     return g, partition, signal, Observations(sampled, signal[sampled - 1])
 

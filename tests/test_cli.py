@@ -265,7 +265,7 @@ class TestCertify:
         assert code == 2
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "indeterminate"
-        assert report["indeterminate_clusters"] == [1]
+        assert report["indeterminate_clusters"] == [2]
 
     def test_no_interior_edge_report_is_strict_json(self, tmp_path, experiment_dir):
         # Every node its own cluster: no edge lies inside a cluster, so the

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_chain
 from tvflow.graph import (
+    EmpiricalGraph,
     build_graph,
     components,
     degree,
@@ -14,6 +15,114 @@ from tvflow.graph import (
     incidence_apply,
     scaled_operator_norm,
 )
+
+
+def reference_build_graph(node_count, edge_list) -> EmpiricalGraph:
+    """build_graph as one validating pass per edge with a set of seen pairs:
+    the reference for the vectorized version."""
+    if not isinstance(node_count, (int, np.integer)) or node_count < 1:
+        raise ValueError(f"node_count must be a positive integer, got {node_count!r}")
+    n = int(node_count)
+
+    heads: list[int] = []
+    tails: list[int] = []
+    weights: list[float] = []
+    seen: set[tuple[int, int]] = set()
+    for pos, item in enumerate(edge_list):
+        try:
+            i, j, w = item
+        except (TypeError, ValueError):
+            raise ValueError(f"edge #{pos}: expected an (i, j, w) triple, got {item!r}")
+        i, j, w = int(i), int(j), float(w)
+        if not (1 <= i <= n) or not (1 <= j <= n):
+            raise ValueError(f"edge #{pos}: node id out of range 1..{n}: ({i}, {j})")
+        if i == j:
+            raise ValueError(f"edge #{pos}: self-loop at node {i}")
+        if not np.isfinite(w) or w <= 0.0:
+            raise ValueError(f"edge #{pos}: weight must be finite and positive, got {w}")
+        h, t = (i, j) if i < j else (j, i)
+        if (h, t) in seen:
+            raise ValueError(f"edge #{pos}: duplicate edge {{{h}, {t}}}")
+        seen.add((h, t))
+        heads.append(h)
+        tails.append(t)
+        weights.append(w)
+
+    head_arr = np.asarray(heads, dtype=np.int64)
+    tail_arr = np.asarray(tails, dtype=np.int64)
+    weight_arr = np.asarray(weights, dtype=np.float64)
+    order = np.lexsort((tail_arr, head_arr))
+    return EmpiricalGraph(n, head_arr[order], tail_arr[order], weight_arr[order])
+
+
+def build_outcome(build, n, edges):
+    """The built graph's arrays, bit for bit, or the error it raised."""
+    try:
+        g = build(n, edges)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    arrays = (g.heads, g.tails, g.weights)
+    return g.node_count, [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+@st.composite
+def faulty_triples(draw):
+    """Random distinct edges in random orientation, with some of them made
+    faulty and some non-triple items inserted."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True))
+    edges = []
+    for i, j in chosen:
+        w = draw(st.floats(min_value=1e-3, max_value=1e3))
+        edges.append((j, i, w) if draw(st.booleans()) else (i, j, w))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(
+            ["range", "self-loop", "weight", "duplicate", "non-triple"]
+        ))
+        pos = draw(st.integers(min_value=0, max_value=len(edges)))
+        i = draw(st.integers(min_value=1, max_value=n))
+        if kind == "duplicate":
+            if not chosen:
+                continue
+            i, j = draw(st.sampled_from(chosen))
+            item = (j, i, 1.0) if draw(st.booleans()) else (i, j, 2.0)
+        elif kind == "range":
+            bad = draw(st.sampled_from([0, -1, n + 1, 2**64 + 3, -(2**70)]))
+            item = (i, bad, 1.0) if draw(st.booleans()) else (bad, i, 1.0)
+        elif kind == "self-loop":
+            item = (i, i, 1.0)
+        elif kind == "weight":
+            w = draw(st.sampled_from([0.0, -0.0, -1.5, float("nan"), float("inf")]))
+            item = (i, i % n + 1, w)
+        else:
+            item = draw(st.sampled_from([None, 5, (1, 2), (1, 2, 1.0, 0), ()]))
+        edges.insert(pos, item)
+    return n, edges
+
+
+class TestBuildGraphReference:
+    @given(faulty_triples())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_edge_reference(self, case):
+        n, edges = case
+        want = build_outcome(reference_build_graph, n, edges)
+        assert build_outcome(build_graph, n, edges) == want
+        assert build_outcome(build_graph, n, iter(edges)) == want
+
+    @given(faulty_triples())
+    @settings(max_examples=100, deadline=None)
+    def test_structured_array_matches_triples(self, case):
+        n, edges = case
+        try:
+            i, j, w = (np.asarray(c) for c in zip(*edges, strict=True))
+            table = np.rec.fromarrays(
+                [i.astype(np.int64), j.astype(np.int64), w.astype(np.float64)]
+            )
+        except (TypeError, ValueError, OverflowError):
+            return  # no array holds non-triples or ids beyond 64 bits
+        want = build_outcome(reference_build_graph, n, edges)
+        assert build_outcome(build_graph, n, table) == want
 
 
 @st.composite

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_chain
 from tvflow.flow import Flow
+from tvflow.graph import EmpiricalGraph, build_graph
 from tvflow.io import (
     read_flow_csv,
     read_graph_csv,
@@ -48,8 +52,6 @@ class TestGraphCsv:
         assert all(h < t for h, t in pairs)
 
     def test_exact_float_round_trip(self, tmp_path):
-        from tvflow.graph import build_graph
-
         weights = [1 / 3, 0.1, 2e-15, 123456.789012345]
         g = build_graph(5, [(1, 2, weights[0]), (2, 3, weights[1]),
                             (3, 4, weights[2]), (4, 5, weights[3])])
@@ -224,3 +226,289 @@ class TestJson:
         path.write_text('{\n  "a": 1,\n  oops\n}\n')
         with pytest.raises(ValueError, match="broken.json:3"):
             read_json(path)
+
+
+# Row-by-row readers as they were before the bulk path: the reference the
+# readers must match on every file, in result or in error message.
+
+
+def ref_read_rows(path, header):
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ValueError(f"{path}:1: empty file, expected header '{header}'")
+    if lines[0].strip() != header:
+        raise ValueError(
+            f"{path}:1: expected header '{header}', got '{lines[0].strip()}'"
+        )
+    n_fields = header.count(",") + 1
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != n_fields:
+            raise ValueError(
+                f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
+            )
+        rows.append((lineno, fields))
+    return rows
+
+
+def ref_parse_int(path, lineno, text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: {what} is not an integer: '{text}'")
+
+
+def ref_parse_float(path, lineno, text, what):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: {what} is not a number: '{text}'")
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: {what} must be finite, got '{text}'")
+    return value
+
+
+def ref_read_graph_csv(path):
+    triples = []
+    for lineno, (si, sj, sw) in ref_read_rows(path, "i,j,w"):
+        i = ref_parse_int(path, lineno, si, "node id")
+        j = ref_parse_int(path, lineno, sj, "node id")
+        w = ref_parse_float(path, lineno, sw, "weight")
+        triples.append((i, j, w))
+    if not triples:
+        raise ValueError(f"{path}: no edges and no node_count given")
+    node_count = max(max(i, j) for i, j, _ in triples)
+    try:
+        return build_graph(node_count, triples)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}")
+
+
+def ref_read_per_node(path, header, kind, parse, what):
+    rows = ref_read_rows(path, header)
+    if not rows:
+        raise ValueError(f"{path}: {kind} file has no rows")
+    n = len(rows)
+    values = [None] * n
+    for lineno, (si, sv) in rows:
+        i = ref_parse_int(path, lineno, si, "node id")
+        if not 1 <= i <= n:
+            raise ValueError(
+                f"{path}:{lineno}: node id {i} is outside 1..{n}; the {n} rows"
+                f" must cover node ids 1..{n} exactly"
+            )
+        if values[i - 1] is not None:
+            raise ValueError(f"{path}:{lineno}: duplicate node id {i}")
+        values[i - 1] = parse(path, lineno, sv, what)
+    return values
+
+
+def ref_read_signal_csv(path):
+    return np.asarray(ref_read_per_node(path, "i,x", "signal", ref_parse_float, "value"))
+
+
+def ref_read_observations_csv(path):
+    rows = ref_read_rows(path, "i,x")
+    if not rows:
+        raise ValueError(f"{path}: observations file has no rows")
+    pairs = [
+        (ref_parse_int(path, lineno, si, "node id"),
+         ref_parse_float(path, lineno, sx, "label"))
+        for lineno, (si, sx) in rows
+    ]
+    try:
+        return Observations.from_pairs(pairs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}")
+
+
+def ref_read_partition_csv(path):
+    values = ref_read_per_node(path, "i,cluster", "partition", ref_parse_int, "cluster id")
+    ids = np.asarray(values)
+    if ids.dtype.kind != "i":
+        ids = np.asarray(values, dtype=object)
+    return Partition(np.unique(ids, return_inverse=True)[1])
+
+
+def ref_read_flow_csv(path, g):
+    base = {}
+    star = {}
+    for lineno, (sh, st_, sy) in ref_read_rows(path, "head,tail,y"):
+        h = ref_parse_int(path, lineno, sh, "head id")
+        value = ref_parse_float(path, lineno, sy, "flow value")
+        if st_ == "star":
+            if h in star:
+                raise ValueError(f"{path}:{lineno}: duplicate star edge at node {h}")
+            star[h] = value
+        else:
+            t = ref_parse_int(path, lineno, st_, "tail id")
+            if (h, t) in base:
+                raise ValueError(f"{path}:{lineno}: duplicate edge ({h}, {t})")
+            base[(h, t)] = value
+    expected = list(zip(g.heads.tolist(), g.tails.tolist()))
+    if set(base) != set(expected):
+        missing = sorted(set(expected) - set(base))
+        extra = sorted(set(base) - set(expected))
+        raise ValueError(
+            f"{path}: flow edges do not match the graph"
+            f" (missing {missing}, extraneous {extra})"
+        )
+    star_nodes = np.asarray(sorted(star), dtype=np.int64)
+    return Flow(
+        base=np.asarray([base[e] for e in expected]),
+        star_nodes=star_nodes,
+        star=np.asarray([star[int(i)] for i in star_nodes]),
+    )
+
+
+def _arrays(result):
+    if isinstance(result, EmpiricalGraph):
+        return result.node_count, result.heads, result.tails, result.weights
+    if isinstance(result, Observations):
+        return result.nodes, result.labels
+    if isinstance(result, Partition):
+        return (result.cluster_index,)
+    if isinstance(result, Flow):
+        return result.base, result.star_nodes, result.star
+    return (result,)
+
+
+def read_outcome(read, path, *args):
+    """The result's arrays, bit for bit, or the error the reader raised."""
+    try:
+        result = read(path, *args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return [
+        (a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+        for a in _arrays(result)
+    ]
+
+
+# The flow files are read against the path 1..FLOW_NODES.
+FLOW_NODES = 5
+FLOW_GRAPH = build_graph(FLOW_NODES, [(i, i + 1, 1.0) for i in range(1, FLOW_NODES)])
+
+READERS = {
+    "graph": ("i,j,w", (0, 1), (2,), read_graph_csv, ref_read_graph_csv),
+    "signal": ("i,x", (0,), (1,), read_signal_csv, ref_read_signal_csv),
+    "observations": (
+        "i,x", (0,), (1,), read_observations_csv, ref_read_observations_csv
+    ),
+    "partition": (
+        "i,cluster", (0, 1), (), read_partition_csv, ref_read_partition_csv
+    ),
+    "flow": (
+        "head,tail,y",
+        (0, 1),
+        (2,),
+        lambda p: read_flow_csv(p, FLOW_GRAPH),
+        lambda p: ref_read_flow_csv(p, FLOW_GRAPH),
+    ),
+}
+
+float_texts = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def valid_rows(draw, kind):
+    """The fields of a file each reader accepts."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    if kind == "graph":
+        edges = [(i, i + 1) for i in range(1, n)] + [(1, n)] * (n > 2)
+        w = st.floats(min_value=1e-6, max_value=1e6).map(repr)
+        return [[str(i), str(j), draw(w)] for i, j in edges]
+    if kind == "signal":
+        return [[str(i), draw(float_texts)] for i in range(1, n + 1)]
+    if kind == "observations":
+        nodes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5, unique=True))
+        return [[str(i), draw(float_texts)] for i in nodes]
+    if kind == "partition":
+        return [[str(i), str(draw(st.integers(-3, 3)))] for i in range(1, n + 1)]
+    base = [[str(i), str(i + 1), draw(float_texts)] for i in range(1, FLOW_NODES)]
+    stars = draw(st.lists(st.integers(1, FLOW_NODES), max_size=3, unique=True))
+    return base + [[str(i), "star", draw(float_texts)] for i in stars]
+
+
+FIELD_MUTATIONS = [
+    "whitespace", "plus", "underscore", "float-id", "non-finite", "big-id",
+    "out-of-range", "extra-field", "missing-field",
+]
+LINE_MUTATIONS = ["blank", "duplicate", "shuffle", "header-only", "no-header"]
+
+
+@st.composite
+def mutated_csv(draw):
+    """A reader and a file that each reader accepts, mutated in ways the
+    bulk path refuses or must check."""
+    kind = draw(st.sampled_from(sorted(READERS)))
+    header, int_cols, float_cols, _, _ = READERS[kind]
+    rows = draw(valid_rows(kind))
+    extra_lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        mutation = draw(st.sampled_from(FIELD_MUTATIONS + LINE_MUTATIONS))
+        row = rows[draw(st.integers(0, len(rows) - 1))] if rows else None
+        col = draw(st.sampled_from(int_cols))
+        int_field = row is not None and col < len(row) and row[col] != "star"
+        if mutation == "whitespace" and row:
+            c = draw(st.integers(0, len(row) - 1))
+            pad = st.sampled_from([" ", "\t", "  ", " "])
+            row[c] = draw(pad) + row[c] + draw(pad)
+        elif mutation == "plus" and int_field and not row[col].startswith("-"):
+            row[col] = "+" + row[col]
+        elif mutation == "underscore" and int_field and row[col].isdigit():
+            row[col] = "0_" + row[col]
+        elif mutation == "float-id" and int_field:
+            row[col] += ".0"
+        elif mutation == "non-finite" and row and float_cols and float_cols[0] < len(row):
+            row[float_cols[0]] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+        elif mutation == "big-id" and int_field:
+            row[col] = str(draw(st.sampled_from([2**63, 2**64 + 1, -(2**70)])))
+        elif mutation == "out-of-range" and int_field:
+            row[col] = draw(st.sampled_from(["0", "-1", "7", "10"]))
+        elif mutation == "extra-field" and row is not None:
+            row.append("1")
+        elif mutation == "missing-field" and row is not None and len(row) > 1:
+            row.pop()
+        elif mutation == "blank":
+            extra_lines.append(draw(st.sampled_from(["", " ", "\t \t"])))
+        elif mutation == "duplicate" and row is not None:
+            rows.append(list(row))
+        elif mutation == "shuffle":
+            rows = draw(st.permutations(rows))
+        elif mutation == "header-only":
+            rows = []
+        elif mutation == "no-header":
+            header = None
+    lines = [",".join(r) for r in rows]
+    for line in extra_lines:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    if header is not None:
+        lines.insert(0, header)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return kind, newline.join(lines) + newline * draw(st.booleans())
+
+
+class TestBulkReadersMatchRowReaders:
+    @given(mutated_csv())
+    @settings(max_examples=400, deadline=None)
+    def test_same_arrays_or_same_error(self, case):
+        import tempfile
+
+        kind, text = case
+        _, _, _, read, reference = READERS[kind]
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert read_outcome(read, path) == read_outcome(reference, path)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_header_only_file(self, tmp_path, kind):
+        header, _, _, read, reference = READERS[kind]
+        path = tmp_path / "data.csv"
+        path.write_text(header + "\n")
+        assert read_outcome(read, path) == read_outcome(reference, path)
