@@ -15,6 +15,7 @@ from .graph import (
     components,
     degree,
     divergence,
+    grounded_laplacian_cg,
     incidence_apply,
     scaled_operator_norm,
 )
@@ -44,8 +45,10 @@ from .solver import (
     run,
 )
 from .flow import (
+    Certificate,
     CertificateReport,
     Flow,
+    certificate_from_signal,
     check_flow,
     construct_tree_certificate,
     dual_to_extended_flow,
@@ -69,6 +72,7 @@ __all__ = [
     "components",
     "degree",
     "divergence",
+    "grounded_laplacian_cg",
     "incidence_apply",
     "scaled_operator_norm",
     "GraphSignal",
@@ -92,8 +96,10 @@ __all__ = [
     "pd_step",
     "repair_dual",
     "run",
+    "Certificate",
     "CertificateReport",
     "Flow",
+    "certificate_from_signal",
     "check_flow",
     "construct_tree_certificate",
     "dual_to_extended_flow",

@@ -162,6 +162,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     result = run(g, obs, cfg)
 
     outputs = _write_solution(out_dir, g, result)
+    if result.certificate is not None:
+        write_flow_csv(out_dir / "flow.csv", g, result.certificate.flow)
+        write_partition_csv(out_dir / "partition.csv", result.certificate.partition)
+        outputs += ["flow.csv", "partition.csv"]
     report = {
         "objective": result.gap.primal,
         "dual_objective": result.gap.dual,
@@ -281,10 +285,11 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=int, default=1000,
                    help="maximum iterations (default 1000)")
     p.add_argument("--gap-tol", type=float, default=0.0,
-                   help="stop once a gap probe (repaired dual, better of the"
-                        " averaged and last primal iterate) certifies a gap of"
-                        " at most this; 0 runs a fixed number of iterations"
-                        " (default 0)")
+                   help="stop once a gap probe (a flow certificate built from"
+                        " the last iterate, else the repaired dual with the"
+                        " better of the averaged and last primal iterate)"
+                        " certifies a gap of at most this; 0 runs a fixed"
+                        " number of iterations (default 0)")
     p.add_argument("--feas-tol", type=float, default=1e-9,
                    help="dual feasibility tolerance for gap certification")
 

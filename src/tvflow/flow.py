@@ -17,7 +17,13 @@ from typing import Any
 
 import numpy as np
 
-from .graph import EmpiricalGraph, components, divergence
+from .graph import (
+    EmpiricalGraph,
+    components,
+    divergence,
+    grounded_laplacian_cg,
+    incidence_apply,
+)
 from .signal import Observations, Partition, Problem, boundary_mask
 
 __all__ = [
@@ -29,7 +35,15 @@ __all__ = [
     "verify_certificate",
     "reconstruct_primal",
     "construct_tree_certificate",
+    "Certificate",
+    "certificate_from_signal",
 ]
+
+# The exact finish joins two nodes into one cluster when their jump is at
+# most _JUMP_TOL * max(1, label range), and lets the boundary signs settle
+# for at most _SIGN_ROUNDS rounds.
+_JUMP_TOL = 1e-2
+_SIGN_ROUNDS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,38 +438,151 @@ def construct_tree_certificate(
     jumps = coeffs[ci[g._head_idx[bmask]]] - coeffs[ci[g._tail_idx[bmask]]]
     y[bmask] = np.sign(jumps) * problem.capacities[bmask]
 
-    # Breadth-first order of the interior forest from each cluster's lowest
-    # sampled node, so that every node comes after its parent.
-    interior = np.flatnonzero(~bmask)
-    ends = np.concatenate([g._head_idx[interior], g._tail_idx[interior]])
-    by_end = np.argsort(ends, kind="stable")
-    bounds = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
-    others = np.concatenate([g._tail_idx[interior], g._head_idx[interior]])
-    others = others[by_end].tolist()
-    edges = np.concatenate([interior, interior])[by_end].tolist()
-    parent = [-1] * n
-    parent_edge = [-1] * n
-    order = _group_min_max(sampled_ci, problem.sampled, count)[0].astype(int).tolist()
-    for node in order:
-        lo, hi = bounds[node], bounds[node + 1]
-        for other, e in zip(others[lo:hi], edges[lo:hi]):
-            if other != parent[node]:
-                parent[other], parent_edge[other] = node, e
-                order.append(other)
-
     # Leaf to root: an unsampled node sends its boundary outflow plus what
     # its children sent up its parent edge, which zeroes its divergence.
     # Sampled nodes (every root among them) send nothing and keep the rest.
-    carried = divergence(g, y).tolist()
-    free = problem.unsampled.tolist()
-    for node in reversed(order):
-        if free[node]:
-            carried[parent[node]] += carried[node]
-    child = np.flatnonzero(problem.unsampled)
-    edge = np.asarray(parent_edge, dtype=np.int64)[child]
-    up = np.asarray(carried)[child]
-    # 0.0 - up, not -up: a zero flow into a head stays +0.0.
-    y[edge] = np.where(g._head_idx[edge] == child, 0.0 - up, up)
+    roots = _group_min_max(sampled_ci, problem.sampled, count)[0].astype(int)
+    _route_to_roots(g, ~bmask, roots, y, divergence(g, y), problem.unsampled)
 
     star = divergence(g, y)[obs.indices]
     return Flow(base=y, star_nodes=obs.nodes.copy(), star=star)
+
+
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """A verified optimality certificate: the flow, the partition it
+    certifies, and the report of :func:`verify_certificate`, whose
+    ``reconstructed`` signal is the optimum."""
+
+    flow: Flow
+    partition: Partition
+    report: CertificateReport
+
+
+def certificate_from_signal(
+    problem: Problem, x: np.ndarray, tol: float = 1e-9
+) -> tuple[Certificate | None, int]:
+    """Build a flow certificate from a signal near the optimum, verify it
+    at ``tol`` and return it (None when it does not verify), with the
+    number of CG iterations spent.
+
+    1. Partition: the components of the edges on which x jumps by at most
+       1e-2 * max(1, label range).  Every cluster needs a label.
+    2. Coefficients: c_k = (sum of cluster k's labels - its boundary
+       outflow) / its label count, where boundary edge e carries
+       lam * w_e * sign(c_head - c_tail).  The signs start from the cluster
+       means of x and are iterated to a fixpoint; a zero sign, or signs
+       that do not settle within 10 rounds, give None.
+    3. Interior flow: the capacity-weighted electrical flow on the edges
+       inside clusters that gives every unsampled node zero divergence and
+       every sampled node i of cluster k divergence label_i - c_k, by one
+       :func:`~tvflow.graph.grounded_laplacian_cg` over all clusters with
+       each cluster's lowest sampled node grounded.  Skipped when the
+       interior edges form a forest, where step 4 alone gives that flow.
+    4. Exact conservation: every node but those roots routes its leftover
+       divergence up a breadth-first forest of the interior edges.
+    """
+    g, obs = problem.graph, problem.obs
+    n = g.node_count
+    eps = _JUMP_TOL * max(1.0, float(obs.labels.max() - obs.labels.min()))
+    ci = components(g, np.abs(incidence_apply(g, x)) <= eps)
+    count = int(ci.max()) + 1
+    sampled_ci = ci[problem.sampled]
+    label_counts = np.bincount(sampled_ci, minlength=count)
+    if not label_counts.all():
+        return None, 0
+
+    bmask = ci[g._head_idx] != ci[g._tail_idx]
+    bh, bt = ci[g._head_idx[bmask]], ci[g._tail_idx[bmask]]
+    bcap = problem.capacities[bmask]
+    label_sums = np.bincount(sampled_ci, weights=obs.labels, minlength=count)
+    means = np.bincount(ci, weights=x, minlength=count) / np.bincount(ci)
+    signs = np.sign(means[bh] - means[bt])
+    for _ in range(_SIGN_ROUNDS):
+        outflow = np.bincount(bh, weights=signs * bcap, minlength=count)
+        outflow -= np.bincount(bt, weights=signs * bcap, minlength=count)
+        coeffs = (label_sums - outflow) / label_counts
+        settled = np.sign(coeffs[bh] - coeffs[bt])
+        if not settled.all():
+            return None, 0
+        if np.array_equal(settled, signs):
+            break
+        signs = settled
+    else:
+        return None, 0
+
+    y = np.zeros(g.edge_count)
+    y[bmask] = signs * bcap
+    target = np.zeros(n)
+    target[problem.sampled] = obs.labels - coeffs[sampled_ci]
+    roots = _group_min_max(sampled_ci, problem.sampled, count)[0].astype(int)
+    routed = np.ones(n, dtype=bool)
+    routed[roots] = False
+    interior = ~bmask
+    cg_iters = 0
+    rhs = (target - divergence(g, y))[routed]
+    if np.count_nonzero(interior) > n - count and rhs.any():
+        weights = np.where(interior, problem.capacities, 0.0)
+        u = np.zeros(n)
+        u[routed], cg_iters = grounded_laplacian_cg(g, routed, rhs, weights)
+        y += weights * incidence_apply(g, u)
+    _route_to_roots(g, interior, roots, y, divergence(g, y) - target, routed)
+
+    flow = Flow(base=y, star_nodes=obs.nodes, star=divergence(g, y)[problem.sampled])
+    partition = Partition(ci)
+    report = verify_certificate(problem, flow, partition, tol)
+    if not report.verdict:
+        return None, cg_iters
+    return Certificate(flow, partition, report), cg_iters
+
+
+def _route_to_roots(
+    g: EmpiricalGraph,
+    interior: np.ndarray,
+    roots: np.ndarray,
+    y: np.ndarray,
+    leftover: np.ndarray,
+    routed: np.ndarray,
+) -> None:
+    """Move each ``routed`` node's ``leftover`` divergence to a root, in
+    place in ``y``.
+
+    The forest is a breadth-first search over the ``interior`` edges from
+    ``roots`` (one node per cluster, not routed).  Leaf to root, every
+    routed node passes its leftover plus what its children passed up its
+    parent edge, so its divergence falls by exactly its leftover; nodes
+    that are not routed keep what reaches them.
+    """
+    n = g.node_count
+    # Breadth-first order, so that every node comes after its parent.
+    edges = np.flatnonzero(interior)
+    ends = np.concatenate([g._head_idx[edges], g._tail_idx[edges]])
+    by_end = np.argsort(ends, kind="stable")
+    bounds = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
+    others = np.concatenate([g._tail_idx[edges], g._head_idx[edges]])
+    others = others[by_end].tolist()
+    edges = np.concatenate([edges, edges])[by_end].tolist()
+    # A node is reached once its parent is set; roots are their own.
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    order = roots.tolist()
+    for root in order:
+        parent[root] = root
+    for node in order:
+        lo, hi = bounds[node], bounds[node + 1]
+        for other, e in zip(others[lo:hi], edges[lo:hi]):
+            if parent[other] < 0:
+                parent[other], parent_edge[other] = node, e
+                order.append(other)
+
+    carried = leftover.tolist()
+    moves = routed.tolist()
+    for node in reversed(order):
+        if moves[node]:
+            carried[parent[node]] += carried[node]
+    child = np.flatnonzero(routed)
+    edge = np.asarray(parent_edge, dtype=np.int64)[child]
+    up = np.asarray(carried)[child]
+    # Flow up the parent edge lowers the child's divergence by ``up``;
+    # adding -0.0 to the +0.0 of an empty edge keeps a zero flow +0.0.
+    y[edge] += np.where(g._head_idx[edge] == child, -up, up)

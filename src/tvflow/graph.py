@@ -10,7 +10,8 @@ The two linear operators that everything else is built on live here:
 ``divergence`` is its adjoint (net outflow per node).  Both are
 matrix-free and reduce sequentially by edge index, so results are
 bit-deterministic.  ``components`` labels the connected components of
-the graph or of a subset of its edges.
+the graph or of a subset of its edges, and ``grounded_laplacian_cg``
+solves weighted Laplacian systems with some nodes held at zero.
 """
 
 from __future__ import annotations
@@ -28,8 +29,14 @@ __all__ = [
     "degree",
     "incidence_apply",
     "divergence",
+    "grounded_laplacian_cg",
     "scaled_operator_norm",
 ]
+
+# CG stops when the residual norm falls below _CG_RTOL times the starting
+# one, or after _CG_MAX_ITERS iterations.
+_CG_RTOL = 1e-13
+_CG_MAX_ITERS = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,6 +257,53 @@ def divergence(g: EmpiricalGraph, y: np.ndarray) -> np.ndarray:
     )
     out -= np.bincount(g._tail_idx, weights=y, minlength=g.node_count)
     return out
+
+
+def grounded_laplacian_cg(
+    g: EmpiricalGraph,
+    free: np.ndarray,
+    rhs: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """Solve L_FF u = rhs by conjugate gradient preconditioned with the
+    diagonal of L, and return u with the iteration count.
+
+    L = B^T diag(weights) B is the weighted graph Laplacian (B is
+    :func:`incidence_apply`, unit weights when ``weights`` is None; a zero
+    weight drops its edge) and F the nodes of the boolean mask ``free``;
+    the other nodes are grounded (held at zero).  L_FF is positive
+    definite when every component of the weighted edges holds a grounded
+    node.  CG stops at a residual norm 1e-13 times that of ``rhs``, or
+    after 1,000 iterations.
+    """
+    if weights is None:
+        weights = np.ones(g.edge_count)
+    diag = np.bincount(g._head_idx, weights=weights, minlength=g.node_count)
+    diag += np.bincount(g._tail_idx, weights=weights, minlength=g.node_count)
+    full = np.zeros(g.node_count)
+
+    def laplacian(p: np.ndarray) -> np.ndarray:
+        full[free] = p
+        return divergence(g, weights * incidence_apply(g, full))[free]
+
+    inv_diag = 1.0 / diag[free]
+    u = np.zeros(rhs.size)
+    r = rhs.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    stop = (_CG_RTOL * float(np.linalg.norm(rhs))) ** 2
+    iters = 0
+    while iters < _CG_MAX_ITERS and float(r @ r) > stop:
+        q = laplacian(p)
+        alpha = rz / float(p @ q)
+        u += alpha * p
+        r -= alpha * q
+        z = inv_diag * r
+        rz, rz_prev = float(r @ z), rz
+        p = z + (rz / rz_prev) * p
+        iters += 1
+    return u, iters
 
 
 def scaled_operator_norm(

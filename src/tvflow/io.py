@@ -44,6 +44,8 @@ __all__ = [
     "read_json",
 ]
 
+_INT64 = np.iinfo(np.int64)
+
 
 def _write_text(path: Path | str, text: str) -> None:
     path = Path(path)
@@ -133,6 +135,15 @@ def _parse_int(path: Path | str, lineno: int, text: str, what: str) -> int:
         raise ValueError(f"{path}:{lineno}: {what} is not an integer: '{text}'")
 
 
+def _parse_node_id(path: Path | str, lineno: int, text: str) -> int:
+    """A node id of a graph or observations file: an integer that fits in
+    64 bits, as the arrays that hold node ids do."""
+    i = _parse_int(path, lineno, text, "node id")
+    if not _INT64.min <= i <= _INT64.max:
+        raise ValueError(f"{path}:{lineno}: node id {i} does not fit in 64 bits")
+    return i
+
+
 def _parse_float(path: Path | str, lineno: int, text: str, what: str) -> float:
     try:
         value = float(text)
@@ -158,8 +169,8 @@ def read_graph_csv(path: Path | str, node_count: int | None = None) -> Empirical
     ) -> tuple[int | None, list[tuple[int, int, float]]]:
         triples = []
         for lineno, (si, sj, sw) in rows:
-            i = _parse_int(path, lineno, si, "node id")
-            j = _parse_int(path, lineno, sj, "node id")
+            i = _parse_node_id(path, lineno, si)
+            j = _parse_node_id(path, lineno, sj)
             w = _parse_float(path, lineno, sw, "weight")
             triples.append((i, j, w))
         largest = max(max(i, j) for i, j, _ in triples) if triples else None
@@ -251,7 +262,7 @@ def read_observations_csv(path: Path | str) -> Observations:
             raise ValueError(f"{path}: observations file has no rows")
         nodes, labels = [], []
         for lineno, (si, sx) in rows:
-            nodes.append(_parse_int(path, lineno, si, "node id"))
+            nodes.append(_parse_node_id(path, lineno, si))
             labels.append(_parse_float(path, lineno, sx, "label"))
         return nodes, labels
 

@@ -10,9 +10,10 @@ The dual iterate is a flow on the edges; its feasibility (capacities plus
 zero divergence at unsampled nodes) is what certifies a duality gap, so
 gap reports carry the residuals and say whether they certify anything.
 With a gap tolerance the solver probes the gap as it runs: each probe
-repairs the dual iterate into an exactly feasible point (a lower bound on
-the optimum) and takes the better of the running average and the last
-iterate as the upper bound.
+first tries to finish exactly, by building a flow certificate from the
+last iterate, and else repairs the dual iterate into an exactly feasible
+point (a lower bound on the optimum) and takes the better of the running
+average and the last iterate as the upper bound.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .graph import EmpiricalGraph, components, divergence, incidence_apply
+from .flow import Certificate, certificate_from_signal
+from .graph import (
+    EmpiricalGraph,
+    components,
+    divergence,
+    grounded_laplacian_cg,
+    incidence_apply,
+)
 from .signal import Observations, Problem, primal_objective
 
 __all__ = [
@@ -43,14 +51,10 @@ __all__ = [
 _CONFIG_KEYS = ("lambda", "max_iters", "gap_tol", "feas_tol")
 
 # Gap probes fall on multiples of _PROBE_EVERY; after a probe the next one
-# waits at least as many steps as the repair took CG iterations (a CG
-# iteration costs about one step), so on graphs where the repair is slow
-# the probes still take at most about half of the time.
+# waits at least as many steps as the probe took CG iterations (a CG
+# iteration costs about one step), so on graphs where the CG is slow the
+# probes still take at most about half of the time.
 _PROBE_EVERY = 50
-# CG for the dual repair stops when the residual norm falls below
-# _CG_RTOL times the starting one, or after _CG_MAX_ITERS iterations.
-_CG_RTOL = 1e-13
-_CG_MAX_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -137,11 +141,14 @@ class GapReport:
 @dataclass(frozen=True, eq=False)
 class SolverResult:
     """Solver output.  ``x`` and ``y`` are the pair the gap report belongs
-    to: in fixed-iteration mode the running average ``x_avg`` and the dual
-    iterate; in gap mode the better of the running average and the last
-    iterate (``primal_iterate`` says which) and the repaired dual.
-    ``stop_reason`` is "gap_tol" when the certified gap met the tolerance,
-    else "max_iters"."""
+    to.  In fixed-iteration mode they are the running average ``x_avg``
+    and the dual iterate.  In gap mode they are either the signal and the
+    base flow of a verified flow certificate built from the last iterate
+    (``certificate``; ``stop_reason`` and ``primal_iterate`` are then
+    "certificate"), or the better of the running average and the last
+    iterate (``primal_iterate`` says which) with the repaired dual.
+    ``stop_reason`` is "gap_tol" when a repaired-dual probe met the
+    tolerance and "max_iters" when the budget ran out first."""
 
     x_avg: np.ndarray
     y: np.ndarray
@@ -150,6 +157,7 @@ class SolverResult:
     x: np.ndarray
     stop_reason: str
     primal_iterate: str
+    certificate: Certificate | None = None
 
 
 def init_state(problem: Problem) -> SolverState:
@@ -205,25 +213,40 @@ def pd_step(state: SolverState, problem: Problem) -> SolverState:
 
 
 def run(g: EmpiricalGraph, obs: Observations, cfg: SolverConfig) -> SolverResult:
-    """Iterate until max_iters, or, when gap_tol > 0, until a gap probe
-    certifies a gap of at most gap_tol.  Probes (at multiples of 50 steps
-    and after the last step) pair the repaired dual with the better of the
-    running average and the last iterate.  Raises when the final objectives
-    or gap are not finite."""
+    """Iterate until max_iters or, when gap_tol > 0, until a gap probe
+    certifies a gap of at most gap_tol.  Probes fall at multiples of 50
+    steps and after the last step.  Each probe first builds a flow
+    certificate from the last iterate
+    (:func:`~tvflow.flow.certificate_from_signal`); when it verifies and
+    its gap is at most gap_tol, the run stops with the certificate.
+    Otherwise the probe pairs the repaired dual with the better of the
+    running average and the last iterate.  Raises when the final
+    objectives or gap are not finite."""
     problem = Problem(g, obs, cfg.lam)
     state = init_state(problem)
     gap_mode = cfg.gap_tol > 0.0
     next_probe = _PROBE_EVERY
+    certificate = None
     while True:
         state = pd_step(state, problem)
         done = state.k >= cfg.max_iters
         if gap_mode and (done or state.k == next_probe):
+            certificate, finish_iters = certificate_from_signal(
+                problem, state.x_curr, cfg.feas_tol
+            )
+            if certificate is not None:
+                x, y = certificate.report.reconstructed, certificate.flow.base
+                report = duality_gap(problem, x, y, cfg.feas_tol)
+                if report.certified and report.gap <= cfg.gap_tol:
+                    stop_reason = iterate = "certificate"
+                    break
+                certificate = None
             x, y, report, iterate, cg_iters = _probe(problem, state, cfg.feas_tol)
             met = report.certified and report.gap <= cfg.gap_tol
             if met or done:
                 stop_reason = "gap_tol" if met else "max_iters"
                 break
-            steps = max(_PROBE_EVERY, cg_iters)
+            steps = max(_PROBE_EVERY, finish_iters + cg_iters)
             next_probe += -(-steps // _PROBE_EVERY) * _PROBE_EVERY
         elif done:
             x, y, iterate, stop_reason = state.x_avg, state.y, "average", "max_iters"
@@ -247,6 +270,7 @@ def run(g: EmpiricalGraph, obs: Observations, cfg: SolverConfig) -> SolverResult
         x=x,
         stop_reason=stop_reason,
         primal_iterate=iterate,
+        certificate=certificate,
     )
 
 
@@ -273,8 +297,8 @@ def repair_dual(problem: Problem, y: np.ndarray) -> tuple[np.ndarray, int]:
     with u zero on the sampled nodes and L_UU u_U = -divergence(y)_U
     (L = B^T B, the unit-weight graph Laplacian; B is ``incidence_apply``):
     the orthogonal projection onto the conservation constraints, solved by
-    Jacobi-preconditioned conjugate gradient over ``incidence_apply`` and
-    ``divergence``.  Then the flow is scaled by min(1, min_e cap_e/|y_e|)
+    :func:`~tvflow.graph.grounded_laplacian_cg` with the sampled nodes
+    grounded.  Then the flow is scaled by min(1, min_e cap_e/|y_e|)
     into the capacity box, which keeps conservation, and clipped so that
     |y_e| <= cap_e holds bitwise.  Returns the repaired flow and the CG
     iteration count; a CG that stops at its iteration cap leaves a
@@ -288,45 +312,13 @@ def repair_dual(problem: Problem, y: np.ndarray) -> tuple[np.ndarray, int]:
     u = np.zeros(g.node_count)
     iters = 0
     if rhs.any():
-        u[free], iters = _grounded_cg(problem, rhs)
+        u[free], iters = grounded_laplacian_cg(g, free, rhs)
         y = y + incidence_apply(g, u)
     cap = problem.capacities
     ratio = float(np.max(np.abs(y) / cap, initial=0.0))
     if ratio > 1.0:
         y = y / ratio
     return np.clip(y, -cap, cap), iters
-
-
-def _grounded_cg(problem: Problem, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve L_UU u = rhs by CG preconditioned with the node degrees, the
-    diagonal of L.  L_UU is positive definite when every component holds a
-    sampled node."""
-    g = problem.graph
-    free = problem.unsampled
-    full = np.zeros(g.node_count)
-
-    def laplacian(p: np.ndarray) -> np.ndarray:
-        full[free] = p
-        return divergence(g, incidence_apply(g, full))[free]
-
-    inv_diag = problem.inv_degrees[free]
-    u = np.zeros(rhs.size)
-    r = rhs.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    stop = (_CG_RTOL * float(np.linalg.norm(rhs))) ** 2
-    iters = 0
-    while iters < _CG_MAX_ITERS and float(r @ r) > stop:
-        q = laplacian(p)
-        alpha = rz / float(p @ q)
-        u += alpha * p
-        r -= alpha * q
-        z = inv_diag * r
-        rz, rz_prev = float(r @ z), rz
-        p = z + (rz / rz_prev) * p
-        iters += 1
-    return u, iters
 
 
 def dual_objective(

@@ -120,8 +120,8 @@ class TestSolve:
         ])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["stop_reason"] == "gap_tol"
-        assert report["primal_iterate"] in ("average", "last")
+        assert report["stop_reason"] == "certificate"
+        assert report["primal_iterate"] == "certificate"
         assert report["iters"] < 1000
         g = read_graph_csv(instance_dir / "graph.csv")
         problem = Problem(g, read_observations_csv(instance_dir / "observations.csv"), 1.0)
@@ -197,6 +197,61 @@ class TestSolve:
         ])
         assert code == 64
         assert "bad.csv:3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text", [
+        ("graph.csv", f"i,j,w\n1,2,1.0\n2,{2**70},1.0\n"),
+        ("observations.csv", f"i,x\n2,1.0\n{2**70},0.0\n"),
+    ])
+    def test_id_beyond_64_bits_cites_line(
+        self, tmp_path, instance_dir, capsys, name, text
+    ):
+        bad = tmp_path / name
+        bad.write_text(text)
+        inputs = {"graph.csv": instance_dir / "graph.csv",
+                  "observations.csv": instance_dir / "observations.csv", name: bad}
+        code = run_cli([
+            "solve", "--graph", str(inputs["graph.csv"]),
+            "--observations", str(inputs["observations.csv"]),
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert f"{name}:3: node id {2**70} does not fit in 64 bits" in err
+
+
+class TestSolveThenCertify:
+    """The exact finish end to end: generate, solve to a 1e-6 gap, then
+    certify solve's own flow.csv and partition.csv."""
+
+    @pytest.mark.parametrize("generate, lam", [
+        (["grid", "--rows", "30", "--cols", "30", "--split-col", "15",
+          "--samples-per-cluster", "4"], "0.1"),
+        (["sbm", "--sizes", "50,50", "--p-in", "0.2", "--p-out", "0.01",
+          "--samples-per-cluster", "2"], "0.1"),
+    ], ids=["grid-30x30", "sbm-2x50"])
+    def test_round_trip(self, tmp_path, generate, lam):
+        inst, sol, cert = tmp_path / "inst", tmp_path / "sol", tmp_path / "cert"
+        assert run_cli(["generate", *generate, "--seed", "0", "--out-dir", str(inst)]) == 0
+        inputs = ["--graph", str(inst / "graph.csv"),
+                  "--observations", str(inst / "observations.csv"), "--lambda", lam]
+        assert run_cli([
+            "solve", *inputs, "--gap-tol", "1e-6", "--iters", "20000",
+            "--out-dir", str(sol),
+        ]) == 0
+        report = json.loads((sol / "report.json").read_text())
+        assert report["stop_reason"] == "certificate"
+        assert -1e-12 <= report["gap"] <= 1e-6  # never negative beyond rounding
+        manifest = json.loads((sol / "manifest.json").read_text())
+        assert {"flow.csv", "partition.csv"} <= set(manifest["outputs"])
+        assert run_cli([
+            "certify", *inputs, "--flow", str(sol / "flow.csv"),
+            "--partition", str(sol / "partition.csv"), "--out-dir", str(cert),
+        ]) == 0
+        assert (cert / "reconstructed.csv").read_bytes() == (sol / "primal.csv").read_bytes()
+        # The optimum has at least two clusters, each labeled.
+        certified = json.loads((cert / "report.json").read_text())
+        assert len(certified["cluster_spreads"]) >= 2
+        assert None not in certified["cluster_spreads"]
 
 
 class TestCertify:
@@ -388,7 +443,7 @@ class TestExperimentChain:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["all_passed"] is True
-        assert report["solver"]["stop_reason"] == "gap_tol"
+        assert report["solver"]["stop_reason"] == "certificate"
         assert report["solver"]["gap"] <= 1e-6
         primal = read_signal_csv(out / "primal.csv")
         assert np.max(np.abs(primal - np.array([0.75] * 5 + [0.25] * 5))) <= 1e-3

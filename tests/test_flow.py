@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     make_chain,
@@ -10,6 +14,7 @@ from conftest import (
 )
 from tvflow.flow import (
     Flow,
+    certificate_from_signal,
     check_flow,
     construct_tree_certificate,
     dual_to_extended_flow,
@@ -19,6 +24,8 @@ from tvflow.flow import (
 )
 from tvflow.graph import EmpiricalGraph, build_graph, components, divergence
 from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL
+from tvflow.io import write_flow_csv
+from tvflow.oracle import oracle_nlasso
 from tvflow.signal import (
     Observations,
     Partition,
@@ -26,7 +33,7 @@ from tvflow.signal import (
     boundary_mask,
     primal_objective,
 )
-from tvflow.solver import dual_objective
+from tvflow.solver import SolverConfig, dual_objective, init_state, pd_step, run
 
 
 def reference_tree_certificate(
@@ -428,6 +435,28 @@ class TestConstructTreeCertificate:
             assert np.array_equal(f.star_nodes, want.star_nodes)
         assert len(errors) == 3
 
+    def test_flow_csv_bytes_pinned(self, tmp_path):
+        # SHA-256 of write_flow_csv over the trees of
+        # test_matches_per_cluster_reference that have a certificate,
+        # pinned: the tree certificate's bytes must not change.
+        rng = np.random.default_rng(61)
+        digest = hashlib.sha256()
+        written = 0
+        for _ in range(150):
+            g, partition, obs = random_clustered_tree(rng)
+            lam = float(rng.choice([0.1, 1.0, 5.0]))
+            try:
+                f = construct_tree_certificate(g, partition, obs, lam)
+            except ValueError:
+                continue
+            write_flow_csv(tmp_path / "flow.csv", g, f)
+            digest.update((tmp_path / "flow.csv").read_bytes())
+            written += 1
+        assert written == 103
+        assert digest.hexdigest() == (
+            "b807ad7b11ce8e15ef7f873a22a0d4fa0ce24ff2559223aa2303718212e26f2f"
+        )
+
     def test_deep_path_verifies(self):
         # 2 * 10^4 nodes in 50 clusters of 400: every cluster is a path
         # hundreds of levels deep.
@@ -440,6 +469,73 @@ class TestConstructTreeCertificate:
         f = construct_tree_certificate(g, partition, obs, 1.0)
         report = verify_certificate(Problem(g, obs, 1.0), f, partition)
         assert report.verdict, report.failure_reason
+
+
+class TestCertificateFromSignal:
+    def test_chain_optimum(self, chain):
+        g, obs, partition = chain
+        problem = Problem(g, obs, 1.0)
+        cert, cg_iters = certificate_from_signal(problem, CHAIN_REF_PRIMAL)
+        assert cg_iters == 0  # the interior edges form a forest
+        assert np.array_equal(cert.partition.cluster_index, partition.cluster_index)
+        assert np.array_equal(cert.flow.base, CHAIN_REF_DUAL)
+        assert cert.flow.star.tolist() == [0.25, -0.25]
+        assert np.array_equal(cert.report.reconstructed, CHAIN_REF_PRIMAL)
+
+    def test_cycle_runs_cg(self):
+        # One cluster on a 4-cycle: the unit from node 1 to node 3 splits
+        # evenly over the two paths.
+        g = build_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0)])
+        problem = Problem(g, Observations.from_dict({1: 1.0, 3: 0.0}), 1.0)
+        cert, cg_iters = certificate_from_signal(problem, np.full(4, 0.5))
+        assert cg_iters > 0
+        assert cert.partition.cluster_count == 1
+        assert np.allclose(cert.flow.base, [0.25, 0.25, 0.25, -0.25], atol=1e-15)
+        assert np.array_equal(cert.report.reconstructed, np.full(4, 0.5))
+
+    def test_unlabeled_optimal_cluster(self):
+        # Path 1-2-3 labelled +-1 at its ends: every x2 between x3 and x1 is
+        # optimal, and the solver's symmetric iterate keeps x2 = 0, an
+        # unlabeled cluster of its own.
+        g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
+        obs = Observations.from_dict({1: 1.0, 3: -1.0})
+        problem = Problem(g, obs, 0.1)
+        assert certificate_from_signal(problem, np.array([0.9, 0.0, -0.9])) == (None, 0)
+        result = run(g, obs, SolverConfig(lam=0.1, max_iters=1000, gap_tol=1e-6))
+        assert result.stop_reason == "gap_tol"
+        assert result.certificate is None
+        assert result.gap.gap <= 1e-6
+
+    def test_sign_seed_corrected_and_ties_rejected(self, chain):
+        # A boundary jump seeded the wrong way round is corrected in one
+        # round; equal coefficients across a boundary give a zero sign.
+        g, obs, _ = chain
+        problem = Problem(g, obs, 1.0)
+        flipped = np.array([0.0] * 5 + [1.0] * 5)
+        cert, _ = certificate_from_signal(problem, flipped)
+        assert np.array_equal(cert.flow.base, CHAIN_REF_DUAL)
+        tied = Problem(g, Observations.from_dict({2: 1.0, 7: 0.5}), 1.0)
+        assert certificate_from_signal(tied, CHAIN_REF_PRIMAL) == (None, 0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.01, 3.0),
+        steps=st.sampled_from([50, 400]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_verified_certificates_are_optimal(self, seed, lam, steps):
+        g, obs = random_connected_instance(np.random.default_rng(seed))
+        problem = Problem(g, obs, lam)
+        state = init_state(problem)
+        for _ in range(steps):
+            state = pd_step(state, problem)
+        cert, _ = certificate_from_signal(problem, state.x_curr)
+        if cert is None:
+            return
+        value = primal_objective(problem, cert.report.reconstructed)
+        oracle = oracle_nlasso(problem)
+        lower = oracle.objective - oracle.certified_gap
+        assert lower - 1e-6 <= value <= oracle.objective + 1e-6
 
 
 @pytest.mark.parametrize("call", [

@@ -12,6 +12,7 @@ from tvflow.graph import (
     components,
     degree,
     divergence,
+    grounded_laplacian_cg,
     incidence_apply,
     scaled_operator_norm,
 )
@@ -419,3 +420,31 @@ class TestComponents:
         g, _, _ = make_chain()
         with pytest.raises(ValueError, match="edge mask"):
             components(g, np.ones(3, dtype=bool))
+
+
+class TestGroundedLaplacianCG:
+    def test_matches_dense_solve(self):
+        # Random connected graphs, random weights with some zeros kept off
+        # a spanning tree, one or two grounded nodes.
+        rng = np.random.default_rng(71)
+        for _ in range(30):
+            n = int(rng.integers(2, 12))
+            tree = [(int(rng.integers(1, v)), v) for v in range(2, n + 1)]
+            extra = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                     if (i, j) not in tree and rng.random() < 0.3]
+            g = build_graph(n, [(i, j, 1.0) for i, j in tree + extra])
+            in_tree = {tuple(sorted(e)) for e in tree}
+            weights = rng.uniform(0.1, 2.0, g.edge_count)
+            weights[[pair not in in_tree and rng.random() < 0.3
+                     for pair in g.edge_pairs()]] = 0.0
+            free = np.ones(n, dtype=bool)
+            free[rng.choice(n, size=min(n - 1, int(rng.integers(1, 3))), replace=False)] = False
+            rhs = rng.uniform(-1.0, 1.0, int(free.sum()))
+            b = np.zeros((g.edge_count, n))
+            b[np.arange(g.edge_count), g.heads - 1] = 1.0
+            b[np.arange(g.edge_count), g.tails - 1] = -1.0
+            laplacian = b.T @ (weights[:, None] * b)
+            want = np.linalg.solve(laplacian[np.ix_(free, free)], rhs)
+            u, iters = grounded_laplacian_cg(g, free, rhs, weights)
+            assert 0 < iters <= free.sum()
+            assert np.max(np.abs(u - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))

@@ -272,11 +272,18 @@ def ref_parse_float(path, lineno, text, what):
     return value
 
 
+def ref_parse_node_id(path, lineno, text):
+    i = ref_parse_int(path, lineno, text, "node id")
+    if not -(2**63) <= i < 2**63:
+        raise ValueError(f"{path}:{lineno}: node id {i} does not fit in 64 bits")
+    return i
+
+
 def ref_read_graph_csv(path):
     triples = []
     for lineno, (si, sj, sw) in ref_read_rows(path, "i,j,w"):
-        i = ref_parse_int(path, lineno, si, "node id")
-        j = ref_parse_int(path, lineno, sj, "node id")
+        i = ref_parse_node_id(path, lineno, si)
+        j = ref_parse_node_id(path, lineno, sj)
         w = ref_parse_float(path, lineno, sw, "weight")
         triples.append((i, j, w))
     if not triples:
@@ -316,7 +323,7 @@ def ref_read_observations_csv(path):
     if not rows:
         raise ValueError(f"{path}: observations file has no rows")
     pairs = [
-        (ref_parse_int(path, lineno, si, "node id"),
+        (ref_parse_node_id(path, lineno, si),
          ref_parse_float(path, lineno, sx, "label"))
         for lineno, (si, sx) in rows
     ]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from conftest import (
     random_connected_instance,
 )
 from tvflow.graph import build_graph, divergence
-from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL
+from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL, grid_instance
 from tvflow.oracle import project_dual_feasible
 from tvflow.signal import Observations, Problem, primal_objective
 from tvflow.solver import (
@@ -346,6 +347,25 @@ class TestRepairDual:
             repaired, _ = repair_dual(problem, y)
             assert np.max(np.abs(repaired - expected)) <= 1e-14
 
+    def test_bits_pinned(self):
+        # SHA-256 of repaired flows and CG counts, pinned: the repair must
+        # stay bit-identical.
+        rng = np.random.default_rng(29)
+        digest = hashlib.sha256()
+        cases = [random_connected_instance(rng, max_nodes=20) + (0.7,) for _ in range(100)]
+        g, _, _, obs = grid_instance(
+            20, 20, 10, 1.0, 0.25, 3, [1.0, 0.0], rng=np.random.default_rng(1)
+        )
+        cases.append((g, obs, 0.1))
+        for g, obs, lam in cases:
+            problem = Problem(g, obs, lam)
+            y = rng.uniform(-2.0, 2.0, g.edge_count) * problem.capacities
+            repaired, cg_iters = repair_dual(problem, y)
+            digest.update(repaired.tobytes() + cg_iters.to_bytes(4, "little"))
+        assert digest.hexdigest() == (
+            "b39be80183259a96bd1d7179d762dad1c638362b6a71b8eb609abc92e65c235e"
+        )
+
     def test_no_op_when_every_node_labelled(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -387,24 +407,28 @@ class TestGapMode:
         # The returned pair reproduces the report.
         again = duality_gap(Problem(g, obs, lam), result.x, result.y, cfg.feas_tol)
         assert again == report
-        assert (result.stop_reason == "gap_tol") == (report.gap <= gap_tol)
+        met = result.stop_reason in {"gap_tol", "certificate"}
+        assert met == (report.gap <= gap_tol)
 
     def test_chain_certifies_1e6_within_1000_iterations(self, chain):
         g, obs, _ = chain
         result = run(g, obs, SolverConfig(lam=1.0, max_iters=1000, gap_tol=1e-6))
-        assert result.stop_reason == "gap_tol"
+        assert result.stop_reason == "certificate"
         assert result.iters <= 1000
         assert result.gap.certified
         assert result.gap.gap <= 1e-6
         assert np.max(np.abs(result.x - CHAIN_REF_PRIMAL)) <= 1e-3
 
     def test_budget_exhausted_reports_final_probe(self, chain):
+        # At lambda 0.1 the chain's iterate is still too far from the
+        # optimum at 50 and 70 steps for a certificate to verify.
         g, obs, _ = chain
-        result = run(g, obs, SolverConfig(lam=1.0, max_iters=70, gap_tol=1e-12))
+        result = run(g, obs, SolverConfig(lam=0.1, max_iters=70, gap_tol=1e-12))
         assert result.iters == 70
         assert result.stop_reason == "max_iters"
+        assert result.certificate is None
         assert result.gap.certified
-        problem = Problem(g, obs, 1.0)
+        problem = Problem(g, obs, 0.1)
         assert duality_gap(problem, result.x, result.y) == result.gap
 
     def test_fixed_mode_returns_average_and_raw_dual(self, chain):
