@@ -9,107 +9,20 @@ per-cluster supplies proves optimality of the piecewise-constant signal
 it induces.
 """
 
-from .graph import (
-    EmpiricalGraph,
-    build_graph,
-    components,
-    degree,
-    divergence,
-    grounded_laplacian_cg,
-    incidence_apply,
-    scaled_operator_norm,
-)
-from .signal import (
-    GraphSignal,
-    Observations,
-    Partition,
-    Problem,
-    boundary_edges,
-    boundary_mask,
-    empirical_error,
-    piecewise_constant,
-    primal_objective,
-    tv,
-)
-from .solver import (
-    DualReport,
-    GapReport,
-    SolverConfig,
-    SolverResult,
-    SolverState,
-    dual_objective,
-    duality_gap,
-    init_state,
-    pd_step,
-    repair_dual,
-    run,
-)
-from .flow import (
-    Certificate,
-    CertificateReport,
-    Flow,
-    certificate_from_signal,
-    check_flow,
-    construct_tree_certificate,
-    dual_to_extended_flow,
-    mincost_objective,
-    reconstruct_primal,
-    verify_certificate,
-)
-from .oracle import (
-    FlowOracleResult,
-    OracleResult,
-    oracle_mincost_flow,
-    oracle_nlasso,
-    project_dual_feasible,
-)
+from . import flow, graph, oracle, signal, solver
+from .graph import *  # noqa: F403
+from .signal import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .flow import *  # noqa: F403
+from .oracle import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EmpiricalGraph",
-    "build_graph",
-    "components",
-    "degree",
-    "divergence",
-    "grounded_laplacian_cg",
-    "incidence_apply",
-    "scaled_operator_norm",
-    "GraphSignal",
-    "Observations",
-    "Partition",
-    "Problem",
-    "boundary_edges",
-    "boundary_mask",
-    "empirical_error",
-    "piecewise_constant",
-    "primal_objective",
-    "tv",
-    "DualReport",
-    "GapReport",
-    "SolverConfig",
-    "SolverResult",
-    "SolverState",
-    "dual_objective",
-    "duality_gap",
-    "init_state",
-    "pd_step",
-    "repair_dual",
-    "run",
-    "Certificate",
-    "CertificateReport",
-    "Flow",
-    "certificate_from_signal",
-    "check_flow",
-    "construct_tree_certificate",
-    "dual_to_extended_flow",
-    "mincost_objective",
-    "reconstruct_primal",
-    "verify_certificate",
-    "FlowOracleResult",
-    "OracleResult",
-    "oracle_mincost_flow",
-    "oracle_nlasso",
-    "project_dual_feasible",
+    *graph.__all__,
+    *signal.__all__,
+    *solver.__all__,
+    *flow.__all__,
+    *oracle.__all__,
     "__version__",
 ]

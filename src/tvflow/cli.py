@@ -133,7 +133,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _load_config(args: argparse.Namespace) -> SolverConfig:
     if getattr(args, "config", None) is not None:
-        return SolverConfig.from_mapping(read_json(args.config))
+        data = read_json(args.config)
+        try:
+            return SolverConfig.from_mapping(data)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     return SolverConfig(
         lam=args.lam,
         max_iters=args.iters,

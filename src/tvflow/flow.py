@@ -78,12 +78,17 @@ class Flow:
 class CertificateReport:
     """Structured verdict of the flow-certificate checks.
 
-    ``check_flow`` fills only the conservation/capacity fields; the
-    saturation, interior and balance fields stay None until
-    ``verify_certificate`` runs the full set of conditions.
-    ``indeterminate_clusters`` holds 0-based cluster positions, like
-    ``Partition.cluster_index``; ``to_dict`` lists them 1-based, as
-    messages and ``certify``'s printout name clusters.
+    ``status`` is the one rule: "verified" exactly when the signal was
+    reconstructed (``reconstructed`` is set only after every check,
+    orientation included, has passed), "indeterminate" when the only
+    problem is clusters without a sampled node, and "failed" otherwise;
+    ``verdict`` is ``status == "verified"``.  ``verify_certificate`` names
+    the first failed check in ``failure_reason``.  ``check_flow`` fills
+    only the conservation/capacity fields and leaves the others None, so
+    its report is never "verified".  ``indeterminate_clusters`` holds
+    0-based cluster positions, like ``Partition.cluster_index``;
+    ``to_dict`` lists them 1-based, as messages and ``certify``'s printout
+    name clusters.
     """
 
     conservation_residual: float
@@ -101,30 +106,22 @@ class CertificateReport:
     failure_reason: str | None = None
 
     @property
-    def verdict(self) -> bool:
-        return (
-            self.flow_ok
-            and self.saturation_ok is True
-            and self.strict_interior_ok is True
-            and self.balance_ok is True
-            and self.orientation_ok is True
-            and not self.indeterminate_clusters
-        )
-
-    @property
     def status(self) -> str:
+        if self.reconstructed is not None:
+            return "verified"
         checks = (
             self.flow_ok,
             self.saturation_ok,
             self.strict_interior_ok,
             self.balance_ok,
-            self.orientation_ok,
         )
-        if any(c is False for c in checks):
-            return "failed"
-        if self.indeterminate_clusters:
+        if self.indeterminate_clusters and all(checks):
             return "indeterminate"
-        return "verified"
+        return "failed"
+
+    @property
+    def verdict(self) -> bool:
+        return self.status == "verified"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -160,8 +157,7 @@ class CertificateReport:
 def _check_flow_inputs(problem: Problem, f: Flow, tol: float = 0.0) -> None:
     """Reject a flow that does not live on the problem's extended graph,
     and a tolerance that is negative or not finite."""
-    if not (0.0 <= tol < np.inf):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    Problem.check_tol("tol", tol)
     if f.base.shape != (problem.graph.edge_count,):
         raise ValueError(
             f"flow has {f.base.shape[0]} base values, graph has"
@@ -260,7 +256,8 @@ def verify_certificate(
     optimal (the joint optimality of the pair requires the jump to lie in
     the capacity indicator's subdifferential at the flow), so skipping this
     would certify non-optimal flows whenever lam times the boundary weight
-    exceeds half the label gap.
+    exceeds half the label gap.  A reconstruction that raises fails the
+    certificate with the error as its ``failure_reason``.
     """
     base_report = check_flow(problem, f, tol)
     g, obs, caps = problem.graph, problem.obs, problem.capacities
@@ -296,15 +293,20 @@ def verify_certificate(
     reconstructed = None
     orientation_ok: bool | None = None
     failure_reason = None
-    verdict_so_far = (
-        base_report.flow_ok and saturation_ok and strict_interior_ok and balance_ok
-    )
-    if verdict_so_far and not indeterminate:
+    if not base_report.flow_ok:
+        failure_reason = "conservation or capacity violated"
+    elif not saturation_ok:
+        failure_reason = "a boundary edge is not saturated"
+    elif not strict_interior_ok:
+        failure_reason = "an interior edge has no capacity slack"
+    elif not balance_ok:
+        failure_reason = "cluster balances disagree"
+    elif not indeterminate:
         try:
             reconstructed = reconstruct_primal(problem, f, partition, tol)
         except ValueError as exc:
             failure_reason = str(exc)
-        if reconstructed is not None:
+        else:
             jumps = reconstructed[g._head_idx] - reconstructed[g._tail_idx]
             saturated = np.abs(np.abs(f.base) - caps) <= tol
             aligned = (np.abs(jumps) <= tol) | (jumps * f.base >= 0.0)
@@ -314,15 +316,6 @@ def verify_certificate(
                 failure_reason = (
                     "a saturated edge carries flow against the reconstructed jump"
                 )
-    elif not verdict_so_far:
-        if not base_report.flow_ok:
-            failure_reason = "conservation or capacity violated"
-        elif not saturation_ok:
-            failure_reason = "a boundary edge is not saturated"
-        elif not strict_interior_ok:
-            failure_reason = "an interior edge has no capacity slack"
-        else:
-            failure_reason = "cluster balances disagree"
 
     return CertificateReport(
         conservation_residual=base_report.conservation_residual,

@@ -26,7 +26,6 @@ __all__ = [
     "EmpiricalGraph",
     "build_graph",
     "components",
-    "degree",
     "incidence_apply",
     "divergence",
     "grounded_laplacian_cg",
@@ -37,6 +36,10 @@ __all__ = [
 # one, or after _CG_MAX_ITERS iterations.
 _CG_RTOL = 1e-13
 _CG_MAX_ITERS = 1000
+# Power iteration stops when the estimate moves by at most _POWER_RTOL
+# relative to itself, and fails after _POWER_MAX_ITERS iterations.
+_POWER_RTOL = 1e-8
+_POWER_MAX_ITERS = 50_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +79,6 @@ class EmpiricalGraph:
 
     def min_degree(self) -> int:
         return int(self.degrees.min()) if self.node_count else 0
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        return [(int(h), int(t)) for h, t in zip(self.heads, self.tails)]
 
     def edges(self) -> list[tuple[int, int, float]]:
         return [
@@ -223,13 +223,6 @@ def components(
     return (np.cumsum(roots) - 1)[parent]
 
 
-def degree(g: EmpiricalGraph, i: int) -> int:
-    """Number of neighbours of node i (1-based)."""
-    if not (1 <= i <= g.node_count):
-        raise ValueError(f"node id {i} out of range 1..{g.node_count}")
-    return int(g.degrees[i - 1])
-
-
 def incidence_apply(g: EmpiricalGraph, x: np.ndarray) -> np.ndarray:
     """Signed edge differences: output[e] = x_head(e) - x_tail(e)."""
     x = np.asarray(x, dtype=np.float64)
@@ -306,16 +299,15 @@ def grounded_laplacian_cg(
     return u, iters
 
 
-def scaled_operator_norm(
-    g: EmpiricalGraph, *, tol: float = 1e-8, max_iters: int = 50_000
-) -> float:
+def scaled_operator_norm(g: EmpiricalGraph) -> float:
     """Spectral norm of the degree-scaled adjoint difference operator.
 
     This is the quantity the solver's step sizes are chosen to control:
     with node steps 1/d_i and edge steps 1/2 it never exceeds 1 (it equals
     1 exactly on bipartite graphs).  Computed matrix-free by power
-    iteration on the PSD composition, to relative tolerance ``tol``.  The
-    Rayleigh-quotient estimate approaches the true value from below.
+    iteration on the PSD composition, to relative tolerance 1e-8 within
+    50,000 iterations.  The Rayleigh-quotient estimate approaches the true
+    value from below.
     """
     if g.node_count == 0:
         return 0.0
@@ -334,16 +326,16 @@ def scaled_operator_norm(
     v = rng.standard_normal(g.edge_count)
     v /= np.linalg.norm(v)
     estimate = 0.0
-    for _ in range(max_iters):
+    for _ in range(_POWER_MAX_ITERS):
         w = apply_sym(v)
         new_estimate = float(v @ w)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
-        if abs(new_estimate - estimate) <= tol * max(abs(new_estimate), 1e-30):
+        if abs(new_estimate - estimate) <= _POWER_RTOL * max(abs(new_estimate), 1e-30):
             return float(np.sqrt(max(new_estimate, 0.0)))
         estimate = new_estimate
     raise RuntimeError(
-        f"power iteration did not converge within {max_iters} iterations"
+        f"power iteration did not converge within {_POWER_MAX_ITERS} iterations"
     )

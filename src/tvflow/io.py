@@ -158,8 +158,8 @@ def write_graph_csv(path: Path | str, g: EmpiricalGraph) -> None:
     _write_lines(path, "i,j,w", _format_rows("{},{},{!r}", g.heads, g.tails, g.weights))
 
 
-def read_graph_csv(path: Path | str, node_count: int | None = None) -> EmpiricalGraph:
-    """Read an edge-list CSV; node count defaults to the largest id seen."""
+def read_graph_csv(path: Path | str) -> EmpiricalGraph:
+    """Read an edge-list CSV; the node count is the largest id seen."""
 
     def bulk(table: np.ndarray) -> tuple[int, np.ndarray]:
         return int(max(table["i"].max(), table["j"].max())), table
@@ -179,12 +179,10 @@ def read_graph_csv(path: Path | str, node_count: int | None = None) -> Empirical
     largest, edges = _read_csv(
         path, "i,j,w", (np.int64, np.int64, np.float64), bulk, row_by_row
     )
-    if node_count is None:
-        if largest is None:
-            raise ValueError(f"{path}: no edges and no node_count given")
-        node_count = largest
+    if largest is None:
+        raise ValueError(f"{path}: no edges")
     try:
-        return build_graph(node_count, edges)
+        return build_graph(largest, edges)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}")
 

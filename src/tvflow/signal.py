@@ -23,7 +23,6 @@ __all__ = [
     "Problem",
     "tv",
     "piecewise_constant",
-    "boundary_edges",
     "boundary_mask",
     "empirical_error",
     "primal_objective",
@@ -77,10 +76,6 @@ class Observations:
     def indices(self) -> np.ndarray:
         """0-based positions of the sampled nodes."""
         return self.nodes - 1
-
-    @property
-    def count(self) -> int:
-        return int(self.nodes.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +160,12 @@ class Problem:
         if not (lam > 0.0) or not np.isfinite(lam):
             raise ValueError(f"lambda must be positive and finite, got {lam}")
 
+    @staticmethod
+    def check_tol(name: str, tol: float) -> None:
+        """The one rule for a tolerance: finite and non-negative."""
+        if not (0.0 <= tol < np.inf):
+            raise ValueError(f"{name} must be finite and non-negative, got {tol}")
+
     @cached_property
     def inv_degrees(self) -> np.ndarray:
         """1/d_i per node position; defined when no node is isolated."""
@@ -217,15 +218,6 @@ def boundary_mask(g: EmpiricalGraph, p: Partition) -> np.ndarray:
     p.check_graph(g)
     ci = p.cluster_index
     return ci[g._head_idx] != ci[g._tail_idx]
-
-
-def boundary_edges(g: EmpiricalGraph, p: Partition) -> set[tuple[int, int]]:
-    """Edges joining two different clusters, as (head, tail) pairs."""
-    mask = boundary_mask(g, p)
-    return {
-        (int(h), int(t))
-        for h, t in zip(g.heads[mask], g.tails[mask])
-    }
 
 
 def empirical_error(obs: Observations, x: GraphSignal) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Any, Mapping
 
 import numpy as np
@@ -68,33 +69,32 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         Problem.check_lambda(self.lam)
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.gap_tol < 0.0 or self.feas_tol < 0.0:
-            raise ValueError("tolerances must be non-negative")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, Integral) or iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {iters}")
+        Problem.check_tol("gap_tol", self.gap_tol)
+        Problem.check_tol("feas_tol", self.feas_tol)
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "SolverConfig":
+        """Config from its JSON keys, whose values must be numbers."""
         unknown = set(data) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "lambda" not in data:
             raise ValueError("config requires a 'lambda' entry")
-        kwargs: dict[str, Any] = {"lam": float(data["lambda"])}
-        if "max_iters" in data:
-            kwargs["max_iters"] = int(data["max_iters"])
-        if "gap_tol" in data:
-            kwargs["gap_tol"] = float(data["gap_tol"])
-        if "feas_tol" in data:
-            kwargs["feas_tol"] = float(data["feas_tol"])
+        kwargs: dict[str, Any] = {}
+        for key, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, Real):
+                shown = json.dumps(value, default=repr)
+                raise ValueError(f"config key '{key}' must be a number, got {shown}")
+            try:
+                kwargs["lam" if key == "lambda" else key] = (
+                    value if key == "max_iters" else float(value)
+                )
+            except OverflowError:
+                raise ValueError(f"config key '{key}' is beyond double range") from None
         return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SolverConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("config JSON must be an object")
-        return cls.from_mapping(data)
 
     def to_mapping(self) -> dict[str, Any]:
         return {

@@ -7,13 +7,19 @@ import numpy as np
 import pytest
 
 from tvflow import cli
+from tvflow.flow import construct_tree_certificate
+from tvflow.graph import build_graph
 from tvflow.io import (
     read_flow_csv,
     read_graph_csv,
     read_observations_csv,
     read_signal_csv,
+    write_flow_csv,
+    write_graph_csv,
+    write_observations_csv,
+    write_partition_csv,
 )
-from tvflow.signal import Problem
+from tvflow.signal import Observations, Partition, Problem
 from tvflow.solver import duality_gap
 
 
@@ -145,6 +151,46 @@ class TestSolve:
         ])
         assert code == 0
         assert json.loads((out / "report.json").read_text())["iters"] == 200
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--gap-tol", "nan"), ("--gap-tol", "inf"), ("--feas-tol", "nan"),
+    ])
+    def test_non_finite_tolerance_rejected(
+        self, tmp_path, instance_dir, capsys, flag, value
+    ):
+        out = tmp_path / "sol"
+        code = run_cli([
+            "solve", "--graph", str(instance_dir / "graph.csv"),
+            "--observations", str(instance_dir / "observations.csv"),
+            flag, value, "--out-dir", str(out),
+        ])
+        assert code == 64
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite and non-negative, got {value}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("gap_tol", None, "config key 'gap_tol' must be a number, got null"),
+        ("max_iters", 2.7, "max_iters must be an integer >= 1, got 2.7"),
+        ("lambda", True, "config key 'lambda' must be a number, got true"),
+        ("gap_tol", float("inf"), "gap_tol must be finite and non-negative, got inf"),
+    ])
+    def test_bad_config_value_names_file_and_key(
+        self, tmp_path, instance_dir, capsys, key, value, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lambda": 1.0, key: value}))
+        out = tmp_path / "sol"
+        code = run_cli([
+            "solve", "--graph", str(instance_dir / "graph.csv"),
+            "--observations", str(instance_dir / "observations.csv"),
+            "--config", str(config), "--out-dir", str(out),
+        ])
+        assert code == 64
+        assert f"tvflow: error: {config}: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lambda_zero_rejected(self, tmp_path, instance_dir):
         code = run_cli([
@@ -321,6 +367,40 @@ class TestCertify:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "indeterminate"
         assert report["indeterminate_clusters"] == [2]
+
+    def test_unreconstructable_certificate_exits_one(self, tmp_path, capsys):
+        # The chain with weight 1/4 on edges {5, 6} and {6, 7}: the tree
+        # certificate carries exactly the capacity of {6, 7}, which passes
+        # the slack check at --tol 0 but leaves node 6 without a label, so
+        # no signal is reconstructed and nothing is certified.
+        edges = [(i, i + 1, 1.0) for i in range(1, 10)]
+        edges[4] = (5, 6, 0.25)
+        edges[5] = (6, 7, 0.25)
+        g = build_graph(10, edges)
+        obs = Observations.from_dict({2: 1.0, 7: 0.0})
+        partition = Partition(np.repeat([0, 1], 5))
+        flow = construct_tree_certificate(g, partition, obs, 1.0)
+        write_graph_csv(tmp_path / "graph.csv", g)
+        write_observations_csv(tmp_path / "observations.csv", obs)
+        write_partition_csv(tmp_path / "partition.csv", partition)
+        write_flow_csv(tmp_path / "flow.csv", g, flow)
+        out = tmp_path / "cert"
+        code = run_cli([
+            "certify",
+            "--graph", str(tmp_path / "graph.csv"),
+            "--flow", str(tmp_path / "flow.csv"),
+            "--partition", str(tmp_path / "partition.csv"),
+            "--observations", str(tmp_path / "observations.csv"),
+            "--lambda", "1", "--tol", "0", "--out-dir", str(out),
+        ])
+        assert code == 1
+        reason = "component [6] contains no sampled node"
+        assert capsys.readouterr().out == f"certificate failed\nreason: {reason}\n"
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "failed"
+        assert report["verdict"] is False
+        assert report["failure_reason"] == reason
+        assert not (out / "reconstructed.csv").exists()
 
     def test_no_interior_edge_report_is_strict_json(self, tmp_path, experiment_dir):
         # Every node its own cluster: no edge lies inside a cluster, so the

@@ -192,6 +192,15 @@ class TestCheckFlow:
         with pytest.raises(ValueError, match="star nodes"):
             check_flow(Problem(g, obs, 1.0), f)
 
+    def test_report_is_never_verified(self, chain):
+        # Conservation and capacity alone certify nothing.
+        g, obs, _ = chain
+        report = check_flow(Problem(g, obs, 1.0), chain_certificate_flow())
+        assert report.flow_ok
+        assert report.status == "failed"
+        assert not report.verdict
+        assert report.reconstructed is None
+
 
 class TestMincostObjective:
     def test_zero_flow(self, chain):
@@ -302,6 +311,28 @@ class TestVerifyCertificate:
         # would have been wrong.
         assert mincost_objective(problem, f) > -0.25 + 1e-3
 
+    def test_unreconstructable_flow_fails(self):
+        # Edge {6, 7} carries exactly its capacity 1/4 inside cluster 2.  At
+        # tol 0 that passes the slack check, but it cuts node 6 off from
+        # every label, so no signal can be reconstructed.
+        edges = [(i, i + 1, 1.0) for i in range(1, 10)]
+        edges[4] = (5, 6, 0.25)
+        edges[5] = (6, 7, 0.25)
+        g = build_graph(10, edges)
+        _, obs, partition = make_chain()
+        f = construct_tree_certificate(g, partition, obs, 1.0)
+        report = verify_certificate(Problem(g, obs, 1.0), f, partition, tol=0.0)
+        assert report.flow_ok and report.saturation_ok and report.balance_ok
+        assert report.strict_interior_ok and report.interior_slack == 0.0
+        assert report.reconstructed is None
+        assert report.status == "failed"
+        assert not report.verdict
+        assert report.failure_reason == "component [6] contains no sampled node"
+        # At the default tolerance the slack check itself fails.
+        report = verify_certificate(Problem(g, obs, 1.0), f, partition)
+        assert report.strict_interior_ok is False
+        assert report.status == "failed"
+
     def test_balance_violation_detected(self):
         # Two sampled nodes in one cluster with different label-minus-star
         # values must fail the balance condition.
@@ -407,7 +438,12 @@ class TestConstructTreeCertificate:
             f = construct_tree_certificate(g, partition, obs, lam)
             report = verify_certificate(Problem(g, obs, lam), f, partition, tol=1e-9)
             assert report.verdict, report.failure_reason
+            assert report.status == "verified"
             assert report.reconstructed is not None
+            # At twice the lambda the boundary is no longer saturated.
+            doubled = verify_certificate(Problem(g, obs, 2 * lam), f, partition)
+            assert doubled.status == "failed"
+            assert not doubled.verdict
             # Reconstruction is exactly piecewise constant on the partition.
             for k in range(partition.cluster_count):
                 values = report.reconstructed[partition.cluster_index == k]
@@ -433,6 +469,9 @@ class TestConstructTreeCertificate:
             for got, ref in ((f.base, want.base), (f.star, want.star)):
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
             assert np.array_equal(f.star_nodes, want.star_nodes)
+            report = verify_certificate(Problem(g, obs, lam), f, partition)
+            assert (report.status == "verified") == report.verdict
+            assert report.verdict == (report.reconstructed is not None)
         assert len(errors) == 3
 
     def test_flow_csv_bytes_pinned(self, tmp_path):
@@ -586,6 +625,7 @@ class TestDualityIdentities:
             problem = Problem(g, obs, lam)
             report = verify_certificate(problem, f, partition)
             assert report.verdict
+            assert report.status == "verified"
             L = primal_objective(problem, report.reconstructed)
             cost = mincost_objective(problem, f)
             assert abs(L + cost) <= 1e-9

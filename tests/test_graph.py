@@ -10,7 +10,6 @@ from tvflow.graph import (
     EmpiricalGraph,
     build_graph,
     components,
-    degree,
     divergence,
     grounded_laplacian_cg,
     incidence_apply,
@@ -192,29 +191,23 @@ class TestBuildGraph:
         g1 = build_graph(3, triples)
         g2 = build_graph(3, list(reversed(triples)))
         assert g1.edges() == g2.edges()
-        assert g1.edge_pairs() == [(1, 2), (1, 3), (2, 3)]
+        pairs = list(zip(g1.heads.tolist(), g1.tails.tolist()))
+        assert pairs == [(1, 2), (1, 3), (2, 3)]
 
     def test_isolated_nodes_allowed(self):
         g = build_graph(4, [(1, 2, 1.0)])
-        assert degree(g, 3) == 0
-        assert degree(g, 4) == 0
+        assert g.degrees[2] == 0
+        assert g.degrees[3] == 0
 
 
 class TestDegree:
     def test_chain_endpoint(self):
         g, _, _ = make_chain()
-        assert degree(g, 1) == 1
+        assert g.degrees[0] == 1
 
     def test_chain_interior(self):
         g, _, _ = make_chain()
-        assert degree(g, 5) == 2
-
-    def test_out_of_range(self):
-        g, _, _ = make_chain()
-        with pytest.raises(ValueError):
-            degree(g, 0)
-        with pytest.raises(ValueError):
-            degree(g, 11)
+        assert g.degrees[4] == 2
 
 
 class TestIncidence:
@@ -300,7 +293,7 @@ class TestAdjointness:
 
 def _dense_scaled_norm(g) -> float:
     b = np.zeros((g.edge_count, g.node_count))
-    for e, (h, t) in enumerate(g.edge_pairs()):
+    for e, (h, t) in enumerate(zip(g.heads, g.tails)):
         b[e, h - 1] = 1.0
         b[e, t - 1] = -1.0
     gamma_sqrt = np.diag(1.0 / np.sqrt(g.degrees))
@@ -436,7 +429,7 @@ class TestGroundedLaplacianCG:
             in_tree = {tuple(sorted(e)) for e in tree}
             weights = rng.uniform(0.1, 2.0, g.edge_count)
             weights[[pair not in in_tree and rng.random() < 0.3
-                     for pair in g.edge_pairs()]] = 0.0
+                     for pair in zip(g.heads.tolist(), g.tails.tolist())]] = 0.0
             free = np.ones(n, dtype=bool)
             free[rng.choice(n, size=min(n - 1, int(rng.integers(1, 3))), replace=False)] = False
             rhs = rng.uniform(-1.0, 1.0, int(free.sum()))

@@ -60,13 +60,6 @@ class TestGraphCsv:
         back = read_graph_csv(path)
         assert np.array_equal(back.weights, g.weights)
 
-    def test_explicit_node_count_keeps_trailing_isolated_nodes(self, tmp_path):
-        path = tmp_path / "graph.csv"
-        path.write_text("i,j,w\n1,2,1.0\n")
-        g = read_graph_csv(path, node_count=4)
-        assert g.node_count == 4
-        assert g.degrees.tolist() == [1, 1, 0, 0]
-
     def test_bad_header(self, tmp_path):
         path = tmp_path / "graph.csv"
         path.write_text("a,b,c\n1,2,1.0\n")
@@ -287,7 +280,7 @@ def ref_read_graph_csv(path):
         w = ref_parse_float(path, lineno, sw, "weight")
         triples.append((i, j, w))
     if not triples:
-        raise ValueError(f"{path}: no edges and no node_count given")
+        raise ValueError(f"{path}: no edges")
     node_count = max(max(i, j) for i, j, _ in triples)
     try:
         return build_graph(node_count, triples)

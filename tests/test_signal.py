@@ -11,7 +11,7 @@ from tvflow.signal import (
     Observations,
     Partition,
     Problem,
-    boundary_edges,
+    boundary_mask,
     empirical_error,
     piecewise_constant,
     primal_objective,
@@ -210,20 +210,25 @@ class TestPiecewiseConstant:
             assert tv(g, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+def boundary_pairs(g, p):
+    mask = boundary_mask(g, p)
+    return set(zip(g.heads[mask].tolist(), g.tails[mask].tolist()))
+
+
 class TestBoundaryEdges:
     def test_chain_boundary(self, chain):
         g, _, partition = chain
-        assert boundary_edges(g, partition) == {(5, 6)}
+        assert boundary_pairs(g, partition) == {(5, 6)}
 
     def test_single_cluster_empty(self):
         g, _, _ = make_chain()
         p = Partition(np.zeros(10, dtype=int))
-        assert boundary_edges(g, p) == set()
+        assert boundary_pairs(g, p) == set()
 
     def test_singletons_all_edges(self):
         g, _, _ = make_chain()
         p = Partition(np.arange(10))
-        assert boundary_edges(g, p) == set(g.edge_pairs())
+        assert boundary_pairs(g, p) == set(zip(g.heads.tolist(), g.tails.tolist()))
 
 
 class TestEmpiricalError:

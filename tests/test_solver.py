@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -62,7 +63,9 @@ def scripted_step(state, g, obs, lam):
 
 class TestConfig:
     def test_json_round_trip(self):
-        cfg = SolverConfig.from_json('{"lambda": 2.0, "max_iters": 10, "gap_tol": 0.5}')
+        cfg = SolverConfig.from_mapping(
+            json.loads('{"lambda": 2.0, "max_iters": 10, "gap_tol": 0.5}')
+        )
         assert cfg.lam == 2.0
         assert cfg.max_iters == 10
         assert cfg.gap_tol == 0.5
@@ -74,10 +77,47 @@ class TestConfig:
             SolverConfig(lam=0.0)
         with pytest.raises(ValueError):
             SolverConfig(lam=1.0, max_iters=0)
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(lam=1.0, max_iters=2.7)
         with pytest.raises(ValueError, match="unknown"):
             SolverConfig.from_mapping({"lambda": 1.0, "bogus": 1})
         with pytest.raises(ValueError, match="lambda"):
             SolverConfig.from_mapping({"max_iters": 5})
+
+    @pytest.mark.parametrize("key", ["gap_tol", "feas_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_tolerances_finite_and_non_negative(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite and non-negative"):
+            SolverConfig(lam=1.0, **{key: value})
+
+    @pytest.mark.parametrize("data, message", [
+        ({"lambda": True}, "config key 'lambda' must be a number, got true"),
+        ({"lambda": "2"}, 'config key \'lambda\' must be a number, got "2"'),
+        ({"lambda": 1.0, "gap_tol": None},
+         "config key 'gap_tol' must be a number, got null"),
+        ({"lambda": 1.0, "max_iters": 2.7},
+         "max_iters must be an integer >= 1, got 2.7"),
+        ({"lambda": 1.0, "max_iters": 10.0},
+         "max_iters must be an integer >= 1, got 10.0"),
+        ({"lambda": 1.0, "max_iters": False},
+         "config key 'max_iters' must be a number, got false"),
+        ({"lambda": 10**400}, "config key 'lambda' is beyond double range"),
+        ({"lambda": 1.0, "feas_tol": math.nan},
+         "feas_tol must be finite and non-negative, got nan"),
+    ])
+    def test_mapping_takes_numbers_only(self, data, message):
+        with pytest.raises(ValueError) as exc:
+            SolverConfig.from_mapping(data)
+        assert str(exc.value) == message
+
+    def test_mapping_integers_become_floats(self):
+        cfg = SolverConfig.from_mapping({"lambda": 2, "gap_tol": 0, "max_iters": 5})
+        assert cfg.to_mapping() == {
+            "lambda": 2.0, "max_iters": 5, "gap_tol": 0.0, "feas_tol": 1e-9
+        }
+        assert json.dumps(cfg.to_mapping()) == (
+            '{"lambda": 2.0, "max_iters": 5, "gap_tol": 0.0, "feas_tol": 1e-09}'
+        )
 
 
 class TestInitState:
