@@ -15,6 +15,7 @@ certificate, 64 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 from datetime import datetime, timezone
@@ -35,6 +36,7 @@ from .instances import (
     sbm_instance,
 )
 from .io import (
+    _write_dual_and_flow_csv,
     read_flow_csv,
     read_graph_csv,
     read_json,
@@ -76,9 +78,9 @@ def _write_manifest(
     args: argparse.Namespace, config: dict[str, Any], outputs: list[str]
 ) -> None:
     inputs = {
-        name: str(getattr(args, name))
-        for name in ("graph", "flow", "partition", "observations")
-        if hasattr(args, name)
+        name: str(path)
+        for name in ("graph", "flow", "partition", "observations", "config")
+        if (path := getattr(args, name, None)) is not None
     }
     write_json(
         args.out_dir / "manifest.json",
@@ -165,11 +167,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     result = run(g, obs, cfg)
 
-    outputs = _write_solution(out_dir, g, result)
-    if result.certificate is not None:
-        write_flow_csv(out_dir / "flow.csv", g, result.certificate.flow)
-        write_partition_csv(out_dir / "partition.csv", result.certificate.partition)
-        outputs += ["flow.csv", "partition.csv"]
+    certificate = result.certificate
+    if certificate is None:
+        outputs = _write_solution(out_dir, g, result)
+    else:
+        # result.y is the certificate's base flow, so dual.csv is flow.csv
+        # without its star rows.
+        write_signal_csv(out_dir / "primal.csv", result.x)
+        _write_dual_and_flow_csv(
+            out_dir / "dual.csv", out_dir / "flow.csv", g, certificate.flow
+        )
+        write_partition_csv(out_dir / "partition.csv", certificate.partition)
+        outputs = ["primal.csv", "dual.csv", "flow.csv", "partition.csv"]
     report = {
         "objective": result.gap.primal,
         "dual_objective": result.gap.dual,
@@ -298,7 +307,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="dual feasibility tolerance for gap certification")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    each call of ``main`` gets a fresh namespace."""
     parser = _Parser(prog="tvflow", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"tvflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

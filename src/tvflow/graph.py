@@ -271,13 +271,19 @@ def grounded_laplacian_cg(
     """
     if weights is None:
         weights = np.ones(g.edge_count)
-    diag = np.bincount(g._head_idx, weights=weights, minlength=g.node_count)
-    diag += np.bincount(g._tail_idx, weights=weights, minlength=g.node_count)
-    full = np.zeros(g.node_count)
+    head, tail, n = g._head_idx, g._tail_idx, g.node_count
+    diag = np.bincount(head, weights=weights, minlength=n)
+    diag += np.bincount(tail, weights=weights, minlength=n)
+    full = np.zeros(n)
 
     def laplacian(p: np.ndarray) -> np.ndarray:
+        # divergence(g, weights * incidence_apply(g, full)) without the
+        # per-call checks of the two operators.
         full[free] = p
-        return divergence(g, weights * incidence_apply(g, full))[free]
+        d = weights * (full[head] - full[tail])
+        out = np.bincount(head, weights=d, minlength=n)
+        out -= np.bincount(tail, weights=d, minlength=n)
+        return out[free]
 
     inv_diag = 1.0 / diag[free]
     u = np.zeros(rhs.size)

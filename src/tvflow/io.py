@@ -290,11 +290,29 @@ def read_partition_csv(path: Path | str) -> Partition:
 
 def write_flow_csv(path: Path | str, g: EmpiricalGraph, f: Flow) -> None:
     """Base edges as head,tail,value rows; star edges use tail 'star'."""
+    _write_text(path, _flow_base_text(g, f) + _flow_star_text(f))
+
+
+def _write_dual_and_flow_csv(
+    dual_path: Path | str, flow_path: Path | str, g: EmpiricalGraph, f: Flow
+) -> None:
+    """Write ``f`` to ``flow_path`` as :func:`write_flow_csv` does, and its
+    base rows alone to ``dual_path``, formatting those rows once."""
+    base = _flow_base_text(g, f)
+    _write_text(dual_path, base)
+    _write_text(flow_path, base + _flow_star_text(f))
+
+
+def _flow_base_text(g: EmpiricalGraph, f: Flow) -> str:
+    """Header and base rows of a flow CSV, each line ending in a newline."""
     if f.base.shape != (g.edge_count,):
         raise ValueError("flow does not match the graph's edge count")
     base = _format_rows("{},{},{!r}", g.heads, g.tails, f.base)
-    star = _format_rows("{},star,{!r}", f.star_nodes, f.star)
-    _write_lines(path, "head,tail,y", [*base, *star])
+    return "\n".join(["head,tail,y", *base]) + "\n"
+
+
+def _flow_star_text(f: Flow) -> str:
+    return "".join(_format_rows("{},star,{!r}\n", f.star_nodes, f.star))
 
 
 def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:

@@ -125,7 +125,8 @@ class Problem:
     sampled node.  Construction validates the three inputs together once
     and derives the read-only arrays every consumer shares: ``capacities``,
     ``sampled`` (0-based positions of the labeled nodes), the ``unsampled``
-    node mask and, on first use, ``inv_degrees`` (the solver's node steps).
+    node mask and, on first use, ``inv_degrees`` (the solver's node steps)
+    and ``step_constants`` (the other constants of a solver step).
     """
 
     graph: EmpiricalGraph
@@ -172,6 +173,20 @@ class Problem:
         gamma = 1.0 / self.graph.degrees
         gamma.setflags(write=False)
         return gamma
+
+    @cached_property
+    def step_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only constants of a solver step besides ``capacities`` and
+        ``inv_degrees``: -capacities, the lower end of the dual box, and at
+        the sampled nodes gamma * labels and gamma + 1, with gamma the
+        inverse degree there (the label update is
+        x <- (gamma * label + x) / (gamma + 1)).  Defined when no node is
+        isolated."""
+        gamma = self.inv_degrees[self.sampled]
+        constants = (-self.capacities, gamma * self.obs.labels, gamma + 1.0)
+        for arr in constants:
+            arr.setflags(write=False)
+        return constants
 
     def dual_residuals(self, y: np.ndarray) -> tuple[np.ndarray, float, float]:
         """Divergence of the edge flow y, its capacity excess (largest

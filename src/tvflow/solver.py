@@ -192,20 +192,26 @@ def init_state(problem: Problem) -> SolverState:
 def pd_step(state: SolverState, problem: Problem) -> SolverState:
     """Run one full primal-dual iteration and return the new state."""
     g = problem.graph
-    if state.x_curr.shape != (g.node_count,) or state.y.shape != (g.edge_count,):
+    n = g.node_count
+    if state.x_curr.shape != (n,) or state.y.shape != (g.edge_count,):
         raise ValueError("state dimensions do not match the graph")
+    # incidence_apply and divergence written out on the edge index arrays:
+    # the same arithmetic without their per-call checks.
+    head, tail = g._head_idx, g._tail_idx
     gamma = problem.inv_degrees
+    neg_cap, gamma_labels, gamma_plus_one = problem.step_constants
 
     x_tilde = 2.0 * state.x_curr - state.x_prev
-    y = state.y + 0.5 * incidence_apply(g, x_tilde)
-    cap = problem.capacities
+    y = state.y + 0.5 * (x_tilde[head] - x_tilde[tail])
     # Exact box projection; same point as y / max(1, |y|/cap) but keeps
     # |y_e| <= cap_e bitwise.
-    y = np.clip(y, -cap, cap)
+    np.clip(y, neg_cap, problem.capacities, out=y)
 
-    x = state.x_curr - gamma * divergence(g, y)
+    div = np.bincount(head, weights=y, minlength=n)
+    div -= np.bincount(tail, weights=y, minlength=n)
+    x = state.x_curr - gamma * div
     m = problem.sampled
-    x[m] = (gamma[m] * problem.obs.labels + x[m]) / (gamma[m] + 1.0)
+    x[m] = (gamma_labels + x[m]) / gamma_plus_one
 
     k = state.k + 1
     x_avg = (1.0 - 1.0 / k) * state.x_avg + (1.0 / k) * x

@@ -9,7 +9,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from conftest import (
     make_chain,
@@ -24,7 +23,6 @@ from tvflow.flow import (
     verify_certificate,
 )
 from tvflow.graph import (
-    build_graph,
     divergence,
     incidence_apply,
     scaled_operator_norm,

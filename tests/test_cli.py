@@ -152,6 +152,26 @@ class TestSolve:
         assert code == 0
         assert json.loads((out / "report.json").read_text())["iters"] == 200
 
+    def test_manifest_inputs_list_config_when_given(self, tmp_path, instance_dir):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lambda": 1.0, "max_iters": 20}))
+        inputs = ["--graph", str(instance_dir / "graph.csv"),
+                  "--observations", str(instance_dir / "observations.csv")]
+        with_config, without = tmp_path / "with", tmp_path / "without"
+        assert run_cli([
+            "solve", *inputs, "--config", str(config), "--out-dir", str(with_config),
+        ]) == 0
+        assert run_cli(["solve", *inputs, "--out-dir", str(without)]) == 0
+        manifest = json.loads((with_config / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            "graph": str(instance_dir / "graph.csv"),
+            "observations": str(instance_dir / "observations.csv"),
+            "config": str(config),
+        }
+        text = (without / "manifest.json").read_text()
+        assert set(json.loads(text)["inputs"]) == {"graph", "observations"}
+        assert "None" not in text
+
     @pytest.mark.parametrize("flag, value", [
         ("--gap-tol", "nan"), ("--gap-tol", "inf"), ("--feas-tol", "nan"),
     ])
@@ -263,6 +283,71 @@ class TestSolve:
         assert code == 64
         err = capsys.readouterr().err
         assert f"{name}:3: node id {2**70} does not fit in 64 bits" in err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may see the
+    values or defaults of an earlier one."""
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_solve_after_gap_mode_and_usage_error_uses_defaults(self, tmp_path):
+        inst = tmp_path / "inst"
+        assert run_cli(["generate", "chain", "--out-dir", str(inst)]) == 0
+        inputs = ["--graph", str(inst / "graph.csv"),
+                  "--observations", str(inst / "observations.csv")]
+        gap = tmp_path / "gap"
+        assert run_cli(["solve", *inputs, "--gap-tol", "1e-3", "--out-dir", str(gap)]) == 0
+        assert json.loads((gap / "report.json").read_text())["config"]["gap_tol"] == 1e-3
+        assert run_cli(["solve", *inputs, "--gap-tol", "x"]) == 64
+        fixed = tmp_path / "fixed"
+        assert run_cli(["solve", *inputs, "--out-dir", str(fixed)]) == 0
+        report = json.loads((fixed / "report.json").read_text())
+        assert report["config"]["gap_tol"] == 0
+        assert report["stop_reason"] == "max_iters"
+        assert report["iters"] == 1000
+
+    def test_generate_kinds_keep_their_own_defaults(self, tmp_path):
+        def config(kind: str, *flags: str) -> dict:
+            out = tmp_path / f"{kind}{len(flags)}"
+            assert run_cli(["generate", kind, *flags, "--out-dir", str(out)]) == 0
+            return json.loads((out / "manifest.json").read_text())["config"]
+
+        grid_defaults = {
+            "kind": "grid", "rows": 4, "cols": 6, "split_col": 3,
+            "intra_weight": 1.0, "boundary_weight": 0.25,
+            "samples_per_cluster": 2, "coeffs": [1.0, 0.0],
+        }
+        sbm_defaults = {
+            "kind": "sbm", "sizes": [5, 5], "p_in": 0.7, "p_out": 0.1,
+            "intra_weight": 1.0, "inter_weight": 0.25,
+            "samples_per_cluster": 1, "coeffs": [1.0, 0.0],
+        }
+        assert config("grid") == grid_defaults
+        assert config("sbm") == sbm_defaults
+        assert config("grid", "--rows", "5", "--coeffs", "2,3")["coeffs"] == [2.0, 3.0]
+        assert config("sbm", "--sizes", "3,4")["sizes"] == [3, 4]
+        assert config("grid") == grid_defaults
+        assert config("sbm") == sbm_defaults
+
+    def test_certificate_stop_writes_dual_as_flow_without_star_rows(
+        self, tmp_path
+    ):
+        inst, out = tmp_path / "inst", tmp_path / "sol"
+        assert run_cli(["generate", "chain", "--out-dir", str(inst)]) == 0
+        assert run_cli([
+            "solve", "--graph", str(inst / "graph.csv"),
+            "--observations", str(inst / "observations.csv"),
+            "--gap-tol", "1e-6", "--out-dir", str(out),
+        ]) == 0
+        assert json.loads((out / "report.json").read_text())["stop_reason"] == (
+            "certificate"
+        )
+        flow_lines = (out / "flow.csv").read_bytes().splitlines(keepends=True)
+        base = [line for line in flow_lines if b",star," not in line]
+        assert len(flow_lines) - len(base) == 2  # one star row per label
+        assert (out / "dual.csv").read_bytes() == b"".join(base)
 
 
 class TestSolveThenCertify:

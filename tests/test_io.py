@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_chain
 from tvflow.flow import Flow
 from tvflow.graph import EmpiricalGraph, build_graph
 from tvflow.io import (

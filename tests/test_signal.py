@@ -84,8 +84,12 @@ class TestProblem:
         problem = Problem(g, Observations.from_dict({2: 1.0}), 3)
         assert problem.lam == 3.0 and isinstance(problem.lam, float)
         assert problem.inv_degrees.tolist() == [1.0, 0.5, 1.0]
+        neg_cap, gamma_labels, gamma_plus_one = problem.step_constants
+        assert neg_cap.tolist() == [-1.5, -3.0]
+        assert gamma_labels.tolist() == [0.5]
+        assert gamma_plus_one.tolist() == [1.5]
         for arr in (problem.capacities, problem.sampled, problem.unsampled,
-                    problem.inv_degrees):
+                    problem.inv_degrees, *problem.step_constants):
             assert not arr.flags.writeable
 
 

@@ -13,12 +13,19 @@ from conftest import (
     make_chain,
     random_connected_instance,
 )
-from tvflow.graph import build_graph, divergence
-from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL, grid_instance
+from tvflow.graph import build_graph, divergence, incidence_apply
+from tvflow.instances import (
+    CHAIN_REF_DUAL,
+    CHAIN_REF_PRIMAL,
+    chain_instance,
+    grid_instance,
+    sbm_instance,
+)
 from tvflow.oracle import project_dual_feasible
-from tvflow.signal import Observations, Problem, primal_objective
+from tvflow.signal import Observations, Problem
 from tvflow.solver import (
     SolverConfig,
+    SolverState,
     dual_objective,
     duality_gap,
     init_state,
@@ -59,6 +66,38 @@ def scripted_step(state, g, obs, lam):
     k = state.k + 1
     xavg = [(1.0 - 1.0 / k) * xavg[i] + (1.0 / k) * x_new[i] for i in range(n)]
     return np.array(x_new), np.array(y), np.array(xavg), k
+
+
+def operator_step(state, problem):
+    """Bitwise reference for ``pd_step``: the same six updates composed
+    from the public operators ``incidence_apply`` and ``divergence``, with
+    every constant derived in place."""
+    g = problem.graph
+    gamma = problem.inv_degrees
+
+    x_tilde = 2.0 * state.x_curr - state.x_prev
+    y = state.y + 0.5 * incidence_apply(g, x_tilde)
+    cap = problem.capacities
+    y = np.clip(y, -cap, cap)
+
+    x = state.x_curr - gamma * divergence(g, y)
+    m = problem.sampled
+    x[m] = (gamma[m] * problem.obs.labels + x[m]) / (gamma[m] + 1.0)
+
+    k = state.k + 1
+    x_avg = (1.0 - 1.0 / k) * state.x_avg + (1.0 / k) * x
+    return SolverState(x_curr=x, x_prev=state.x_curr, y=y, x_avg=x_avg, k=k)
+
+
+def assert_steps_match_reference(problem, state, steps):
+    """Run ``pd_step`` and ``operator_step`` side by side from ``state`` and
+    require bit-identical iterates after every step."""
+    ref = state
+    for _ in range(steps):
+        state, ref = pd_step(state, problem), operator_step(ref, problem)
+        for name in ("x_curr", "x_prev", "y", "x_avg"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+        assert state.k == ref.k
 
 
 class TestConfig:
@@ -203,6 +242,36 @@ class TestPdStep:
             )
             state = pd_step(state, problem)
             assert np.all(np.abs(state.y) <= lam * g.weights)
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    @pytest.mark.parametrize("kind", ["chain", "grid", "sbm"])
+    def test_bitwise_equal_to_operator_form(self, kind, lam):
+        rng = np.random.default_rng(17)
+        g, _, _, obs = {
+            "chain": chain_instance,
+            "grid": lambda: grid_instance(8, 9, 4, 1.0, 0.25, 2, [1.0, 0.0], rng=rng),
+            "sbm": lambda: sbm_instance(
+                [30, 30], 0.3, 0.05, 1.0, 0.25, 2, [1.0, -1.0], rng=rng
+            ),
+        }[kind]()
+        problem = Problem(g, obs, lam)
+        assert_steps_match_reference(problem, init_state(problem), 320)
+
+    @given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.01, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_operator_form_on_random_instances(self, seed, lam):
+        # From a random state, so the box projection binds on many edges.
+        rng = np.random.default_rng(seed)
+        g, obs = random_connected_instance(rng, max_nodes=12)
+        problem = Problem(g, obs, lam)
+        state = SolverState(
+            x_curr=rng.standard_normal(g.node_count),
+            x_prev=rng.standard_normal(g.node_count),
+            y=rng.standard_normal(g.edge_count),
+            x_avg=rng.standard_normal(g.node_count),
+            k=int(rng.integers(0, 50)),
+        )
+        assert_steps_match_reference(problem, state, 40)
 
     def test_dimension_mismatch(self, chain):
         g, obs, _ = chain
