@@ -88,7 +88,8 @@ class CertificateReport:
     its report is never "verified".  ``indeterminate_clusters`` holds
     0-based cluster positions, like ``Partition.cluster_index``;
     ``to_dict`` lists them 1-based, as messages and ``certify``'s printout
-    name clusters.
+    name clusters.  ``to_dict`` leaves out ``reconstructed``: ``certify``
+    writes the signal to ``reconstructed.csv`` instead.
     """
 
     conservation_residual: float
@@ -147,9 +148,6 @@ class CertificateReport:
             ),
             "orientation_ok": self.orientation_ok,
             "indeterminate_clusters": [k + 1 for k in self.indeterminate_clusters],
-            "reconstructed": (
-                None if self.reconstructed is None else self.reconstructed.tolist()
-            ),
             "failure_reason": self.failure_reason,
         }
 
@@ -541,41 +539,65 @@ def _route_to_roots(
     place in ``y``.
 
     The forest is a breadth-first search over the ``interior`` edges from
-    ``roots`` (one node per cluster, not routed).  Leaf to root, every
-    routed node passes its leftover plus what its children passed up its
-    parent edge, so its divergence falls by exactly its leftover; nodes
-    that are not routed keep what reaches them.
+    ``roots`` (one node per cluster, not routed), built level by level.
+    Each level gathers the interior edge slots of the whole frontier, in
+    frontier order and slot order, drops neighbours that already have a
+    parent, and gives each new node the first slot that reaches it; the
+    new nodes, in the order of those slots, are the next frontier.  This
+    reproduces exactly the parents, parent edges and visiting order of a
+    first-in first-out queue.  Then, deepest level first and each level in
+    reverse, every routed node passes its leftover plus what its children
+    passed up its parent edge, so its divergence falls by exactly its
+    leftover; nodes that are not routed keep what reaches them.
+    ``np.add.at`` adds repeated indices in order, so each parent sums its
+    children in reverse breadth-first order, bit for bit as a node-by-node
+    pass would.  Every routed node must be reachable from a root.
+
+    Cost: O(edges) array work plus a fixed number of numpy calls per
+    level, so a cluster whose radius is close to its size (a long path
+    with one root) pays those calls once per node.
     """
     n = g.node_count
-    # Breadth-first order, so that every node comes after its parent.
+    # Slots: both ends of every interior edge, grouped by end node.
     edges = np.flatnonzero(interior)
     ends = np.concatenate([g._head_idx[edges], g._tail_idx[edges]])
     by_end = np.argsort(ends, kind="stable")
-    bounds = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
-    others = np.concatenate([g._tail_idx[edges], g._head_idx[edges]])
-    others = others[by_end].tolist()
-    edges = np.concatenate([edges, edges])[by_end].tolist()
+    ends = ends[by_end]
+    bounds = np.searchsorted(ends, np.arange(n + 1))
+    others = np.concatenate([g._tail_idx[edges], g._head_idx[edges]])[by_end]
+    edges = np.concatenate([edges, edges])[by_end]
     # A node is reached once its parent is set; roots are their own.
-    parent = [-1] * n
-    parent_edge = [-1] * n
-    order = roots.tolist()
-    for root in order:
-        parent[root] = root
-    for node in order:
-        lo, hi = bounds[node], bounds[node + 1]
-        for other, e in zip(others[lo:hi], edges[lo:hi]):
-            if parent[other] < 0:
-                parent[other], parent_edge[other] = node, e
-                order.append(other)
+    parent = np.full(n, -1)
+    parent_edge = np.full(n, -1)
+    parent[roots] = roots
+    # Smallest position, among its level's gathered slots, of a slot that
+    # reaches the node; each node is gathered as fresh on one level only.
+    first_slot = np.full(n, np.iinfo(np.int64).max)
+    levels = []
+    frontier = roots
+    while frontier.size:
+        starts = bounds[frontier]
+        counts = bounds[frontier + 1] - starts
+        stops = np.cumsum(counts)
+        slots = np.arange(stops[-1]) + np.repeat(starts - stops + counts, counts)
+        slots = slots[parent[others[slots]] < 0]
+        reached = others[slots]
+        position = np.arange(reached.size)
+        np.minimum.at(first_slot, reached, position)
+        slots = slots[first_slot[reached] == position]
+        frontier = others[slots]
+        parent[frontier] = ends[slots]
+        parent_edge[frontier] = edges[slots]
+        levels.append(frontier)
 
-    carried = leftover.tolist()
-    moves = routed.tolist()
-    for node in reversed(order):
-        if moves[node]:
-            carried[parent[node]] += carried[node]
+    carried = leftover.copy()
+    for level in reversed(levels):
+        nodes = level[::-1]
+        nodes = nodes[routed[nodes]]
+        np.add.at(carried, parent[nodes], carried[nodes])
     child = np.flatnonzero(routed)
-    edge = np.asarray(parent_edge, dtype=np.int64)[child]
-    up = np.asarray(carried)[child]
+    edge = parent_edge[child]
+    up = carried[child]
     # Flow up the parent edge lowers the child's divergence by ``up``;
     # adding -0.0 to the +0.0 of an empty edge keeps a zero flow +0.0.
     y[edge] += np.where(g._head_idx[edge] == child, -up, up)

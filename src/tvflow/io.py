@@ -57,12 +57,6 @@ def _write_lines(path: Path | str, header: str, rows: Iterable[str]) -> None:
     _write_text(path, "\n".join([header, *rows]) + "\n")
 
 
-def _format_rows(fmt: str, *columns: Any) -> Iterable[str]:
-    """One ``fmt`` row per position.  ``tolist()`` yields Python ints and
-    floats, whose ``{}`` and ``{!r}`` are exactly ``int`` and ``repr``."""
-    return map(fmt.format, *(np.asarray(c).tolist() for c in columns))
-
-
 def _read_csv(
     path: Path | str,
     header: str,
@@ -155,7 +149,8 @@ def _parse_float(path: Path | str, lineno: int, text: str, what: str) -> float:
 
 
 def write_graph_csv(path: Path | str, g: EmpiricalGraph) -> None:
-    _write_lines(path, "i,j,w", _format_rows("{},{},{!r}", g.heads, g.tails, g.weights))
+    rows = zip(g.heads.tolist(), g.tails.tolist(), g.weights.tolist())
+    _write_lines(path, "i,j,w", [f"{i},{j},{w!r}" for i, j, w in rows])
 
 
 def read_graph_csv(path: Path | str) -> EmpiricalGraph:
@@ -188,9 +183,8 @@ def read_graph_csv(path: Path | str) -> EmpiricalGraph:
 
 
 def write_signal_csv(path: Path | str, x: np.ndarray) -> None:
-    values = np.asarray(x, dtype=np.float64)
-    nodes = np.arange(1, values.size + 1)
-    _write_lines(path, "i,x", _format_rows("{},{!r}", nodes, values))
+    values = np.asarray(x, dtype=np.float64).tolist()
+    _write_lines(path, "i,x", [f"{i},{v!r}" for i, v in enumerate(values, 1)])
 
 
 def _read_per_node(
@@ -246,7 +240,8 @@ def read_signal_csv(path: Path | str) -> np.ndarray:
 
 
 def write_observations_csv(path: Path | str, obs: Observations) -> None:
-    _write_lines(path, "i,x", _format_rows("{},{!r}", obs.nodes, obs.labels))
+    rows = zip(obs.nodes.tolist(), obs.labels.tolist())
+    _write_lines(path, "i,x", [f"{i},{v!r}" for i, v in rows])
 
 
 def read_observations_csv(path: Path | str) -> Observations:
@@ -272,8 +267,8 @@ def read_observations_csv(path: Path | str) -> Observations:
 
 
 def write_partition_csv(path: Path | str, p: Partition) -> None:
-    nodes = np.arange(1, p.node_count + 1)
-    _write_lines(path, "i,cluster", _format_rows("{},{}", nodes, p.cluster_index + 1))
+    ids = (p.cluster_index + 1).tolist()
+    _write_lines(path, "i,cluster", [f"{i},{k}" for i, k in enumerate(ids, 1)])
 
 
 def read_partition_csv(path: Path | str) -> Partition:
@@ -307,12 +302,14 @@ def _flow_base_text(g: EmpiricalGraph, f: Flow) -> str:
     """Header and base rows of a flow CSV, each line ending in a newline."""
     if f.base.shape != (g.edge_count,):
         raise ValueError("flow does not match the graph's edge count")
-    base = _format_rows("{},{},{!r}", g.heads, g.tails, f.base)
-    return "\n".join(["head,tail,y", *base]) + "\n"
+    rows = zip(g.heads.tolist(), g.tails.tolist(), f.base.tolist())
+    lines = ["head,tail,y", *[f"{i},{j},{v!r}" for i, j, v in rows]]
+    return "\n".join(lines) + "\n"
 
 
 def _flow_star_text(f: Flow) -> str:
-    return "".join(_format_rows("{},star,{!r}\n", f.star_nodes, f.star))
+    rows = zip(f.star_nodes.tolist(), f.star.tolist())
+    return "".join([f"{i},star,{v!r}\n" for i, v in rows])
 
 
 def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:

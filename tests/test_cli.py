@@ -409,6 +409,26 @@ class TestCertify:
         assert report["status"] == "verified"
         assert report["verdict"] is True
 
+    @pytest.mark.parametrize("lam, status", [("1", "verified"), ("2", "failed")])
+    def test_signal_only_in_reconstructed_csv(
+        self, tmp_path, experiment_dir, lam, status
+    ):
+        out = tmp_path / "cert"
+        run_cli([
+            "certify",
+            "--graph", str(experiment_dir / "graph.csv"),
+            "--flow", str(experiment_dir / "flow.csv"),
+            "--partition", str(experiment_dir / "partition.csv"),
+            "--observations", str(experiment_dir / "observations.csv"),
+            "--lambda", lam, "--out-dir", str(out),
+        ])
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == status
+        assert "reconstructed" not in report
+        assert (out / "reconstructed.csv").exists() == (status == "verified")
+        chain = json.loads((experiment_dir / "report.json").read_text())
+        assert "reconstructed" not in chain["certificate"]
+
     def test_wrong_lambda_exits_one(self, tmp_path, experiment_dir):
         out = tmp_path / "cert"
         code = run_cli([

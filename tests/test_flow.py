@@ -14,6 +14,7 @@ from conftest import (
 )
 from tvflow.flow import (
     Flow,
+    _route_to_roots,
     certificate_from_signal,
     check_flow,
     construct_tree_certificate,
@@ -23,7 +24,12 @@ from tvflow.flow import (
     verify_certificate,
 )
 from tvflow.graph import EmpiricalGraph, build_graph, components, divergence
-from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL
+from tvflow.instances import (
+    CHAIN_REF_DUAL,
+    CHAIN_REF_PRIMAL,
+    grid_instance,
+    sbm_instance,
+)
 from tvflow.io import write_flow_csv
 from tvflow.oracle import oracle_nlasso
 from tvflow.signal import (
@@ -106,6 +112,47 @@ def reference_tree_certificate(
 
     star = divergence(g, y)[obs.indices]
     return Flow(base=y, star_nodes=obs.nodes.copy(), star=star)
+
+
+def reference_route(
+    g: EmpiricalGraph,
+    interior: np.ndarray,
+    roots: np.ndarray,
+    y: np.ndarray,
+    leftover: np.ndarray,
+    routed: np.ndarray,
+) -> None:
+    """flow._route_to_roots as a first-in first-out queue and a node-by-node
+    reverse pass: the reference for the level-synchronous version."""
+    n = g.node_count
+    edges = np.flatnonzero(interior)
+    ends = np.concatenate([g._head_idx[edges], g._tail_idx[edges]])
+    by_end = np.argsort(ends, kind="stable")
+    bounds = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
+    others = np.concatenate([g._tail_idx[edges], g._head_idx[edges]])
+    others = others[by_end].tolist()
+    edges = np.concatenate([edges, edges])[by_end].tolist()
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    order = roots.tolist()
+    for root in order:
+        parent[root] = root
+    for node in order:
+        lo, hi = bounds[node], bounds[node + 1]
+        for other, e in zip(others[lo:hi], edges[lo:hi]):
+            if parent[other] < 0:
+                parent[other], parent_edge[other] = node, e
+                order.append(other)
+
+    carried = leftover.tolist()
+    moves = routed.tolist()
+    for node in reversed(order):
+        if moves[node]:
+            carried[parent[node]] += carried[node]
+    child = np.flatnonzero(routed)
+    edge = np.asarray(parent_edge, dtype=np.int64)[child]
+    up = np.asarray(carried)[child]
+    y[edge] += np.where(g._head_idx[edge] == child, -up, up)
 
 
 def random_clustered_tree(
@@ -575,6 +622,140 @@ class TestCertificateFromSignal:
         oracle = oracle_nlasso(problem)
         lower = oracle.objective - oracle.certified_gap
         assert lower - 1e-6 <= value <= oracle.objective + 1e-6
+
+
+def assert_routes_like_reference(
+    g: EmpiricalGraph,
+    interior: np.ndarray,
+    roots: np.ndarray,
+    routed: np.ndarray,
+    rng: np.random.Generator,
+) -> None:
+    """Route the divergence of random boundary flows (interior edges start
+    at +0.0) with both implementations and compare the bits of ``y``."""
+    y = np.where(interior, 0.0, rng.normal(size=g.edge_count))
+    leftover = divergence(g, y) - np.where(rng.random(g.node_count) < 0.3, 0.0, 1.0)
+    want, got = y.copy(), y.copy()
+    reference_route(g, interior, roots, want, leftover, routed)
+    _route_to_roots(g, interior, roots, got, leftover, routed)
+    assert got.tobytes() == want.tobytes()
+
+
+def lowest_sampled_roots(partition: Partition, obs: Observations) -> np.ndarray:
+    """Each cluster's lowest sampled node, as both certificate builders
+    choose their roots."""
+    first = np.unique(partition.cluster_index[obs.indices], return_index=True)[1]
+    return obs.indices[first]
+
+
+class TestRouteToRoots:
+    """The level-synchronous routing gives the same bits as
+    ``reference_route``."""
+
+    @pytest.mark.parametrize("labels_per_cluster", [1, 3])
+    def test_clustered_trees(self, labels_per_cluster):
+        # Random recursive trees of 3,000 shuffled nodes cut into 30
+        # clusters, routed as construct_tree_certificate routes (unsampled
+        # nodes) and as certificate_from_signal does (all but the roots).
+        rng = np.random.default_rng(71 + labels_per_cluster)
+        n, k = 3000, 30
+        for _ in range(4):
+            ids = rng.permutation(n) + 1
+            parents = ids[(rng.random(n - 1) * np.arange(1, n)).astype(np.int64)]
+            g = build_graph(n, [(int(a), int(b), 1.0) for a, b in zip(parents, ids[1:])])
+            cut = np.zeros(g.edge_count, dtype=bool)
+            cut[rng.choice(g.edge_count, size=k - 1, replace=False)] = True
+            ci = components(g, ~cut)
+            partition = Partition(ci)
+            nodes = np.concatenate([
+                rng.choice(m, size=min(labels_per_cluster, m.size), replace=False)
+                for m in (np.flatnonzero(ci == c) + 1 for c in range(k))
+            ])
+            obs = Observations(nodes, rng.normal(size=nodes.size))
+            roots = lowest_sampled_roots(partition, obs)
+            unsampled = np.ones(n, dtype=bool)
+            unsampled[obs.indices] = False
+            all_but_roots = np.ones(n, dtype=bool)
+            all_but_roots[roots] = False
+            for routed in (unsampled, all_but_roots):
+                assert_routes_like_reference(g, ~cut, roots, routed, rng)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: sbm_instance([50, 50], 0.2, 0.01, 1.0, 0.25, 2, [1, 0], rng),
+        lambda rng: sbm_instance([20, 30, 25], 0.3, 0.05, 1.0, 0.25, 3, [1, 0, -1], rng),
+        lambda rng: grid_instance(30, 30, 15, 1.0, 0.25, 4, [1, 0], rng),
+    ], ids=["sbm-2x50", "sbm-3-blocks", "grid-30x30"])
+    def test_cyclic_interiors(self, make):
+        rng = np.random.default_rng(5)
+        g, partition, _, obs = make(rng)
+        roots = lowest_sampled_roots(partition, obs)
+        routed = np.ones(g.node_count, dtype=bool)
+        routed[roots] = False
+        assert_routes_like_reference(g, ~boundary_mask(g, partition), roots, routed, rng)
+
+    @pytest.mark.parametrize("root", [0, 1234, 2999])
+    def test_path_with_one_root(self, root):
+        n = 3000
+        g = build_graph(n, [(i, i + 1, 1.0) for i in range(1, n)])
+        routed = np.ones(n, dtype=bool)
+        routed[root] = False
+        rng = np.random.default_rng(root)
+        assert_routes_like_reference(
+            g, np.ones(n - 1, dtype=bool), np.array([root]), routed, rng
+        )
+
+    def test_single_root_clusters(self):
+        # Every node of the chain is a cluster of its own root; then nodes
+        # 1-4 form one cluster rooted at node 3 and the rest are singletons.
+        g, _, _ = make_chain()
+        rng = np.random.default_rng(9)
+        none = np.zeros(9, dtype=bool)
+        assert_routes_like_reference(
+            g, none, np.arange(10), np.zeros(10, dtype=bool), rng
+        )
+        interior = none.copy()
+        interior[:3] = True
+        roots = np.array([2, 4, 5, 6, 7, 8, 9])
+        routed = np.zeros(10, dtype=bool)
+        routed[[0, 1, 3]] = True
+        assert_routes_like_reference(g, interior, roots, routed, rng)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, seed):
+        # Connected graphs with a random interior mask and roots in some of
+        # its components; only nodes a root reaches may be routed.
+        rng = np.random.default_rng(seed)
+        g, _ = random_connected_instance(rng, max_nodes=14)
+        interior = rng.random(g.edge_count) < 0.7
+        comp = components(g, interior)
+        rooted = rng.random(int(comp.max()) + 1) < 0.8
+        roots = np.array([
+            int(rng.choice(np.flatnonzero(comp == c))) for c in np.flatnonzero(rooted)
+        ], dtype=np.int64)
+        rng.shuffle(roots)
+        routed = rooted[comp] & (rng.random(g.node_count) < 0.8)
+        routed[roots] = False
+        assert_routes_like_reference(g, interior, roots, routed, rng)
+
+    def test_certificate_from_signal_matches_reference(self, monkeypatch, tmp_path):
+        # The seeded 2x50 SBM that `solve --gap-tol` finishes on a
+        # certificate; the flow's bytes equal those routed by the reference.
+        g, _, _, obs = sbm_instance(
+            [50, 50], 0.2, 0.01, 1.0, 0.25, 2, [1, 0], np.random.default_rng(0)
+        )
+        problem = Problem(g, obs, 0.1)
+        state = init_state(problem)
+        for _ in range(50):
+            state = pd_step(state, problem)
+        cert, _ = certificate_from_signal(problem, state.x_curr)
+        assert cert is not None
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_flow_csv(got, g, cert.flow)
+        monkeypatch.setattr("tvflow.flow._route_to_roots", reference_route)
+        ref, _ = certificate_from_signal(problem, state.x_curr)
+        write_flow_csv(want, g, ref.flow)
+        assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("call", [
