@@ -207,7 +207,16 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     flow = read_flow_csv(args.flow, g)
     partition = read_partition_csv(args.partition)
     obs = read_observations_csv(args.observations)
-    report = verify_certificate(Problem(g, obs, args.lam), flow, partition, args.tol)
+    problem = Problem(g, obs, args.lam)
+    # From half an edge's capacity on, a flow of half that capacity or less
+    # (from the full capacity on, no flow at all) passes as saturated.
+    half = 0.5 * float(np.min(problem.capacities, initial=np.inf))
+    if args.tol >= half:
+        raise ValueError(
+            f"tol must be below half the smallest capacity lambda * min w,"
+            f" {half:g}, got {args.tol}"
+        )
+    report = verify_certificate(problem, flow, partition, args.tol)
 
     payload = {**report.to_dict(), "lambda": args.lam, "tol": args.tol}
     write_json(out_dir / "report.json", payload)

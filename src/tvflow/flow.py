@@ -31,7 +31,6 @@ __all__ = [
     "CertificateReport",
     "check_flow",
     "mincost_objective",
-    "dual_to_extended_flow",
     "verify_certificate",
     "reconstruct_primal",
     "construct_tree_certificate",
@@ -216,25 +215,6 @@ def mincost_objective(problem: Problem, f: Flow) -> float:
     return float(np.sum(f.star * (0.5 * f.star - problem.obs.labels)))
 
 
-def dual_to_extended_flow(problem: Problem, y: np.ndarray, tol: float = 1e-9) -> Flow:
-    """Lift a dual edge vector to a conserving flow on the extended graph.
-
-    Star values take whatever divergence the base flow leaves at each
-    sampled node; they sum to zero because divergences always do.  Raises
-    if y leaves more than ``tol`` divergence at an unsampled node, since
-    such a vector is not dual-feasible and cannot be lifted.
-    """
-    v, _, worst = problem.dual_residuals(y)
-    if worst > tol:
-        free = np.flatnonzero(problem.unsampled)
-        node = int(free[np.argmax(np.abs(v[free]))] + 1)
-        raise ValueError(
-            f"divergence {worst:g} at unsampled node {node} exceeds {tol:g};"
-            " not a conserving dual vector"
-        )
-    return Flow(base=y, star_nodes=problem.obs.nodes, star=v[problem.sampled])
-
-
 def verify_certificate(
     problem: Problem, f: Flow, partition: Partition, tol: float = 1e-9
 ) -> CertificateReport:
@@ -385,17 +365,14 @@ def construct_tree_certificate(
     obs: Observations,
     lam: float,
 ) -> Flow:
-    """Build a candidate certificate flow on a tree-structured graph.
+    """Build a candidate certificate flow for a partition of a tree into
+    connected, sampled clusters: :func:`_partition_flow`, with each
+    cross-cluster edge saturated from the higher mean label to the lower
+    (no sign fixpoint) and the cluster values c_k.
 
-    Cross-cluster edges are saturated, signed to push flow from the higher
-    cluster coefficient to the lower (coefficients are the mean label of
-    each cluster's sampled nodes).  Within-cluster edge values then follow
-    from zero divergence at unsampled nodes, resolved leaf-to-root; any
-    leftover divergence at sampled nodes is absorbed into star values.
-
-    The result conserves flow by construction, but strict interior slack
-    (and, with several samples per cluster, the balance condition) may
-    still fail; run it through :func:`verify_certificate`.
+    The flow conserves and its cluster balances agree exactly, but strict
+    interior slack and the orientation of saturated edges may still fail;
+    run it through :func:`verify_certificate`.
     """
     problem = Problem(g, obs, lam)
     partition.check_graph(g)
@@ -411,8 +388,7 @@ def construct_tree_certificate(
         )
 
     ci, count = partition.cluster_index, partition.cluster_count
-    sampled_ci = ci[problem.sampled]
-    label_counts = np.bincount(sampled_ci, minlength=count)
+    label_counts = np.bincount(ci[problem.sampled], minlength=count)
     if not label_counts.all():
         k = int(np.argmin(label_counts))
         raise ValueError(f"cluster {k + 1} has no sampled node")
@@ -423,20 +399,11 @@ def construct_tree_certificate(
             f"cluster {int(np.argmax(low != high)) + 1} is not connected in the graph"
         )
 
-    # Mean label per cluster defines the model coefficients used for signs.
-    coeffs = np.bincount(sampled_ci, weights=obs.labels, minlength=count) / label_counts
-    y = np.zeros(g.edge_count)
-    jumps = coeffs[ci[g._head_idx[bmask]]] - coeffs[ci[g._tail_idx[bmask]]]
-    y[bmask] = np.sign(jumps) * problem.capacities[bmask]
-
-    # Leaf to root: an unsampled node sends its boundary outflow plus what
-    # its children sent up its parent edge, which zeroes its divergence.
-    # Sampled nodes (every root among them) send nothing and keep the rest.
-    roots = _group_min_max(sampled_ci, problem.sampled, count)[0].astype(int)
-    _route_to_roots(g, ~bmask, roots, y, divergence(g, y), problem.unsampled)
-
-    star = divergence(g, y)[obs.indices]
-    return Flow(base=y, star_nodes=obs.nodes.copy(), star=star)
+    # With no boundary flow the cluster values are the mean labels.
+    bh, bt = ci[g._head_idx[bmask]], ci[g._tail_idx[bmask]]
+    means = _cluster_values(problem, ci, count, bmask, np.zeros(bh.size))
+    signs = np.sign(means[bh] - means[bt])
+    return _partition_flow(problem, ci, count, bmask, signs)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,40 +426,24 @@ def certificate_from_signal(
 
     1. Partition: the components of the edges on which x jumps by at most
        1e-2 * max(1, label range).  Every cluster needs a label.
-    2. Coefficients: c_k = (sum of cluster k's labels - its boundary
-       outflow) / its label count, where boundary edge e carries
-       lam * w_e * sign(c_head - c_tail).  The signs start from the cluster
-       means of x and are iterated to a fixpoint; a zero sign, or signs
-       that do not settle within 10 rounds, give None.
-    3. Interior flow: the capacity-weighted electrical flow on the edges
-       inside clusters that gives every unsampled node zero divergence and
-       every sampled node i of cluster k divergence label_i - c_k, by one
-       :func:`~tvflow.graph.grounded_laplacian_cg` over all clusters with
-       each cluster's lowest sampled node grounded.  Skipped when the
-       interior edges form a forest, where step 4 alone gives that flow.
-    4. Exact conservation: every node but those roots routes its leftover
-       divergence up a breadth-first forest of the interior edges.
+    2. Boundary signs: from the cluster means of x, iterated to a fixpoint
+       of sign(c_head - c_tail) with the values of :func:`_cluster_values`;
+       a zero sign, or signs unsettled after 10 rounds, give None.
+    3. Flow: :func:`_partition_flow` of that partition and those signs.
     """
     g, obs = problem.graph, problem.obs
-    n = g.node_count
     eps = _JUMP_TOL * max(1.0, float(obs.labels.max() - obs.labels.min()))
     ci = components(g, np.abs(incidence_apply(g, x)) <= eps)
     count = int(ci.max()) + 1
-    sampled_ci = ci[problem.sampled]
-    label_counts = np.bincount(sampled_ci, minlength=count)
-    if not label_counts.all():
+    if not np.bincount(ci[problem.sampled], minlength=count).all():
         return None, 0
 
     bmask = ci[g._head_idx] != ci[g._tail_idx]
     bh, bt = ci[g._head_idx[bmask]], ci[g._tail_idx[bmask]]
-    bcap = problem.capacities[bmask]
-    label_sums = np.bincount(sampled_ci, weights=obs.labels, minlength=count)
     means = np.bincount(ci, weights=x, minlength=count) / np.bincount(ci)
     signs = np.sign(means[bh] - means[bt])
     for _ in range(_SIGN_ROUNDS):
-        outflow = np.bincount(bh, weights=signs * bcap, minlength=count)
-        outflow -= np.bincount(bt, weights=signs * bcap, minlength=count)
-        coeffs = (label_sums - outflow) / label_counts
+        coeffs = _cluster_values(problem, ci, count, bmask, signs)
         settled = np.sign(coeffs[bh] - coeffs[bt])
         if not settled.all():
             return None, 0
@@ -502,8 +453,56 @@ def certificate_from_signal(
     else:
         return None, 0
 
+    flow, cg_iters = _partition_flow(problem, ci, count, bmask, signs)
+    partition = Partition(ci)
+    report = verify_certificate(problem, flow, partition, tol)
+    if not report.verdict:
+        return None, cg_iters
+    return Certificate(flow, partition, report), cg_iters
+
+
+def _cluster_values(
+    problem: Problem, ci: np.ndarray, count: int, bmask: np.ndarray, signs: np.ndarray
+) -> np.ndarray:
+    """c_k = (sum of cluster k's labels - its boundary outflow) / its label
+    count, where boundary edge e (``bmask``) carries signs_e * lam * w_e
+    from its head's cluster ``ci`` to its tail's.  Every cluster
+    0..count-1 needs a label."""
+    g = problem.graph
+    sampled_ci = ci[problem.sampled]
+    carried = signs * problem.capacities[bmask]
+    outflow = np.bincount(ci[g._head_idx[bmask]], weights=carried, minlength=count)
+    outflow -= np.bincount(ci[g._tail_idx[bmask]], weights=carried, minlength=count)
+    label_sums = np.bincount(sampled_ci, weights=problem.obs.labels, minlength=count)
+    return (label_sums - outflow) / np.bincount(sampled_ci, minlength=count)
+
+
+def _partition_flow(
+    problem: Problem, ci: np.ndarray, count: int, bmask: np.ndarray, signs: np.ndarray
+) -> tuple[Flow, int]:
+    """The certificate flow of a partition into connected, labeled clusters
+    ``ci`` with boundary edges ``bmask``, and the CG iterations spent.
+
+    1. Values c_k of :func:`_cluster_values`; boundary edge e carries
+       signs_e * lam * w_e.
+    2. Interior flow: the capacity-weighted electrical flow on the edges
+       inside clusters that gives every unsampled node zero divergence and
+       every sampled node i of cluster k divergence label_i - c_k, by one
+       :func:`~tvflow.graph.grounded_laplacian_cg` over all clusters with
+       each cluster's lowest sampled node grounded.  Skipped when the
+       interior edges form a forest, where step 3 alone gives that flow.
+    3. Exact conservation: every node but those roots routes its leftover
+       divergence up a breadth-first forest of the interior edges.
+
+    Every sampled node's label minus its star value is then c_k, so the
+    cluster balances agree by construction.
+    """
+    g, obs = problem.graph, problem.obs
+    n = g.node_count
+    sampled_ci = ci[problem.sampled]
+    coeffs = _cluster_values(problem, ci, count, bmask, signs)
     y = np.zeros(g.edge_count)
-    y[bmask] = signs * bcap
+    y[bmask] = signs * problem.capacities[bmask]
     target = np.zeros(n)
     target[problem.sampled] = obs.labels - coeffs[sampled_ci]
     roots = _group_min_max(sampled_ci, problem.sampled, count)[0].astype(int)
@@ -518,13 +517,8 @@ def certificate_from_signal(
         u[routed], cg_iters = grounded_laplacian_cg(g, routed, rhs, weights)
         y += weights * incidence_apply(g, u)
     _route_to_roots(g, interior, roots, y, divergence(g, y) - target, routed)
-
-    flow = Flow(base=y, star_nodes=obs.nodes, star=divergence(g, y)[problem.sampled])
-    partition = Partition(ci)
-    report = verify_certificate(problem, flow, partition, tol)
-    if not report.verdict:
-        return None, cg_iters
-    return Certificate(flow, partition, report), cg_iters
+    star = divergence(g, y)[problem.sampled]
+    return Flow(base=y, star_nodes=obs.nodes, star=star), cg_iters
 
 
 def _route_to_roots(

@@ -80,12 +80,6 @@ class EmpiricalGraph:
     def min_degree(self) -> int:
         return int(self.degrees.min()) if self.node_count else 0
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(h), int(t), float(w))
-            for h, t, w in zip(self.heads, self.tails, self.weights)
-        ]
-
 
 def build_graph(
     node_count: int, edge_list: Iterable[Sequence[float]]

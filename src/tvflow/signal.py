@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .graph import EmpiricalGraph, divergence
 
 __all__ = [
-    "GraphSignal",
     "Observations",
     "Partition",
     "Problem",
@@ -27,9 +26,6 @@ __all__ = [
     "empirical_error",
     "primal_objective",
 ]
-
-# Signals are bare arrays; the alias documents intent in signatures.
-GraphSignal = np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,16 +57,11 @@ class Observations:
         object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[float]]) -> "Observations":
-        pairs = list(pairs)
-        return cls(
-            nodes=np.asarray([p[0] for p in pairs], dtype=np.int64),
-            labels=np.asarray([p[1] for p in pairs], dtype=np.float64),
-        )
-
-    @classmethod
     def from_dict(cls, mapping: Mapping[int, float]) -> "Observations":
-        return cls.from_pairs(sorted(mapping.items()))
+        return cls(
+            nodes=np.asarray(list(mapping.keys()), dtype=np.int64),
+            labels=np.asarray(list(mapping.values()), dtype=np.float64),
+        )
 
     @property
     def indices(self) -> np.ndarray:
@@ -206,7 +197,7 @@ class Problem:
         return v, excess, conservation
 
 
-def tv(g: EmpiricalGraph, x: GraphSignal) -> float:
+def tv(g: EmpiricalGraph, x: np.ndarray) -> float:
     """Weighted total variation: sum over edges of W_e * |x_head - x_tail|."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.node_count,):
@@ -216,7 +207,7 @@ def tv(g: EmpiricalGraph, x: GraphSignal) -> float:
     return float(np.sum(g.weights * np.abs(x[g._head_idx] - x[g._tail_idx])))
 
 
-def piecewise_constant(p: Partition, coeffs: Sequence[float]) -> GraphSignal:
+def piecewise_constant(p: Partition, coeffs: Sequence[float]) -> np.ndarray:
     """Signal equal to coeffs[k] on every node of cluster k."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape != (p.cluster_count,):
@@ -235,7 +226,7 @@ def boundary_mask(g: EmpiricalGraph, p: Partition) -> np.ndarray:
     return ci[g._head_idx] != ci[g._tail_idx]
 
 
-def empirical_error(obs: Observations, x: GraphSignal) -> float:
+def empirical_error(obs: Observations, x: np.ndarray) -> float:
     """Half the squared error against the observed labels."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < int(obs.nodes[-1]):
@@ -246,7 +237,7 @@ def empirical_error(obs: Observations, x: GraphSignal) -> float:
     return float(0.5 * np.dot(diff, diff))
 
 
-def primal_objective(problem: Problem, x: GraphSignal) -> float:
+def primal_objective(problem: Problem, x: np.ndarray) -> float:
     """Empirical error plus lambda times total variation.  Terms too large
     for double precision give inf without a numpy warning; callers that
     need a finite value check for it."""

@@ -9,6 +9,11 @@ from tvflow.graph import EmpiricalGraph, build_graph
 from tvflow.signal import Observations, Partition
 
 
+def edge_triples(g: EmpiricalGraph) -> list[tuple[int, int, float]]:
+    """The graph's canonical edges as (head, tail, weight) tuples."""
+    return list(zip(g.heads.tolist(), g.tails.tolist(), g.weights.tolist()))
+
+
 def make_chain() -> tuple[EmpiricalGraph, Observations, Partition]:
     """The canonical two-cluster chain: 10 nodes, unit weights except the
     boundary edge {5, 6} at 1/4, labels 1 at node 2 and 0 at node 7; its

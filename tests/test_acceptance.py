@@ -16,8 +16,8 @@ from conftest import (
 )
 from tvflow import cli
 from tvflow.flow import (
+    Flow,
     construct_tree_certificate,
-    dual_to_extended_flow,
     mincost_objective,
     reconstruct_primal,
     verify_certificate,
@@ -217,7 +217,7 @@ def test_criterion_7_invariant_suites():
             np.arange(1, g.node_count + 1), rng.uniform(-1, 1, g.node_count)
         )
         y = rng.uniform(-1, 1, g.edge_count)
-        flow = dual_to_extended_flow(Problem(g, obs, 1.0), y)
+        flow = Flow(y, obs.nodes, divergence(g, y)[obs.indices])
         assert abs(float(flow.star.sum())) <= 1e-12
 
     _report(

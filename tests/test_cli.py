@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import edge_triples
 from tvflow import cli
 from tvflow.flow import construct_tree_certificate
 from tvflow.graph import build_graph
@@ -44,7 +45,7 @@ class TestGenerate:
         assert run_cli(["generate", "chain", "--out-dir", str(out)]) == 0
         g = read_graph_csv(out / "graph.csv")
         assert g.node_count == 10
-        assert g.edges()[4] == (5, 6, 0.25)
+        assert edge_triples(g)[4] == (5, 6, 0.25)
         obs = read_observations_csv(out / "observations.csv")
         assert obs.nodes.tolist() == [2, 7]
         assert obs.labels.tolist() == [1.0, 0.0]
@@ -600,6 +601,40 @@ class TestCertify:
             "--out-dir", str(tmp_path / "cert"),
         ])
         assert code == 64
+
+    @pytest.mark.parametrize(
+        "tol, code", [("2", 64), ("1", 64), ("0.5", 64), ("0.4", 1)]
+    )
+    def test_tol_below_half_the_smallest_capacity(self, tmp_path, capsys, tol, code):
+        # Path 1-2-3 labelled 0, 1, 0, singleton clusters, zero flow, lambda
+        # 1: the signal 0, 1, 0 has objective 2 against the optimum's 1/3,
+        # and only a tol of at least the capacity 1 makes zero flow pass as
+        # saturated.
+        (tmp_path / "graph.csv").write_text("i,j,w\n1,2,1.0\n2,3,1.0\n")
+        (tmp_path / "partition.csv").write_text("i,cluster\n1,1\n2,2\n3,3\n")
+        (tmp_path / "observations.csv").write_text("i,x\n1,0.0\n2,1.0\n3,0.0\n")
+        (tmp_path / "flow.csv").write_text(
+            "head,tail,y\n1,2,0.0\n2,3,0.0\n1,star,0.0\n2,star,0.0\n3,star,0.0\n"
+        )
+        out = tmp_path / "cert"
+        assert run_cli([
+            "certify",
+            "--graph", str(tmp_path / "graph.csv"),
+            "--flow", str(tmp_path / "flow.csv"),
+            "--partition", str(tmp_path / "partition.csv"),
+            "--observations", str(tmp_path / "observations.csv"),
+            "--lambda", "1", "--tol", tol, "--out-dir", str(out),
+        ]) == code
+        captured = capsys.readouterr()
+        if code == 64:
+            assert (
+                "tol must be below half the smallest capacity lambda * min w,"
+                f" 0.5, got {float(tol)}"
+            ) in captured.err
+            assert not out.exists()
+        else:
+            assert captured.out.startswith("certificate failed\n")
+            assert not (out / "reconstructed.csv").exists()
 
 
 class TestExperimentChain:

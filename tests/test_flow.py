@@ -18,7 +18,6 @@ from tvflow.flow import (
     certificate_from_signal,
     check_flow,
     construct_tree_certificate,
-    dual_to_extended_flow,
     mincost_objective,
     reconstruct_primal,
     verify_certificate,
@@ -46,8 +45,8 @@ def reference_tree_certificate(
     g: EmpiricalGraph, partition: Partition, obs: Observations, lam: float
 ) -> Flow:
     """construct_tree_certificate as a breadth-first search per cluster over
-    node sets, which scans every edge once per cluster: the reference for
-    the single-pass version."""
+    node sets, which scans every edge once per cluster, and a node-by-node
+    pass up each search tree: the reference for the shared construction."""
     caps = Problem(g, obs, lam).capacities
     n = g.node_count
     if g.edge_count != n - 1:
@@ -63,19 +62,19 @@ def reference_tree_certificate(
         set((np.flatnonzero(ci == k) + 1).tolist())
         for k in range(partition.cluster_count)
     ]
-    sampled_set = set((obs.nodes - 1).tolist())
+    label_of = {int(i) - 1: float(x) for i, x in zip(obs.nodes, obs.labels)}
 
-    coeffs = np.empty(partition.cluster_count)
+    means = np.empty(partition.cluster_count)
     for k, cluster in enumerate(clusters):
-        in_cluster = sorted((i - 1) for i in cluster if (i - 1) in sampled_set)
-        if not in_cluster:
+        labels = [label_of[i - 1] for i in sorted(cluster) if (i - 1) in label_of]
+        if not labels:
             raise ValueError(f"cluster {k + 1} has no sampled node")
-        labels = [obs.labels[np.searchsorted(obs.nodes, i + 1)] for i in in_cluster]
-        coeffs[k] = float(np.mean(labels))
+        means[k] = float(np.mean(labels))
 
+    # Boundary edges point from the higher mean label to the lower.
     y = np.zeros(g.edge_count)
     bmask = boundary_mask(g, partition)
-    jumps = coeffs[ci[g._head_idx[bmask]]] - coeffs[ci[g._tail_idx[bmask]]]
+    jumps = means[ci[g._head_idx[bmask]]] - means[ci[g._tail_idx[bmask]]]
     y[bmask] = np.sign(jumps) * caps[bmask]
 
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -85,13 +84,19 @@ def reference_tree_certificate(
 
     for k, cluster in enumerate(clusters):
         members = {i - 1 for i in cluster}
+        # c_k = (label sum - boundary outflow) / label count.
+        outflow = sum(
+            sign * y[e] for i in members for e, sign in incident[i] if bmask[e]
+        )
+        sampled = sorted(i for i in members if i in label_of)
+        value = (sum(label_of[i] for i in sampled) - outflow) / len(sampled)
         adjacency: dict[int, list[tuple[int, int, int]]] = {i: [] for i in members}
         for e in np.flatnonzero(~bmask):
             h, t = int(g._head_idx[e]), int(g._tail_idx[e])
             if h in members:
                 adjacency[h].append((t, e, +1))
                 adjacency[t].append((h, e, -1))
-        root = min(i for i in members if i in sampled_set)
+        root = sampled[0]
         parent_edge: dict[int, tuple[int, int]] = {}
         order = [root]
         seen = {root}
@@ -103,12 +108,13 @@ def reference_tree_certificate(
                     order.append(neighbor)
         if seen != members:
             raise ValueError(f"cluster {k + 1} is not connected in the graph")
+        # Children first: each node's parent edge gives it divergence
+        # label - c_k if sampled and zero otherwise.
         for node in reversed(order[1:]):
-            if node in sampled_set:
-                continue
+            target = label_of[node] - value if node in label_of else 0.0
             e_p, sign_p = parent_edge[node]
             partial = sum(sign * y[e] for e, sign in incident[node] if e != e_p)
-            y[e_p] = -partial * sign_p
+            y[e_p] = (target - partial) * sign_p
 
     star = divergence(g, y)[obs.indices]
     return Flow(base=y, star_nodes=obs.nodes.copy(), star=star)
@@ -269,24 +275,22 @@ class TestMincostObjective:
 
 
 class TestDualToExtendedFlow:
+    """A dual edge vector on the extended graph: the star values are its
+    divergence at the sampled nodes."""
+
     def test_chain_converged_dual(self, chain):
         g, obs, _ = chain
-        f = dual_to_extended_flow(Problem(g, obs, 1.0), CHAIN_REF_DUAL)
+        f = Flow(CHAIN_REF_DUAL, obs.nodes, divergence(g, CHAIN_REF_DUAL)[obs.indices])
         assert f.star_nodes.tolist() == [2, 7]
         assert f.star.tolist() == [0.25, -0.25]
         assert np.array_equal(f.base, CHAIN_REF_DUAL)
+        assert check_flow(Problem(g, obs, 1.0), f).conservation_residual == 0.0
 
     def test_zero_dual(self, chain):
         g, obs, _ = chain
-        f = dual_to_extended_flow(Problem(g, obs, 1.0), np.zeros(9))
-        assert f.star.tolist() == [0.0, 0.0]
-
-    def test_nonconserving_dual_rejected(self, chain):
-        g, obs, _ = chain
         y = np.zeros(9)
-        y[2] = 0.5  # divergence at unsampled nodes 3 and 4
-        with pytest.raises(ValueError, match="unsampled node"):
-            dual_to_extended_flow(Problem(g, obs, 1.0), y)
+        f = Flow(y, obs.nodes, divergence(g, y)[obs.indices])
+        assert f.star.tolist() == [0.0, 0.0]
 
     def test_star_values_sum_to_zero(self):
         rng = np.random.default_rng(41)
@@ -297,7 +301,7 @@ class TestDualToExtendedFlow:
                 rng.uniform(-1, 1, size=g.node_count),
             )
             y = rng.uniform(-1, 1, size=g.edge_count)
-            f = dual_to_extended_flow(Problem(g, obs, 1.0), y)
+            f = Flow(y, obs.nodes, divergence(g, y)[obs.indices])
             assert abs(f.star.sum()) <= 1e-12
 
 
@@ -523,10 +527,12 @@ class TestConstructTreeCertificate:
 
     def test_flow_csv_bytes_pinned(self, tmp_path):
         # SHA-256 of write_flow_csv over the trees of
-        # test_matches_per_cluster_reference that have a certificate,
-        # pinned: the tree certificate's bytes must not change.
+        # test_matches_per_cluster_reference that have a certificate, pinned
+        # in two digests: trees whose clusters each hold one label (their
+        # flows do not depend on how several labels are combined into c_k)
+        # and trees with several labels in a cluster.
         rng = np.random.default_rng(61)
-        digest = hashlib.sha256()
+        digests = {True: hashlib.sha256(), False: hashlib.sha256()}
         written = 0
         for _ in range(150):
             g, partition, obs = random_clustered_tree(rng)
@@ -536,12 +542,43 @@ class TestConstructTreeCertificate:
             except ValueError:
                 continue
             write_flow_csv(tmp_path / "flow.csv", g, f)
-            digest.update((tmp_path / "flow.csv").read_bytes())
+            one_label = np.all(np.bincount(partition.cluster_index[obs.indices]) == 1)
+            digests[bool(one_label)].update((tmp_path / "flow.csv").read_bytes())
             written += 1
         assert written == 103
-        assert digest.hexdigest() == (
-            "b807ad7b11ce8e15ef7f873a22a0d4fa0ce24ff2559223aa2303718212e26f2f"
+        assert digests[True].hexdigest() == (
+            "685dd793e79a09932568cde3111a22d84ba0787a7ab1c14d674881fdb49e2426"
         )
+        assert digests[False].hexdigest() == (
+            "c58ac206a70b7d7be2c211436fc474dda825c9e9aac0ee33870fc80d3b0673be"
+        )
+
+    def test_two_labels_per_cluster(self):
+        # Path 1-...-6 with the light edge {3, 4} between clusters {1, 2, 3}
+        # and {4, 5, 6}, labels 1 and 0.8 in one and 0 and 0.2 in the other:
+        # the values c_k = (label sum -+ lam / 10) / 2 are optimal at lam 0.5
+        # and 1.
+        edges = [(i, i + 1, 0.1 if i == 3 else 1.0) for i in range(1, 6)]
+        g = build_graph(6, edges)
+        partition = Partition([0, 0, 0, 1, 1, 1])
+        obs = Observations.from_dict({1: 1.0, 3: 0.8, 4: 0.0, 6: 0.2})
+        for lam, values in ((0.5, (0.875, 0.125)), (1.0, (0.85, 0.15))):
+            problem = Problem(g, obs, lam)
+            f = construct_tree_certificate(g, partition, obs, lam)
+            report = verify_certificate(problem, f, partition)
+            assert report.verdict, report.failure_reason
+            want = np.repeat(values, 3)
+            assert np.allclose(report.reconstructed, want, rtol=0, atol=1e-15)
+            value = primal_objective(problem, report.reconstructed)
+            oracle = oracle_nlasso(problem)
+            assert oracle.objective - oracle.certified_gap - 1e-9 <= value
+            assert value <= oracle.objective + 1e-9
+        # At lam 0.1 node 1 must send 1 - c_1 = 0.105 over edges of capacity
+        # 0.1: the partition is not optimal there.
+        f = construct_tree_certificate(g, partition, obs, 0.1)
+        report = verify_certificate(Problem(g, obs, 0.1), f, partition)
+        assert report.failure_reason == "conservation or capacity violated"
+        assert report.capacity_excess == pytest.approx(0.005)
 
     def test_deep_path_verifies(self):
         # 2 * 10^4 nodes in 50 clusters of 400: every cluster is a path
@@ -642,8 +679,8 @@ def assert_routes_like_reference(
 
 
 def lowest_sampled_roots(partition: Partition, obs: Observations) -> np.ndarray:
-    """Each cluster's lowest sampled node, as both certificate builders
-    choose their roots."""
+    """Each cluster's lowest sampled node, as the certificate construction
+    chooses its roots."""
     first = np.unique(partition.cluster_index[obs.indices], return_index=True)[1]
     return obs.indices[first]
 
@@ -655,8 +692,8 @@ class TestRouteToRoots:
     @pytest.mark.parametrize("labels_per_cluster", [1, 3])
     def test_clustered_trees(self, labels_per_cluster):
         # Random recursive trees of 3,000 shuffled nodes cut into 30
-        # clusters, routed as construct_tree_certificate routes (unsampled
-        # nodes) and as certificate_from_signal does (all but the roots).
+        # clusters, routed two ways: from all but the roots, as the
+        # certificate construction routes, and from the unsampled nodes only.
         rng = np.random.default_rng(71 + labels_per_cluster)
         n, k = 3000, 30
         for _ in range(4):
@@ -787,7 +824,7 @@ class TestDualityIdentities:
             caps = lam * g.weights
             y = rng.uniform(-caps, caps)
             problem = Problem(g, obs, lam)
-            f = dual_to_extended_flow(problem, y)
+            f = Flow(y, obs.nodes, divergence(g, y)[obs.indices])
             cost = mincost_objective(problem, f)
             dual = dual_objective(problem, y)
             assert dual.feasible

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_chain
+from conftest import edge_triples, make_chain
 from tvflow.graph import (
     EmpiricalGraph,
     build_graph,
@@ -153,14 +153,14 @@ def node_vectors(g):
 class TestBuildGraph:
     def test_orientation_forced(self):
         g = build_graph(2, [(2, 1, 1.0)])
-        assert g.edges() == [(1, 2, 1.0)]
+        assert edge_triples(g) == [(1, 2, 1.0)]
 
     def test_chain_instance(self):
         g, _, _ = make_chain()
         assert g.node_count == 10
         assert g.edge_count == 9
-        assert g.edges()[4] == (5, 6, 0.25)
-        assert all(w == 1.0 for h, t, w in g.edges() if (h, t) != (5, 6))
+        assert edge_triples(g)[4] == (5, 6, 0.25)
+        assert all(w == 1.0 for h, t, w in edge_triples(g) if (h, t) != (5, 6))
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -190,7 +190,7 @@ class TestBuildGraph:
         triples = [(3, 1, 0.5), (2, 3, 1.5), (1, 2, 1.0)]
         g1 = build_graph(3, triples)
         g2 = build_graph(3, list(reversed(triples)))
-        assert g1.edges() == g2.edges()
+        assert edge_triples(g1) == edge_triples(g2)
         pairs = list(zip(g1.heads.tolist(), g1.tails.tolist()))
         assert pairs == [(1, 2), (1, 3), (2, 3)]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_chain
+from conftest import edge_triples, make_chain
 from tvflow.graph import build_graph, incidence_apply
 from tvflow.signal import (
     Observations,
@@ -206,7 +206,7 @@ class TestPiecewiseConstant:
             coeffs = rng.uniform(-3, 3, size=k)
             x = piecewise_constant(p, coeffs)
             expected = 0.0
-            for h, t, w in g.edges():
+            for h, t, w in edge_triples(g):
                 ch = assignment[h - 1]
                 ct = assignment[t - 1]
                 if ch != ct:

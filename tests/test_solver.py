@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    edge_triples,
     make_chain,
     random_connected_instance,
 )
@@ -40,7 +41,7 @@ def scripted_step(state, g, obs, lam):
     node by node in pure Python, with the dual projection in its
     divide-by-max form.  Shares no code with the solver."""
     n = g.node_count
-    edges = g.edges()
+    edges = edge_triples(g)
     x = state.x_curr.tolist()
     xp = state.x_prev.tolist()
     y = state.y.tolist()
