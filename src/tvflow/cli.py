@@ -37,6 +37,7 @@ from .instances import (
 )
 from .io import (
     _write_dual_and_flow_csv,
+    _write_lines,
     read_flow_csv,
     read_graph_csv,
     read_json,
@@ -255,17 +256,15 @@ def _cmd_experiment_chain(args: argparse.Namespace) -> int:
     outputs += _write_solution(out_dir, g, result)
 
     # Figure-shaped dual: one row per chain edge, indexed by the edge's head.
-    dual_lines = ["i,y"] + [
-        f"{int(h)},{repr(float(v))}" for h, v in zip(g.heads, result.y)
-    ]
-    (out_dir / "chain_dual.csv").write_text("\n".join(dual_lines) + "\n", encoding="utf-8")
+    rows = zip(g.heads.tolist(), result.y.tolist())
+    _write_lines(out_dir / "chain_dual.csv", "i,y", [f"{h},{v!r}" for h, v in rows])
     outputs.append("chain_dual.csv")
 
     certificate = construct_tree_certificate(g, partition, obs, cfg.lam)
     write_flow_csv(out_dir / "flow.csv", g, certificate)
     outputs.append("flow.csv")
     problem = Problem(g, obs, cfg.lam)
-    cert_report = verify_certificate(problem, certificate, partition, 1e-9)
+    cert_report = verify_certificate(problem, certificate, partition)
     checks = chain_checks(problem, result, certificate, cert_report)
 
     failed = [c for c in checks if not c["passed"]]
@@ -304,16 +303,17 @@ def _cmd_experiment_chain(args: argparse.Namespace) -> int:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="regularization weight (default 1.0)")
-    p.add_argument("--iters", type=int, default=1000,
-                   help="maximum iterations (default 1000)")
-    p.add_argument("--gap-tol", type=float, default=0.0,
+    p.add_argument("--iters", type=int, default=SolverConfig.max_iters,
+                   help="maximum iterations (default %(default)s)")
+    p.add_argument("--gap-tol", type=float, default=SolverConfig.gap_tol,
                    help="stop once a gap probe (a flow certificate built from"
                         " the last iterate, else the repaired dual with the"
                         " better of the averaged and last primal iterate)"
                         " certifies a gap of at most this; 0 runs a fixed"
-                        " number of iterations (default 0)")
-    p.add_argument("--feas-tol", type=float, default=1e-9,
-                   help="dual feasibility tolerance for gap certification")
+                        " number of iterations (default %(default)s)")
+    p.add_argument("--feas-tol", type=float, default=SolverConfig.feas_tol,
+                   help="dual feasibility tolerance for gap certification"
+                        " (default %(default)s)")
 
 
 @functools.cache
@@ -380,7 +380,7 @@ def _build_parser() -> _Parser:
     certify.add_argument("--partition", required=True)
     certify.add_argument("--observations", required=True)
     certify.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    certify.add_argument("--tol", type=float, default=1e-9)
+    certify.add_argument("--tol", type=float, default=Problem.DEFAULT_TOL)
     certify.add_argument("--out-dir", default=".")
     certify.set_defaults(func=_cmd_certify)
 

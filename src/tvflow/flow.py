@@ -29,7 +29,6 @@ from .signal import Observations, Partition, Problem, boundary_mask
 __all__ = [
     "Flow",
     "CertificateReport",
-    "check_flow",
     "mincost_objective",
     "verify_certificate",
     "reconstruct_primal",
@@ -82,9 +81,9 @@ class CertificateReport:
     orientation included, has passed), "indeterminate" when the only
     problem is clusters without a sampled node, and "failed" otherwise;
     ``verdict`` is ``status == "verified"``.  ``verify_certificate`` names
-    the first failed check in ``failure_reason``.  ``check_flow`` fills
-    only the conservation/capacity fields and leaves the others None, so
-    its report is never "verified".  ``indeterminate_clusters`` holds
+    the first failed check in ``failure_reason``; ``orientation_ok`` is
+    None until the signal is reconstructed, and ``interior_slack`` is None
+    when no edge lies inside a cluster.  ``indeterminate_clusters`` holds
     0-based cluster positions, like ``Partition.cluster_index``;
     ``to_dict`` lists them 1-based, as messages and ``certify``'s printout
     name clusters.  ``to_dict`` leaves out ``reconstructed``: ``certify``
@@ -94,16 +93,16 @@ class CertificateReport:
     conservation_residual: float
     capacity_excess: float
     flow_ok: bool
-    saturation_ok: bool | None = None
-    boundary_residuals: tuple[tuple[int, int, float], ...] | None = None
-    strict_interior_ok: bool | None = None
-    interior_slack: float | None = None
-    balance_ok: bool | None = None
-    cluster_spreads: tuple[float | None, ...] | None = None
-    orientation_ok: bool | None = None
-    indeterminate_clusters: tuple[int, ...] = ()
-    reconstructed: np.ndarray | None = None
-    failure_reason: str | None = None
+    saturation_ok: bool
+    boundary_residuals: tuple[tuple[int, int, float], ...]
+    strict_interior_ok: bool
+    interior_slack: float | None
+    balance_ok: bool
+    cluster_spreads: tuple[float | None, ...]
+    orientation_ok: bool | None
+    indeterminate_clusters: tuple[int, ...]
+    reconstructed: np.ndarray | None
+    failure_reason: str | None
 
     @property
     def status(self) -> str:
@@ -131,20 +130,14 @@ class CertificateReport:
             "capacity_excess": self.capacity_excess,
             "flow_ok": self.flow_ok,
             "saturation_ok": self.saturation_ok,
-            "boundary_residuals": (
-                None
-                if self.boundary_residuals is None
-                else [
-                    {"head": h, "tail": t, "residual": r}
-                    for h, t, r in self.boundary_residuals
-                ]
-            ),
+            "boundary_residuals": [
+                {"head": h, "tail": t, "residual": r}
+                for h, t, r in self.boundary_residuals
+            ],
             "strict_interior_ok": self.strict_interior_ok,
             "interior_slack": self.interior_slack,
             "balance_ok": self.balance_ok,
-            "cluster_spreads": (
-                None if self.cluster_spreads is None else list(self.cluster_spreads)
-            ),
+            "cluster_spreads": list(self.cluster_spreads),
             "orientation_ok": self.orientation_ok,
             "indeterminate_clusters": [k + 1 for k in self.indeterminate_clusters],
             "failure_reason": self.failure_reason,
@@ -184,28 +177,6 @@ def _group_min_max(
     return low, high
 
 
-def check_flow(problem: Problem, f: Flow, tol: float = 1e-9) -> CertificateReport:
-    """Conservation and capacity checks only.
-
-    The conservation residual is the largest node imbalance: divergence
-    minus the star value at sampled nodes, raw divergence at unsampled
-    nodes, and the star-value sum at the accumulator.  Capacities apply to
-    base edges only; accumulator edges are uncapacitated.
-    """
-    _check_flow_inputs(problem, f, tol)
-    v, capacity_excess, conservation = problem.dual_residuals(f.base)
-    conservation = max(
-        conservation,
-        float(np.max(np.abs(v[problem.sampled] - f.star))),
-        float(abs(np.sum(f.star))),
-    )
-    return CertificateReport(
-        conservation_residual=conservation,
-        capacity_excess=capacity_excess,
-        flow_ok=conservation <= tol and capacity_excess <= tol,
-    )
-
-
 def mincost_objective(problem: Problem, f: Flow) -> float:
     """Cost of the accumulator edges: sum of v_i * (v_i / 2 - label_i).
 
@@ -216,16 +187,16 @@ def mincost_objective(problem: Problem, f: Flow) -> float:
 
 
 def verify_certificate(
-    problem: Problem, f: Flow, partition: Partition, tol: float = 1e-9
+    problem: Problem, f: Flow, partition: Partition, tol: float = Problem.DEFAULT_TOL
 ) -> CertificateReport:
-    """Run the full optimality-certificate checks for a flow.
+    """Run the optimality-certificate checks for a flow.
 
-    On top of conservation and capacities: every cross-cluster edge must be
-    saturated to within ``tol``, every within-cluster edge must keep at
-    least ``tol`` slack, and within each cluster the quantities
-    label_i - star_i must agree across its sampled nodes.  Clusters without
-    a sampled node leave their balance condition undecidable and are
-    reported as indeterminate.
+    The flow must conserve and keep within capacities, every cross-cluster
+    edge must be saturated to within ``tol``, every within-cluster edge
+    must keep at least ``tol`` slack, and within each cluster the
+    quantities label_i - star_i must agree across its sampled nodes.
+    Clusters without a sampled node leave their balance condition
+    undecidable and are reported as indeterminate.
 
     When those checks pass, the signal is reconstructed and one final
     condition is tested: on every saturated edge the flow direction must
@@ -236,20 +207,30 @@ def verify_certificate(
     would certify non-optimal flows whenever lam times the boundary weight
     exceeds half the label gap.  A reconstruction that raises fails the
     certificate with the error as its ``failure_reason``.
+
+    The conservation residual is the largest node imbalance: divergence
+    minus the star value at sampled nodes, raw divergence at unsampled
+    nodes, and the star-value sum at the accumulator.  Capacities apply to
+    base edges only; accumulator edges are uncapacitated.
     """
-    base_report = check_flow(problem, f, tol)
+    _check_flow_inputs(problem, f, tol)
     g, obs, caps = problem.graph, problem.obs, problem.capacities
-
     bmask = boundary_mask(g, partition)
-    abs_y = np.abs(f.base)
 
-    boundary_residuals = tuple(
-        (int(h), int(t), float(r))
-        for h, t, r in zip(
-            g.heads[bmask], g.tails[bmask], np.abs(abs_y[bmask] - caps[bmask])
-        )
+    div, capacity_excess, conservation = problem.dual_residuals(f.base)
+    conservation = max(
+        conservation,
+        float(np.max(np.abs(div[problem.sampled] - f.star))),
+        float(abs(np.sum(f.star))),
     )
-    saturation_ok = all(r <= tol for _, _, r in boundary_residuals)
+    flow_ok = conservation <= tol and capacity_excess <= tol
+
+    abs_y = np.abs(f.base)
+    residuals = np.abs(abs_y[bmask] - caps[bmask])
+    boundary_residuals = tuple(
+        zip(g.heads[bmask].tolist(), g.tails[bmask].tolist(), residuals.tolist())
+    )
+    saturation_ok = bool(np.all(residuals <= tol))
 
     # None when no edge lies inside a cluster; the condition then holds.
     interior = ~bmask
@@ -271,7 +252,7 @@ def verify_certificate(
     reconstructed = None
     orientation_ok: bool | None = None
     failure_reason = None
-    if not base_report.flow_ok:
+    if not flow_ok:
         failure_reason = "conservation or capacity violated"
     elif not saturation_ok:
         failure_reason = "a boundary edge is not saturated"
@@ -281,12 +262,12 @@ def verify_certificate(
         failure_reason = "cluster balances disagree"
     elif not indeterminate:
         try:
-            reconstructed = reconstruct_primal(problem, f, partition, tol)
+            reconstructed = _reconstruct(problem, abs_y, div, partition, tol)
         except ValueError as exc:
             failure_reason = str(exc)
         else:
             jumps = reconstructed[g._head_idx] - reconstructed[g._tail_idx]
-            saturated = np.abs(np.abs(f.base) - caps) <= tol
+            saturated = np.abs(abs_y - caps) <= tol
             aligned = (np.abs(jumps) <= tol) | (jumps * f.base >= 0.0)
             orientation_ok = bool(np.all(aligned[saturated]))
             if not orientation_ok:
@@ -296,9 +277,9 @@ def verify_certificate(
                 )
 
     return CertificateReport(
-        conservation_residual=base_report.conservation_residual,
-        capacity_excess=base_report.capacity_excess,
-        flow_ok=base_report.flow_ok,
+        conservation_residual=conservation,
+        capacity_excess=capacity_excess,
+        flow_ok=flow_ok,
         saturation_ok=saturation_ok,
         boundary_residuals=boundary_residuals,
         strict_interior_ok=strict_interior_ok,
@@ -313,7 +294,7 @@ def verify_certificate(
 
 
 def reconstruct_primal(
-    problem: Problem, f: Flow, partition: Partition, tol: float = 1e-9
+    problem: Problem, f: Flow, partition: Partition, tol: float = Problem.DEFAULT_TOL
 ) -> np.ndarray:
     """Recover the optimal signal from a verified certificate flow.
 
@@ -323,14 +304,27 @@ def reconstruct_primal(
     sampled nodes in the component must agree to within ``tol``.
     """
     _check_flow_inputs(problem, f, tol)
-    g, obs = problem.graph, problem.obs
+    g = problem.graph
     partition.check_graph(g)
-    comp = components(g, np.abs(f.base) < problem.capacities - tol)
+    return _reconstruct(problem, np.abs(f.base), divergence(g, f.base), partition, tol)
+
+
+def _reconstruct(
+    problem: Problem,
+    abs_y: np.ndarray,
+    div: np.ndarray,
+    partition: Partition,
+    tol: float,
+) -> np.ndarray:
+    """:func:`reconstruct_primal` on checked inputs, from the absolute base
+    flow ``abs_y`` and its divergence ``div``."""
+    g, obs = problem.graph, problem.obs
+    comp = components(g, abs_y < problem.capacities - tol)
     count = int(comp.max()) + 1
     lowest, highest = _group_min_max(comp, partition.cluster_index, count)
 
     sampled = problem.sampled
-    candidates = obs.labels - divergence(g, f.base)[sampled]
+    candidates = obs.labels - div[sampled]
     sampled_comp = comp[sampled]
     # Anchor: position in ``sampled`` of each component's lowest sampled node.
     anchor = np.full(count, -1)
@@ -418,7 +412,7 @@ class Certificate:
 
 
 def certificate_from_signal(
-    problem: Problem, x: np.ndarray, tol: float = 1e-9
+    problem: Problem, x: np.ndarray, tol: float = Problem.DEFAULT_TOL
 ) -> tuple[Certificate | None, int]:
     """Build a flow certificate from a signal near the optimum, verify it
     at ``tol`` and return it (None when it does not verify), with the

@@ -16,14 +16,8 @@ import numpy as np
 
 from .flow import CertificateReport, Flow, mincost_objective
 from .graph import EmpiricalGraph, build_graph
-from .signal import (
-    Observations,
-    Partition,
-    Problem,
-    piecewise_constant,
-    primal_objective,
-)
-from .solver import SolverResult, dual_objective
+from .signal import Observations, Partition, Problem, piecewise_constant
+from .solver import SolverResult, duality_gap
 
 __all__ = [
     "CHAIN_REF_DUAL",
@@ -202,10 +196,10 @@ def chain_checks(
         f"status {cert_report.status}" + (f": {reason}" if reason else ""),
     )
     if cert_report.reconstructed is not None:
-        recon_L = primal_objective(problem, cert_report.reconstructed)
-        cert_dual = dual_objective(problem, certificate.base)
+        at_cert = duality_gap(problem, cert_report.reconstructed, certificate.base)
+        recon_L = at_cert.primal
         cert_cost = mincost_objective(problem, certificate)
-        dual_value = cert_dual.value if cert_dual.value is not None else float("nan")
+        dual_value = at_cert.dual if at_cert.dual is not None else float("nan")
         strong = abs(recon_L - dual_value) <= 1e-9 and abs(cert_cost + dual_value) <= 1e-9
         check(
             "strong_duality_at_certificate",

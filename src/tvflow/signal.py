@@ -152,6 +152,9 @@ class Problem:
         if not (lam > 0.0) or not np.isfinite(lam):
             raise ValueError(f"lambda must be positive and finite, got {lam}")
 
+    # The default of every feasibility and certificate tolerance.
+    DEFAULT_TOL = 1e-9
+
     @staticmethod
     def check_tol(name: str, tol: float) -> None:
         """The one rule for a tolerance: finite and non-negative."""

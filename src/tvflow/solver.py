@@ -39,12 +39,10 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "SolverResult",
-    "DualReport",
     "GapReport",
     "init_state",
     "pd_step",
     "run",
-    "dual_objective",
     "duality_gap",
     "repair_dual",
 ]
@@ -65,7 +63,7 @@ class SolverConfig:
     lam: float
     max_iters: int = 1000
     gap_tol: float = 0.0
-    feas_tol: float = 1e-9
+    feas_tol: float = Problem.DEFAULT_TOL
 
     def __post_init__(self) -> None:
         Problem.check_lambda(self.lam)
@@ -114,16 +112,6 @@ class SolverState:
     y: np.ndarray
     x_avg: np.ndarray
     k: int
-
-
-@dataclass(frozen=True)
-class DualReport:
-    """Dual objective value when feasible, with feasibility residuals."""
-
-    value: float | None
-    feasible: bool
-    capacity_excess: float
-    conservation_residual: float
 
 
 @dataclass(frozen=True)
@@ -327,42 +315,33 @@ def repair_dual(problem: Problem, y: np.ndarray) -> tuple[np.ndarray, int]:
     return np.clip(y, -cap, cap), iters
 
 
-def dual_objective(
-    problem: Problem, y: np.ndarray, feas_tol: float = 1e-9
-) -> DualReport:
-    """Evaluate the dual (flow) objective at y.
+def duality_gap(
+    problem: Problem,
+    x: np.ndarray,
+    y: np.ndarray,
+    feas_tol: float = Problem.DEFAULT_TOL,
+) -> GapReport:
+    """Primal objective at x minus dual (flow) objective at y.
 
     y is feasible when every |y_e| stays within lam*W_e + feas_tol and the
-    divergence at every unsampled node is feas_tol-close to zero.  The value
-    sums v_i * label_i - v_i^2 / 2 over sampled nodes, with v the divergence;
-    it is None for infeasible y (the residual fields say why).
+    divergence at every unsampled node is feas_tol-close to zero.  The dual
+    value sums v_i * label_i - v_i^2 / 2 over sampled nodes, with v the
+    divergence; it and the gap are None for infeasible y, which certifies
+    nothing (the residual fields say why).
     """
-    v, capacity_excess, conservation = problem.dual_residuals(y)
-    feasible = capacity_excess <= feas_tol and conservation <= feas_tol
-    value = None
-    if feasible:
-        vm = v[problem.sampled]
-        value = float(np.sum(vm * problem.obs.labels - 0.5 * vm * vm))
-    return DualReport(
-        value=value,
-        feasible=feasible,
-        capacity_excess=capacity_excess,
-        conservation_residual=conservation,
-    )
-
-
-def duality_gap(
-    problem: Problem, x: np.ndarray, y: np.ndarray, feas_tol: float = 1e-9
-) -> GapReport:
-    """Primal objective minus dual objective, certified only for feasible y."""
     primal = primal_objective(problem, x)
-    dual = dual_objective(problem, y, feas_tol)
-    gap = primal - dual.value if dual.feasible else None
+    v, capacity_excess, conservation = problem.dual_residuals(y)
+    certified = capacity_excess <= feas_tol and conservation <= feas_tol
+    dual = gap = None
+    if certified:
+        vm = v[problem.sampled]
+        dual = float(np.sum(vm * problem.obs.labels - 0.5 * vm * vm))
+        gap = primal - dual
     return GapReport(
         primal=primal,
-        dual=dual.value,
+        dual=dual,
         gap=gap,
-        certified=dual.feasible,
-        capacity_excess=dual.capacity_excess,
-        conservation_residual=dual.conservation_residual,
+        certified=certified,
+        capacity_excess=capacity_excess,
+        conservation_residual=conservation,
     )

@@ -32,7 +32,6 @@ from tvflow.oracle import oracle_mincost_flow, oracle_nlasso, project_dual_feasi
 from tvflow.signal import Observations, Problem, primal_objective
 from tvflow.solver import (
     SolverConfig,
-    dual_objective,
     duality_gap,
     init_state,
     pd_step,
@@ -78,16 +77,16 @@ def test_criterion_3_strong_duality_at_certificate(chain):
     problem = Problem(g, obs, 1.0)
     certificate = construct_tree_certificate(g, partition, obs, 1.0)
     recon = reconstruct_primal(problem, certificate, partition)
-    primal = primal_objective(problem, recon)
-    dual = dual_objective(problem, certificate.base)
+    report = duality_gap(problem, recon, certificate.base)
+    primal, dual = report.primal, report.dual
     cost = mincost_objective(problem, certificate)
-    assert dual.feasible
+    assert report.certified
     assert abs(primal - CHAIN_REF_OBJECTIVE) <= 1e-9
-    assert abs(dual.value - CHAIN_REF_OBJECTIVE) <= 1e-9
-    assert abs(primal - dual.value) <= 1e-9
+    assert abs(dual - CHAIN_REF_OBJECTIVE) <= 1e-9
+    assert abs(primal - dual) <= 1e-9
     assert abs(cost + CHAIN_REF_OBJECTIVE) <= 1e-9
     _report(
-        f"3 strong duality: PASS (primal {primal}, dual {dual.value},"
+        f"3 strong duality: PASS (primal {primal}, dual {dual},"
         f" flow cost {cost})"
     )
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -719,3 +720,117 @@ class TestDeterminism:
                 "--p-out", "0.3", "--seed", "11", "--out-dir", str(out),
             ]) == 0
         assert artifact_bytes(a) == artifact_bytes(b)
+
+
+_CHAIN_GRAPH = "i,j,w\n" + "".join(
+    f"{i},{i + 1},{0.25 if i == 5 else 1.0}\n" for i in range(1, 10)
+)
+_CHAIN_FLOW = "head,tail,y\n" + "".join(
+    f"{i},{i + 1},{0.25 if 2 <= i <= 6 else 0.0}\n" for i in range(1, 10)
+) + "2,star,0.25\n7,star,-0.25\n"
+_CHAIN_INPUTS = {
+    "graph.csv": _CHAIN_GRAPH,
+    "partition.csv": "i,cluster\n" + "".join(
+        f"{i},{1 if i <= 5 else 2}\n" for i in range(1, 11)
+    ),
+    "observations.csv": "i,x\n2,1.0\n7,0.0\n",
+    "flow.csv": _CHAIN_FLOW,
+}
+# The chain with weight 1/4 on {6, 7} too: the certificate flow carries
+# exactly that edge's capacity, so it has no slack at the default tol and
+# leaves node 6 without a label at tol 0.
+_TIGHT_CHAIN_INPUTS = {
+    **_CHAIN_INPUTS,
+    "graph.csv": _CHAIN_GRAPH.replace("6,7,1.0", "6,7,0.25"),
+}
+
+# certify's inputs, flags, exit code and failure_reason per case, with the
+# SHA-256 of report.json and reconstructed.csv, file by file in name order.
+_CERTIFY_CASES = {
+    "verified": (
+        _CHAIN_INPUTS, ["--lambda", "1"], 0, None,
+        "c2c161759114e8b93624f7dcdf63d45432a04bf728422b91b8e4a58cdc27f47d",
+    ),
+    "conservation": (
+        {**_CHAIN_INPUTS, "flow.csv": _CHAIN_FLOW.replace("2,star,0.25", "2,star,0.3")},
+        ["--lambda", "1"], 1, "conservation or capacity violated",
+        "4cd5ae9593f92ec526b0853eb094d23e27099d1e2d7a763b5991ce0043f37c92",
+    ),
+    "saturation": (
+        _CHAIN_INPUTS, ["--lambda", "2"], 1, "a boundary edge is not saturated",
+        "3e75ec1bf5b260e785e7d3c226609d92a4971692dfed337558de9b63463f99f2",
+    ),
+    "interior_slack": (
+        _TIGHT_CHAIN_INPUTS, ["--lambda", "1"], 1,
+        "an interior edge has no capacity slack",
+        "075cbde852c035b39fa439ca623673fc41d0a703e8ef82c2644022d63f120404",
+    ),
+    "balance": (
+        {
+            "graph.csv": "i,j,w\n1,2,1.0\n2,3,1.0\n",
+            "partition.csv": "i,cluster\n1,1\n2,1\n3,1\n",
+            "observations.csv": "i,x\n1,0.0\n2,1.0\n3,0.0\n",
+            "flow.csv": "head,tail,y\n1,2,0.0\n2,3,0.0\n"
+            "1,star,0.0\n2,star,0.0\n3,star,0.0\n",
+        },
+        ["--lambda", "1"], 1, "cluster balances disagree",
+        "970d199e1af034716aaf0c50979b11b600d45bc33777a3d038110a989257e011",
+    ),
+    "reconstruction": (
+        _TIGHT_CHAIN_INPUTS, ["--lambda", "1", "--tol", "0"], 1,
+        "component [6] contains no sampled node",
+        "abb6ca4e1fecd1e7aedb165eb7c826a97c0779952fc56fa020d38c83d047f3fb",
+    ),
+    # Saturated from node 2 to node 1, against the jump of the signal 2, -1.
+    "orientation": (
+        {
+            "graph.csv": "i,j,w\n1,2,1.0\n",
+            "partition.csv": "i,cluster\n1,1\n2,2\n",
+            "observations.csv": "i,x\n1,1.0\n2,0.0\n",
+            "flow.csv": "head,tail,y\n1,2,-1.0\n1,star,-1.0\n2,star,1.0\n",
+        },
+        ["--lambda", "1"], 1,
+        "a saturated edge carries flow against the reconstructed jump",
+        "03e36b973170e3a15543eeb107bff48118625912a5fc465cce03eda2884cdda4",
+    ),
+    # 4-cycle with both labels in cluster 1 (see test_indeterminate_cluster_exits_two).
+    "indeterminate": (
+        {
+            "graph.csv": "i,j,w\n1,2,1.0\n1,4,0.5\n2,3,0.5\n3,4,1.0\n",
+            "partition.csv": "i,cluster\n1,1\n2,1\n3,2\n4,2\n",
+            "observations.csv": "i,x\n1,1.0\n2,1.0\n",
+            "flow.csv": "head,tail,y\n1,2,0.5\n1,4,-0.5\n2,3,0.5\n3,4,0.5\n"
+            "1,star,0.0\n2,star,0.0\n",
+        },
+        ["--lambda", "1"], 2, None,
+        "dc5a3b5a278c2c1d0105c6c2d9ff6988142dbf670d318f5d82c66382fec1e6d9",
+    ),
+}
+
+
+class TestCertifyPinnedBytes:
+    """certify writes report.json (and reconstructed.csv when verified)
+    byte for byte as pinned, for a verified certificate, each reachable
+    failure_reason and an indeterminate one."""
+
+    @pytest.mark.parametrize("case", list(_CERTIFY_CASES))
+    def test_outputs_match_pinned_digest(self, tmp_path, case):
+        inputs, flags, code, reason, digest = _CERTIFY_CASES[case]
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "cert"
+        assert run_cli([
+            "certify",
+            *(f"--{name[:-4]}={tmp_path / name}" for name in inputs),
+            *flags, "--out-dir", str(out),
+        ]) == code
+        outputs = artifact_bytes(out)
+        report = json.loads(outputs["report.json"])
+        assert report["status"] == ["verified", "failed", "indeterminate"][code]
+        assert report["failure_reason"] == reason
+        assert ("reconstructed.csv" in outputs) == (code == 0)
+        sha = hashlib.sha256()
+        for name, data in outputs.items():
+            sha.update(f"{name}\n{len(data)}\n".encode())
+            sha.update(data)
+        assert sha.hexdigest() == digest

@@ -16,7 +16,6 @@ from tvflow.flow import (
     Flow,
     _route_to_roots,
     certificate_from_signal,
-    check_flow,
     construct_tree_certificate,
     mincost_objective,
     reconstruct_primal,
@@ -38,7 +37,7 @@ from tvflow.signal import (
     boundary_mask,
     primal_objective,
 )
-from tvflow.solver import SolverConfig, dual_objective, init_state, pd_step, run
+from tvflow.solver import SolverConfig, duality_gap, init_state, pd_step, run
 
 
 def reference_tree_certificate(
@@ -207,52 +206,49 @@ def chain_certificate_flow() -> Flow:
 
 
 class TestCheckFlow:
+    """The conservation and capacity checks of ``verify_certificate``."""
+
     def test_zero_flow(self, chain):
-        g, obs, _ = chain
+        g, obs, partition = chain
         f = Flow(np.zeros(9), np.array([2, 7]), np.zeros(2))
-        report = check_flow(Problem(g, obs, 1.0), f)
+        report = verify_certificate(Problem(g, obs, 1.0), f, partition)
         assert report.flow_ok
         assert report.conservation_residual == 0.0
         assert report.capacity_excess == 0.0
+        assert report.failure_reason == "a boundary edge is not saturated"
 
     def test_chain_certificate(self, chain):
-        g, obs, _ = chain
-        report = check_flow(Problem(g, obs, 1.0), chain_certificate_flow())
+        g, obs, partition = chain
+        report = verify_certificate(
+            Problem(g, obs, 1.0), chain_certificate_flow(), partition
+        )
         assert report.flow_ok
         assert report.conservation_residual == 0.0
 
     def test_unbalanced_single_edge_flow(self, chain):
-        g, obs, _ = chain
+        g, obs, partition = chain
         y = np.zeros(9)
         y[0] = 0.5  # edge (1, 2) only: imbalance at node 1 and node 2
         f = Flow(y, np.array([2, 7]), np.zeros(2))
-        report = check_flow(Problem(g, obs, 1.0), f)
+        report = verify_certificate(Problem(g, obs, 1.0), f, partition)
         assert not report.flow_ok
         assert report.conservation_residual == pytest.approx(0.5)
+        assert report.failure_reason == "conservation or capacity violated"
 
     def test_capacity_excess(self, chain):
-        g, obs, _ = chain
+        g, obs, partition = chain
         y = np.zeros(9)
         y[4] = 0.30  # capacity there is 0.25
         f = Flow(y, np.array([2, 7]), np.zeros(2))
-        report = check_flow(Problem(g, obs, 1.0), f, tol=1e-9)
+        report = verify_certificate(Problem(g, obs, 1.0), f, partition, tol=1e-9)
         assert report.capacity_excess == pytest.approx(0.05)
         assert not report.flow_ok
 
     def test_star_mismatch_rejected(self, chain):
-        g, obs, _ = chain
+        g, obs, partition = chain
         f = Flow(np.zeros(9), np.array([2, 8]), np.zeros(2))
         with pytest.raises(ValueError, match="star nodes"):
-            check_flow(Problem(g, obs, 1.0), f)
-
-    def test_report_is_never_verified(self, chain):
-        # Conservation and capacity alone certify nothing.
-        g, obs, _ = chain
-        report = check_flow(Problem(g, obs, 1.0), chain_certificate_flow())
-        assert report.flow_ok
-        assert report.status == "failed"
-        assert not report.verdict
-        assert report.reconstructed is None
+            verify_certificate(Problem(g, obs, 1.0), f, partition)
 
 
 class TestMincostObjective:
@@ -279,12 +275,13 @@ class TestDualToExtendedFlow:
     divergence at the sampled nodes."""
 
     def test_chain_converged_dual(self, chain):
-        g, obs, _ = chain
+        g, obs, partition = chain
         f = Flow(CHAIN_REF_DUAL, obs.nodes, divergence(g, CHAIN_REF_DUAL)[obs.indices])
         assert f.star_nodes.tolist() == [2, 7]
         assert f.star.tolist() == [0.25, -0.25]
         assert np.array_equal(f.base, CHAIN_REF_DUAL)
-        assert check_flow(Problem(g, obs, 1.0), f).conservation_residual == 0.0
+        report = verify_certificate(Problem(g, obs, 1.0), f, partition)
+        assert report.conservation_residual == 0.0
 
     def test_zero_dual(self, chain):
         g, obs, _ = chain
@@ -826,9 +823,9 @@ class TestDualityIdentities:
             problem = Problem(g, obs, lam)
             f = Flow(y, obs.nodes, divergence(g, y)[obs.indices])
             cost = mincost_objective(problem, f)
-            dual = dual_objective(problem, y)
-            assert dual.feasible
-            assert abs(cost + dual.value) <= 1e-12 * max(1.0, abs(cost))
+            dual = duality_gap(problem, np.zeros(g.node_count), y)
+            assert dual.certified
+            assert abs(cost + dual.dual) <= 1e-12 * max(1.0, abs(cost))
             checked += 1
         assert checked == 30
 
@@ -853,5 +850,7 @@ class TestDualityIdentities:
         problem = Problem(g, obs, 1.0)
         f = chain_certificate_flow()
         assert mincost_objective(problem, f) == -0.1875
-        assert dual_objective(problem, f.base).value == 0.1875
+        report = duality_gap(problem, CHAIN_REF_PRIMAL, f.base)
+        assert report.dual == 0.1875
+        assert report.primal == 0.1875
         assert primal_objective(problem, CHAIN_REF_PRIMAL) == 0.1875

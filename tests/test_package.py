@@ -1,13 +1,16 @@
 """The package's public names: each library module's ``__all__``, each name
-listed once; and no module or test imports a name it never uses."""
+listed once; no module or test imports a name it never uses; and every
+default tolerance is the one constant ``Problem.DEFAULT_TOL``."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import tvflow
-from tvflow import flow, graph, instances, io, oracle, signal, solver
+from tvflow import cli, flow, graph, instances, io, oracle, signal, solver
+from tvflow.signal import Problem
 
 EXPORTED = (graph, signal, solver, flow, oracle)
 
@@ -67,3 +70,38 @@ def test_no_unused_imports():
     ]
     assert len(files) > 10
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+# Not a feasibility or certificate tolerance: the stopping rule of the
+# oracle's Dykstra projection, which reference values are computed with.
+CONVERGENCE_TOLS = {"project_dual_feasible"}
+
+
+def test_every_default_tolerance_is_the_one_constant():
+    defaults = {}
+    for module in (*EXPORTED, io, instances):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj) or name in CONVERGENCE_TOLS:
+                continue
+            for param in inspect.signature(obj).parameters.values():
+                if param.name in ("tol", "feas_tol"):
+                    defaults[f"{name}({param.name})"] = param.default
+    parser = cli._build_parser()
+    files = ["--graph", "g", "--observations", "o"]
+    for argv, dest in (
+        (["solve", *files], "feas_tol"),
+        (["experiment-chain"], "feas_tol"),
+        (["certify", *files, "--flow", "f", "--partition", "p"], "tol"),
+    ):
+        defaults[f"{argv[0]} --{dest.replace('_', '-')}"] = getattr(
+            parser.parse_args(argv), dest
+        )
+    assert {
+        "verify_certificate(tol)",
+        "reconstruct_primal(tol)",
+        "certificate_from_signal(tol)",
+        "duality_gap(feas_tol)",
+        "SolverConfig(feas_tol)",
+    } <= set(defaults)
+    assert {k: v for k, v in defaults.items() if v != Problem.DEFAULT_TOL} == {}

@@ -27,7 +27,6 @@ from tvflow.signal import Observations, Problem
 from tvflow.solver import (
     SolverConfig,
     SolverState,
-    dual_objective,
     duality_gap,
     init_state,
     pd_step,
@@ -283,33 +282,36 @@ class TestPdStep:
 
 
 class TestDualObjective:
+    """The dual side of ``duality_gap``: its value and feasibility."""
+
     def test_zero_flow(self, chain):
         g, obs, _ = chain
-        report = dual_objective(Problem(g, obs, 1.0), np.zeros(9))
-        assert report.feasible
-        assert report.value == 0.0
+        report = duality_gap(Problem(g, obs, 1.0), np.zeros(10), np.zeros(9))
+        assert report.certified
+        assert report.dual == 0.0
 
     def test_chain_certificate_flow(self, chain):
         g, obs, _ = chain
-        report = dual_objective(Problem(g, obs, 1.0), CHAIN_REF_DUAL)
-        assert report.feasible
-        assert report.value == 0.1875
+        report = duality_gap(Problem(g, obs, 1.0), np.zeros(10), CHAIN_REF_DUAL)
+        assert report.certified
+        assert report.dual == 0.1875
 
     def test_capacity_violation_reported(self, chain):
         g, obs, _ = chain
         y = np.zeros(9)
         y[0] = 1.0 + 2e-9  # capacity on edge (1,2) is 1
-        report = dual_objective(Problem(g, obs, 1.0), y, feas_tol=1e-9)
-        assert not report.feasible
-        assert report.value is None
+        report = duality_gap(Problem(g, obs, 1.0), np.zeros(10), y, feas_tol=1e-9)
+        assert not report.certified
+        assert report.dual is None
+        assert report.gap is None
         assert report.capacity_excess == pytest.approx(2e-9)
 
     def test_conservation_violation_reported(self, chain):
         g, obs, _ = chain
         y = np.zeros(9)
         y[0] = 0.5  # leaves divergence at unsampled nodes 1
-        report = dual_objective(Problem(g, obs, 1.0), y)
-        assert not report.feasible
+        report = duality_gap(Problem(g, obs, 1.0), np.zeros(10), y)
+        assert not report.certified
         assert report.conservation_residual == pytest.approx(0.5)
 
 
