@@ -36,8 +36,8 @@ from .instances import (
     sbm_instance,
 )
 from .io import (
+    _write_csv,
     _write_dual_and_flow_csv,
-    _write_lines,
     read_flow_csv,
     read_graph_csv,
     read_json,
@@ -256,8 +256,7 @@ def _cmd_experiment_chain(args: argparse.Namespace) -> int:
     outputs += _write_solution(out_dir, g, result)
 
     # Figure-shaped dual: one row per chain edge, indexed by the edge's head.
-    rows = zip(g.heads.tolist(), result.y.tolist())
-    _write_lines(out_dir / "chain_dual.csv", "i,y", [f"{h},{v!r}" for h, v in rows])
+    _write_csv(out_dir / "chain_dual.csv", "i,y", (g.heads, result.y))
     outputs.append("chain_dual.csv")
 
     certificate = construct_tree_certificate(g, partition, obs, cfg.lam)

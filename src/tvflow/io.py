@@ -4,7 +4,16 @@ All CSVs carry a header row and 1-based node ids.  Floats are written
 with ``repr``, the shortest string that round-trips exactly, so writer
 output is byte-deterministic and readers recover identical values.
 Writers create missing parent directories, and JSON writers reject
-non-finite numbers, which JSON cannot represent.
+non-finite numbers, which JSON cannot represent.  The signal and flow
+writers also refuse what their readers would refuse: a signal that is not
+one finite value per node, or a flow value that is not finite.
+
+Every CSV writer streams its rows through one row writer, ``_write_csv``,
+in chunks of ``_CHUNK_ROWS`` rows, so the text held at any time is that of
+one chunk, not of the whole file.  Within a chunk each distinct float (by
+bit pattern, so ``0.0`` and ``-0.0`` stay apart) is formatted once: the
+signals and flows tvflow writes repeat a few values many times.  The bytes
+are those of formatting every row with ``repr``.
 
 Every CSV reader first parses in bulk: after the header, ``np.loadtxt``
 reads the rows into typed columns, and vectorized checks look for
@@ -18,15 +27,16 @@ results on every file the bulk path accepts, so which one ran never shows.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .flow import Flow
-from .graph import EmpiricalGraph, build_graph
+from .graph import EmpiricalGraph, _edge_order, build_graph
 from .signal import Observations, Partition
 
 __all__ = [
@@ -45,16 +55,57 @@ __all__ = [
 ]
 
 _INT64 = np.iinfo(np.int64)
+_FLOW_HEADER = "head,tail,y"
+# Rows formatted and written at a time by every CSV writer.
+_CHUNK_ROWS = 1 << 14
+
+# A column of CSV fields: integers (an int array or a range), floats (a
+# float array, written with repr) or one string repeated on every row.
+_Column = np.ndarray | range | str
 
 
-def _write_text(path: Path | str, text: str) -> None:
+def _open(path: Path | str) -> TextIO:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    return path.open("w", encoding="utf-8")
 
 
-def _write_lines(path: Path | str, header: str, rows: Iterable[str]) -> None:
-    _write_text(path, "\n".join([header, *rows]) + "\n")
+def _write_csv(path: Path | str, header: str, *blocks: Sequence[_Column]) -> None:
+    """Write ``header``, then for each block the rows whose fields are its
+    columns."""
+    with _open(path) as out:
+        out.write(header + "\n")
+        for columns in blocks:
+            out.writelines(_csv_chunks(*columns))
+
+
+def _csv_chunks(*columns: _Column) -> Iterator[str]:
+    """The rows whose fields are ``columns`` (two or three, of the length of
+    the first), as text of ``_CHUNK_ROWS`` rows at a time."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        fields = zip(*(_fields(column, rows) for column in columns))
+        if len(columns) == 2:
+            yield "".join([f"{a},{b}\n" for a, b in fields])
+        else:
+            yield "".join([f"{a},{b},{c}\n" for a, b, c in fields])
+
+
+def _fields(column: _Column, rows: slice) -> Iterable[Any]:
+    """The values of ``column`` at ``rows``, each formatted as ``f"{v}"``
+    gives its CSV field: ints and strings as they are, floats as repr."""
+    if isinstance(column, str):
+        return itertools.repeat(column)
+    part = column[rows]
+    if isinstance(part, range):
+        return part
+    if part.dtype.kind != "f":
+        return part.tolist()
+    # repr once per distinct bit pattern, then one text per row.
+    bits = np.ascontiguousarray(part, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = list(map(repr, distinct.view(np.float64).tolist()))
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _read_csv(
@@ -149,8 +200,7 @@ def _parse_float(path: Path | str, lineno: int, text: str, what: str) -> float:
 
 
 def write_graph_csv(path: Path | str, g: EmpiricalGraph) -> None:
-    rows = zip(g.heads.tolist(), g.tails.tolist(), g.weights.tolist())
-    _write_lines(path, "i,j,w", [f"{i},{j},{w!r}" for i, j, w in rows])
+    _write_csv(path, "i,j,w", (g.heads, g.tails, g.weights))
 
 
 def read_graph_csv(path: Path | str) -> EmpiricalGraph:
@@ -183,8 +233,32 @@ def read_graph_csv(path: Path | str) -> EmpiricalGraph:
 
 
 def write_signal_csv(path: Path | str, x: np.ndarray) -> None:
-    values = np.asarray(x, dtype=np.float64).tolist()
-    _write_lines(path, "i,x", [f"{i},{v!r}" for i, v in enumerate(values, 1)])
+    """Write one finite value per node, as ``read_signal_csv`` reads it."""
+    values = np.asarray(x, dtype=np.float64)
+    if values.ndim == 0:
+        raise ValueError(f"{path}: expected one value per node, got a scalar")
+    if values.size == 0:
+        raise ValueError(f"{path}: signal has no nodes")
+    if values.ndim > 1:
+        raise ValueError(
+            f"{path}: node 1: expected one value, got an array of shape"
+            f" {values.shape[1:]}"
+        )
+    _check_finite(path, values, lambda k: f"node {k + 1}", "value")
+    _write_csv(path, "i,x", (range(1, values.size + 1), values))
+
+
+def _check_finite(
+    path: Path | str, values: np.ndarray, where: Callable[[int], str], what: str
+) -> None:
+    """Raise naming ``where(k)`` for the first position k of ``values``
+    that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"{path}: {where(k)}: {what} must be finite, got {float(values[k])}"
+        )
 
 
 def _read_per_node(
@@ -240,8 +314,7 @@ def read_signal_csv(path: Path | str) -> np.ndarray:
 
 
 def write_observations_csv(path: Path | str, obs: Observations) -> None:
-    rows = zip(obs.nodes.tolist(), obs.labels.tolist())
-    _write_lines(path, "i,x", [f"{i},{v!r}" for i, v in rows])
+    _write_csv(path, "i,x", (obs.nodes, obs.labels))
 
 
 def read_observations_csv(path: Path | str) -> Observations:
@@ -267,8 +340,8 @@ def read_observations_csv(path: Path | str) -> Observations:
 
 
 def write_partition_csv(path: Path | str, p: Partition) -> None:
-    ids = (p.cluster_index + 1).tolist()
-    _write_lines(path, "i,cluster", [f"{i},{k}" for i, k in enumerate(ids, 1)])
+    ids = p.cluster_index + 1
+    _write_csv(path, "i,cluster", (range(1, ids.size + 1), ids))
 
 
 def read_partition_csv(path: Path | str) -> Partition:
@@ -285,7 +358,9 @@ def read_partition_csv(path: Path | str) -> Partition:
 
 def write_flow_csv(path: Path | str, g: EmpiricalGraph, f: Flow) -> None:
     """Base edges as head,tail,value rows; star edges use tail 'star'."""
-    _write_text(path, _flow_base_text(g, f) + _flow_star_text(f))
+    _check_flow(path, g, f)
+    star = (f.star_nodes, "star", f.star)
+    _write_csv(path, _FLOW_HEADER, (g.heads, g.tails, f.base), star)
 
 
 def _write_dual_and_flow_csv(
@@ -293,23 +368,26 @@ def _write_dual_and_flow_csv(
 ) -> None:
     """Write ``f`` to ``flow_path`` as :func:`write_flow_csv` does, and its
     base rows alone to ``dual_path``, formatting those rows once."""
-    base = _flow_base_text(g, f)
-    _write_text(dual_path, base)
-    _write_text(flow_path, base + _flow_star_text(f))
+    _check_flow(flow_path, g, f)
+    with _open(dual_path) as dual, _open(flow_path) as flow:
+        for out in (dual, flow):
+            out.write(_FLOW_HEADER + "\n")
+        for text in _csv_chunks(g.heads, g.tails, f.base):
+            dual.write(text)
+            flow.write(text)
+        flow.writelines(_csv_chunks(f.star_nodes, "star", f.star))
 
 
-def _flow_base_text(g: EmpiricalGraph, f: Flow) -> str:
-    """Header and base rows of a flow CSV, each line ending in a newline."""
+def _check_flow(path: Path | str, g: EmpiricalGraph, f: Flow) -> None:
+    """Refuse a flow that ``read_flow_csv`` could not read back onto ``g``."""
     if f.base.shape != (g.edge_count,):
-        raise ValueError("flow does not match the graph's edge count")
-    rows = zip(g.heads.tolist(), g.tails.tolist(), f.base.tolist())
-    lines = ["head,tail,y", *[f"{i},{j},{v!r}" for i, j, v in rows]]
-    return "\n".join(lines) + "\n"
-
-
-def _flow_star_text(f: Flow) -> str:
-    rows = zip(f.star_nodes.tolist(), f.star.tolist())
-    return "".join([f"{i},star,{v!r}\n" for i, v in rows])
+        raise ValueError(f"{path}: flow does not match the graph's edge count")
+    _check_finite(
+        path, f.base, lambda k: f"edge ({g.heads[k]}, {g.tails[k]})", "flow value"
+    )
+    _check_finite(
+        path, f.star, lambda k: f"star edge at node {f.star_nodes[k]}", "flow value"
+    )
 
 
 def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:
@@ -326,7 +404,7 @@ def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:
         heads, values = table["head"][base], table["y"][base]
         # Sorted base rows equal to the distinct canonical edges, one for
         # one, are those edges each exactly once.
-        order = np.lexsort((tails, heads))
+        order = _edge_order(heads, tails, g.node_count)
         if not (
             np.array_equal(heads[order], g.heads)
             and np.array_equal(tails[order], g.tails)
@@ -372,12 +450,13 @@ def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:
         )
 
     dtypes = (np.int64, object, np.float64)
-    return _read_csv(path, "head,tail,y", dtypes, bulk, row_by_row)
+    return _read_csv(path, _FLOW_HEADER, dtypes, bulk, row_by_row)
 
 
 def write_json(path: Path | str, payload: dict[str, Any]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    _write_text(path, text + "\n")
+    with _open(path) as out:
+        out.write(text + "\n")
 
 
 def read_json(path: Path | str) -> dict[str, Any]:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import edge_triples, make_chain
 from tvflow.graph import (
     EmpiricalGraph,
+    _edge_order,
     build_graph,
     components,
     divergence,
@@ -123,6 +124,33 @@ class TestBuildGraphReference:
             return  # no array holds non-triples or ids beyond 64 bits
         want = build_outcome(reference_build_graph, n, edges)
         assert build_outcome(build_graph, n, table) == want
+
+
+class TestEdgeOrder:
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.lists(st.tuples(st.integers(-3, 34), st.integers(-3, 34)), max_size=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lexsort_order_on_ids_in_range(self, n, pairs):
+        """Rows with both ids in 1..n come in lexsort's order, stably; rows
+        with an id outside 1..n only change where they are placed."""
+        heads = np.asarray([p[0] for p in pairs], dtype=np.int64)
+        tails = np.asarray([p[1] for p in pairs], dtype=np.int64)
+        order = _edge_order(heads, tails, n)
+        assert sorted(order.tolist()) == list(range(len(pairs)))
+        in_range = (heads >= 1) & (heads <= n) & (tails >= 1) & (tails <= n)
+        want = np.lexsort((tails, heads))
+        assert order[in_range[order]].tolist() == want[in_range[want]].tolist()
+
+    def test_lexsort_where_the_key_would_overflow(self):
+        rng = np.random.default_rng(0)
+        big = 2**62
+        heads = rng.integers(-big, big, 200)
+        tails = np.concatenate([rng.integers(-big, big, 100), heads[:100]])
+        assert np.array_equal(
+            _edge_order(heads, tails, big), np.lexsort((tails, heads))
+        )
 
 
 @st.composite
