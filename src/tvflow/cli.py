@@ -67,12 +67,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_list(text: str, what: str, kind: type = float) -> list:
+def _parse_list(text: str, kind: type) -> list:
     try:
         return [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         noun = "integers" if kind is int else "numbers"
-        raise ValueError(f"{what} must be a comma-separated list of {noun}: {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated list of {noun}: {text!r}"
+        )
 
 
 def _write_manifest(
@@ -113,14 +115,10 @@ def _write_instance(
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     out_dir = args.out_dir
-    # The generator's parameters are named after the subcommand's flags.
+    # The subcommand's flags are the generator's parameters (see _add_generator).
     names = [name for name in inspect.signature(args.make).parameters if name != "rng"]
-    for name in ("samples", "sizes"):
-        if name in names:
-            setattr(args, name, _parse_list(getattr(args, name), f"--{name}", int))
-    args.coeffs = _parse_list(args.coeffs, "--coeffs")
     params: dict[str, Any] = {name: getattr(args, name) for name in names}
-    seeded = {} if args.kind == "chain" else {"rng": np.random.default_rng(args.seed)}
+    seeded = {"rng": np.random.default_rng(args.seed)} if "seed" in args else {}
     g, partition, signal, obs = args.make(**params, **seeded)
     if args.kind == "sbm" and (components(g).max() > 0 or g.min_degree() == 0):
         print(
@@ -315,6 +313,24 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                         " (default %(default)s)")
 
 
+def _add_generator(gen_sub: Any, kind: str, make: Any, help: str) -> None:
+    """The subcommand ``generate kind``, whose flags are the parameters of
+    ``make``: each becomes --name-with-dashes with its type and default (a
+    tuple default as a comma-separated list), and ``rng`` becomes --seed."""
+    p = gen_sub.add_parser(kind, help=help)
+    for name, param in inspect.signature(make).parameters.items():
+        default, parse = param.default, type(param.default)
+        if name == "rng":
+            name, default, parse = "seed", 0, int
+        elif isinstance(default, tuple):
+            parse = functools.partial(_parse_list, kind=type(default[0]))
+            default = ",".join(map(str, default))
+        p.add_argument("--" + name.replace("_", "-"), type=parse, default=default,
+                       help="(default %(default)s)")
+    p.add_argument("--out-dir", default=".")
+    p.set_defaults(func=_cmd_generate, kind=kind, make=make)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser, built once per process: parsing leaves it unchanged, and
@@ -326,43 +342,9 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("generate", help="write a graph/signal/observations instance")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
 
-    chain = gen_sub.add_parser("chain", help="two-cluster chain graph")
-    chain.add_argument("--n", type=int, default=10)
-    chain.add_argument("--split", type=int, default=5,
-                       help="last node of the first cluster (default 5)")
-    chain.add_argument("--intra-weight", type=float, default=1.0)
-    chain.add_argument("--boundary-weight", type=float, default=0.25)
-    chain.add_argument("--samples", default="2,7",
-                       help="comma-separated sampled node ids (default 2,7)")
-    chain.add_argument("--coeffs", default="1,0",
-                       help="cluster values (default 1,0)")
-
-    grid = gen_sub.add_parser("grid", help="two-cluster lattice graph")
-    grid.add_argument("--rows", type=int, default=4)
-    grid.add_argument("--cols", type=int, default=6)
-    grid.add_argument("--split-col", type=int, default=3)
-    grid.add_argument("--intra-weight", type=float, default=1.0)
-    grid.add_argument("--boundary-weight", type=float, default=0.25)
-    grid.add_argument("--samples-per-cluster", type=int, default=2)
-    grid.add_argument("--coeffs", default="1,0")
-
-    sbm = gen_sub.add_parser("sbm", help="weighted stochastic block model")
-    sbm.add_argument("--sizes", default="5,5",
-                     help="comma-separated block sizes (default 5,5)")
-    sbm.add_argument("--p-in", type=float, default=0.7)
-    sbm.add_argument("--p-out", type=float, default=0.1)
-    sbm.add_argument("--intra-weight", type=float, default=1.0)
-    sbm.add_argument("--inter-weight", type=float, default=0.25)
-    sbm.add_argument("--samples-per-cluster", type=int, default=1)
-    sbm.add_argument("--coeffs", default="1,0")
-
-    for p in (chain, grid, sbm):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out-dir", default=".")
-        p.set_defaults(func=_cmd_generate)
-    chain.set_defaults(kind="chain", make=chain_instance)
-    grid.set_defaults(kind="grid", make=grid_instance)
-    sbm.set_defaults(kind="sbm", make=sbm_instance)
+    _add_generator(gen_sub, "chain", chain_instance, "two-cluster chain graph")
+    _add_generator(gen_sub, "grid", grid_instance, "two-cluster lattice graph")
+    _add_generator(gen_sub, "sbm", sbm_instance, "weighted stochastic block model")
 
     solve = sub.add_parser("solve", help="run the solver on CSV inputs")
     solve.add_argument("--graph", required=True)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .graph import (
     EmpiricalGraph,
+    _incidence,
     components,
     divergence,
     grounded_laplacian_cg,
@@ -266,7 +267,7 @@ def verify_certificate(
         except ValueError as exc:
             failure_reason = str(exc)
         else:
-            jumps = reconstructed[g._head_idx] - reconstructed[g._tail_idx]
+            jumps = _incidence(g, reconstructed)
             saturated = np.abs(abs_y - caps) <= tol
             aligned = (np.abs(jumps) <= tol) | (jumps * f.base >= 0.0)
             orientation_ok = bool(np.all(aligned[saturated]))

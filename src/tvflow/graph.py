@@ -9,9 +9,12 @@ The two linear operators that everything else is built on live here:
 ``incidence_apply`` maps node values to signed edge differences and
 ``divergence`` is its adjoint (net outflow per node).  Both are
 matrix-free and reduce sequentially by edge index, so results are
-bit-deterministic.  ``components`` labels the connected components of
-the graph or of a subset of its edges, and ``grounded_laplacian_cg``
-solves weighted Laplacian systems with some nodes held at zero.
+bit-deterministic.  The unchecked kernels ``_incidence`` and
+``_divergence`` are their one implementation: the public functions check
+their input and call them, and hot loops call them directly.
+``components`` labels the connected components of the graph or of a
+subset of its edges, and ``grounded_laplacian_cg`` solves weighted
+Laplacian systems with some nodes held at zero.
 """
 
 from __future__ import annotations
@@ -79,6 +82,12 @@ class EmpiricalGraph:
 
     def min_degree(self) -> int:
         return int(self.degrees.min()) if self.node_count else 0
+
+    def check_no_isolated(self) -> None:
+        """The one rule where inverse degrees are needed: no isolated node."""
+        isolated = (np.flatnonzero(self.degrees == 0) + 1).tolist()
+        if isolated:
+            raise ValueError(f"isolated nodes {isolated}: the solver needs degree >= 1")
 
 
 def build_graph(
@@ -234,6 +243,21 @@ def components(
     return (np.cumsum(roots) - 1)[parent]
 
 
+def _incidence(g: EmpiricalGraph, x: np.ndarray) -> np.ndarray:
+    """B x, x_head(e) - x_tail(e) per edge, for a float node vector x."""
+    return x[g._head_idx] - x[g._tail_idx]
+
+
+def _divergence(g: EmpiricalGraph, y: np.ndarray) -> np.ndarray:
+    """B^T y, net outflow per node, for a float edge vector y."""
+    # bincount yields int64 for empty weights; keep the kernel float.
+    out = np.bincount(g._head_idx, weights=y, minlength=g.node_count).astype(
+        np.float64, copy=False
+    )
+    out -= np.bincount(g._tail_idx, weights=y, minlength=g.node_count)
+    return out
+
+
 def incidence_apply(g: EmpiricalGraph, x: np.ndarray) -> np.ndarray:
     """Signed edge differences: output[e] = x_head(e) - x_tail(e)."""
     x = np.asarray(x, dtype=np.float64)
@@ -241,7 +265,7 @@ def incidence_apply(g: EmpiricalGraph, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"node vector has shape {x.shape}, expected ({g.node_count},)"
         )
-    return x[g._head_idx] - x[g._tail_idx]
+    return _incidence(g, x)
 
 
 def divergence(g: EmpiricalGraph, y: np.ndarray) -> np.ndarray:
@@ -255,12 +279,7 @@ def divergence(g: EmpiricalGraph, y: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"edge vector has shape {y.shape}, expected ({g.edge_count},)"
         )
-    # bincount yields int64 for empty weights; keep the kernel float.
-    out = np.bincount(g._head_idx, weights=y, minlength=g.node_count).astype(
-        np.float64, copy=False
-    )
-    out -= np.bincount(g._tail_idx, weights=y, minlength=g.node_count)
-    return out
+    return _divergence(g, y)
 
 
 def grounded_laplacian_cg(
@@ -282,19 +301,14 @@ def grounded_laplacian_cg(
     """
     if weights is None:
         weights = np.ones(g.edge_count)
-    head, tail, n = g._head_idx, g._tail_idx, g.node_count
-    diag = np.bincount(head, weights=weights, minlength=n)
-    diag += np.bincount(tail, weights=weights, minlength=n)
+    n = g.node_count
+    diag = np.bincount(g._head_idx, weights=weights, minlength=n)
+    diag += np.bincount(g._tail_idx, weights=weights, minlength=n)
     full = np.zeros(n)
 
     def laplacian(p: np.ndarray) -> np.ndarray:
-        # divergence(g, weights * incidence_apply(g, full)) without the
-        # per-call checks of the two operators.
         full[free] = p
-        d = weights * (full[head] - full[tail])
-        out = np.bincount(head, weights=d, minlength=n)
-        out -= np.bincount(tail, weights=d, minlength=n)
-        return out[free]
+        return _divergence(g, weights * _incidence(g, full))[free]
 
     inv_diag = 1.0 / diag[free]
     u = np.zeros(rhs.size)
@@ -328,16 +342,12 @@ def scaled_operator_norm(g: EmpiricalGraph) -> float:
     """
     if g.node_count == 0:
         return 0.0
-    if g.min_degree() == 0:
-        isolated = [i + 1 for i in np.flatnonzero(g.degrees == 0)]
-        raise ValueError(
-            f"graph has isolated nodes {isolated}; inverse degrees are undefined"
-        )
+    g.check_no_isolated()
     inv_deg = 1.0 / g.degrees
 
     def apply_sym(u: np.ndarray) -> np.ndarray:
         # 0.5 * B diag(1/d) B^T u, the square of the scaled operator
-        return 0.5 * incidence_apply(g, inv_deg * divergence(g, u))
+        return 0.5 * _incidence(g, inv_deg * _divergence(g, u))
 
     rng = np.random.default_rng(1905)
     v = rng.standard_normal(g.edge_count)

@@ -4,8 +4,9 @@ values and checks.
 Three generators build a graph, its ground-truth partition and
 piecewise-constant signal, and the observed labels: a two-cluster chain, a
 two-cluster lattice and a weighted stochastic block model.  The lattice and
-the block model draw their random choices from a numpy ``Generator``, so a
-seed always yields the same instance.
+the block model draw their random choices from the numpy ``Generator``
+``rng``, so a seed always yields the same instance.  The CLI's
+``generate`` flags and their defaults are read from these signatures.
 """
 
 from __future__ import annotations
@@ -95,13 +96,14 @@ def chain_instance(
 
 
 def grid_instance(
-    rows: int,
-    cols: int,
-    split_col: int,
-    intra_weight: float,
-    boundary_weight: float,
-    samples_per_cluster: int,
-    coeffs: Sequence[float],
+    rows: int = 4,
+    cols: int = 6,
+    split_col: int = 3,
+    intra_weight: float = 1.0,
+    boundary_weight: float = 0.25,
+    samples_per_cluster: int = 2,
+    coeffs: Sequence[float] = (1.0, 0.0),
+    *,
     rng: np.random.Generator,
 ) -> Instance:
     """rows x cols lattice, node (r, c) numbered (r - 1) * cols + c, cut into
@@ -124,13 +126,14 @@ def grid_instance(
 
 
 def sbm_instance(
-    sizes: Sequence[int],
-    p_in: float,
-    p_out: float,
-    intra_weight: float,
-    inter_weight: float,
-    samples_per_cluster: int,
-    coeffs: Sequence[float],
+    sizes: Sequence[int] = (5, 5),
+    p_in: float = 0.7,
+    p_out: float = 0.1,
+    intra_weight: float = 1.0,
+    inter_weight: float = 0.25,
+    samples_per_cluster: int = 1,
+    coeffs: Sequence[float] = (1.0, 0.0),
+    *,
     rng: np.random.Generator,
 ) -> Instance:
     """Stochastic block model over consecutive blocks of nodes.

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import EmpiricalGraph, divergence
+from .graph import EmpiricalGraph, _incidence, divergence
 
 __all__ = [
     "Observations",
@@ -42,15 +42,21 @@ class Observations:
             raise ValueError("observations need aligned 1-d node and label arrays")
         if nodes.size == 0:
             raise ValueError("sampling set must be non-empty")
+        # Each message names the first faulty entry in input order.
         if nodes.min() < 1:
-            raise ValueError("node ids must be >= 1")
+            raise ValueError(f"node ids must be >= 1, got {nodes[nodes < 1][0]}")
         order = np.argsort(nodes, kind="stable")
+        # The sort is stable, so of two equal ids the later repeats the earlier.
+        repeats = order[1:][nodes[order[1:]] == nodes[order[:-1]]]
+        if repeats.size:
+            first = nodes[repeats.min()]
+            raise ValueError(f"duplicate node id {first} in sampling set")
+        bad = np.flatnonzero(~np.isfinite(labels))
+        if bad.size:
+            value, node = labels[bad[0]], nodes[bad[0]]
+            raise ValueError(f"labels must be finite, got {value} at node {node}")
         nodes = nodes[order]
         labels = labels[order]
-        if np.any(nodes[1:] == nodes[:-1]):
-            raise ValueError("duplicate node id in sampling set")
-        if not np.all(np.isfinite(labels)):
-            raise ValueError("labels must be finite")
         nodes.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -207,7 +213,7 @@ def tv(g: EmpiricalGraph, x: np.ndarray) -> float:
         raise ValueError(f"signal has shape {x.shape}, expected ({g.node_count},)")
     if g.edge_count == 0:
         return 0.0
-    return float(np.sum(g.weights * np.abs(x[g._head_idx] - x[g._tail_idx])))
+    return float(np.sum(g.weights * np.abs(_incidence(g, x))))
 
 
 def piecewise_constant(p: Partition, coeffs: Sequence[float]) -> np.ndarray:

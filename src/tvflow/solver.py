@@ -28,6 +28,8 @@ import numpy as np
 from .flow import Certificate, certificate_from_signal
 from .graph import (
     EmpiricalGraph,
+    _divergence,
+    _incidence,
     components,
     divergence,
     grounded_laplacian_cg,
@@ -152,11 +154,7 @@ def init_state(problem: Problem) -> SolverState:
     """Zero-initialized state; rejects graphs with isolated nodes and
     components without a label, whose values no label would determine."""
     g = problem.graph
-    if g.min_degree() == 0:
-        isolated = [i + 1 for i in np.flatnonzero(g.degrees == 0)]
-        raise ValueError(
-            f"solver requires min degree >= 1; isolated nodes {isolated}"
-        )
+    g.check_no_isolated()
     comp = components(g)
     labeled = np.zeros(comp.max() + 1, dtype=bool)
     labeled[comp[problem.sampled]] = True
@@ -180,24 +178,18 @@ def init_state(problem: Problem) -> SolverState:
 def pd_step(state: SolverState, problem: Problem) -> SolverState:
     """Run one full primal-dual iteration and return the new state."""
     g = problem.graph
-    n = g.node_count
-    if state.x_curr.shape != (n,) or state.y.shape != (g.edge_count,):
+    if state.x_curr.shape != (g.node_count,) or state.y.shape != (g.edge_count,):
         raise ValueError("state dimensions do not match the graph")
-    # incidence_apply and divergence written out on the edge index arrays:
-    # the same arithmetic without their per-call checks.
-    head, tail = g._head_idx, g._tail_idx
     gamma = problem.inv_degrees
     neg_cap, gamma_labels, gamma_plus_one = problem.step_constants
 
     x_tilde = 2.0 * state.x_curr - state.x_prev
-    y = state.y + 0.5 * (x_tilde[head] - x_tilde[tail])
+    y = state.y + 0.5 * _incidence(g, x_tilde)
     # Exact box projection; same point as y / max(1, |y|/cap) but keeps
     # |y_e| <= cap_e bitwise.
     np.clip(y, neg_cap, problem.capacities, out=y)
 
-    div = np.bincount(head, weights=y, minlength=n)
-    div -= np.bincount(tail, weights=y, minlength=n)
-    x = state.x_curr - gamma * div
+    x = state.x_curr - gamma * _divergence(g, y)
     m = problem.sampled
     x[m] = (gamma_labels + x[m]) / gamma_plus_one
 

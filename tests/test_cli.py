@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from conftest import edge_triples
 from tvflow import cli
 from tvflow.flow import construct_tree_certificate
 from tvflow.graph import build_graph
+from tvflow.instances import chain_instance, grid_instance, sbm_instance
 from tvflow.io import (
     read_flow_csv,
     read_graph_csv,
@@ -85,6 +88,45 @@ class TestGenerate:
 
     def test_usage_error_exit_code(self):
         assert run_cli(["generate", "nonsense"]) == 64
+
+    @pytest.mark.parametrize("kind, make", [
+        ("chain", chain_instance), ("grid", grid_instance), ("sbm", sbm_instance),
+    ])
+    def test_flags_mirror_generator_signature(self, kind, make):
+        # Every flag but --out-dir is a parameter of the generator, rng as
+        # --seed, and parsing no flag gives the signature's defaults.
+        params = inspect.signature(make).parameters
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        gen = next(a for a in sub.choices["generate"]._actions if a.dest == "kind")
+        flags = {
+            option for action in gen.choices[kind]._actions
+            for option in action.option_strings
+        } - {"-h", "--help", "--out-dir"}
+        assert flags == {
+            "--seed" if name == "rng" else "--" + name.replace("_", "-")
+            for name in params
+        }
+        args = cli._build_parser().parse_args(["generate", kind])
+        for name, param in params.items():
+            if name == "rng":
+                assert args.seed == 0
+            else:
+                default = param.default
+                want = list(default) if isinstance(default, tuple) else default
+                assert getattr(args, name) == want
+                assert type(getattr(args, name)) is type(want)
+
+    def test_chain_takes_no_seed(self, tmp_path):
+        out = tmp_path / "gen"
+        assert run_cli(["generate", "chain", "--seed", "1", "--out-dir", str(out)]) == 64
+        assert run_cli(["generate", "chain", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] is None
+
+    def test_list_flag_parse_error(self, capsys):
+        assert run_cli(["generate", "sbm", "--sizes", "5,x"]) == 64
+        assert "must be a comma-separated list of integers: '5,x'" in (
+            capsys.readouterr().err
+        )
 
     def test_invalid_params_exit_code(self, tmp_path):
         code = run_cli([
@@ -316,6 +358,10 @@ class TestParserReuse:
             assert run_cli(["generate", kind, *flags, "--out-dir", str(out)]) == 0
             return json.loads((out / "manifest.json").read_text())["config"]
 
+        chain_defaults = {
+            "kind": "chain", "n": 10, "split": 5, "intra_weight": 1.0,
+            "boundary_weight": 0.25, "samples": [2, 7], "coeffs": [1.0, 0.0],
+        }
         grid_defaults = {
             "kind": "grid", "rows": 4, "cols": 6, "split_col": 3,
             "intra_weight": 1.0, "boundary_weight": 0.25,
@@ -326,10 +372,13 @@ class TestParserReuse:
             "intra_weight": 1.0, "inter_weight": 0.25,
             "samples_per_cluster": 1, "coeffs": [1.0, 0.0],
         }
+        assert config("chain") == chain_defaults
         assert config("grid") == grid_defaults
         assert config("sbm") == sbm_defaults
+        assert config("chain", "--samples", "1,9", "--n", "12")["samples"] == [1, 9]
         assert config("grid", "--rows", "5", "--coeffs", "2,3")["coeffs"] == [2.0, 3.0]
         assert config("sbm", "--sizes", "3,4")["sizes"] == [3, 4]
+        assert config("chain") == chain_defaults
         assert config("grid") == grid_defaults
         assert config("sbm") == sbm_defaults
 
@@ -834,3 +883,21 @@ class TestCertifyPinnedBytes:
             sha.update(f"{name}\n{len(data)}\n".encode())
             sha.update(data)
         assert sha.hexdigest() == digest
+
+
+def readme_commands() -> list[str]:
+    """Every ``tvflow`` command in README.md's code blocks, with its
+    backslash continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    joined = "\n".join(blocks).replace("\\\n", " ")
+    return [line.strip() for line in joined.splitlines()
+            if line.strip().startswith("tvflow ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 7
+    for command in commands:
+        args = cli._build_parser().parse_args(shlex.split(command)[1:])
+        assert callable(args.func), command

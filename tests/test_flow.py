@@ -715,9 +715,9 @@ class TestRouteToRoots:
                 assert_routes_like_reference(g, ~cut, roots, routed, rng)
 
     @pytest.mark.parametrize("make", [
-        lambda rng: sbm_instance([50, 50], 0.2, 0.01, 1.0, 0.25, 2, [1, 0], rng),
-        lambda rng: sbm_instance([20, 30, 25], 0.3, 0.05, 1.0, 0.25, 3, [1, 0, -1], rng),
-        lambda rng: grid_instance(30, 30, 15, 1.0, 0.25, 4, [1, 0], rng),
+        lambda rng: sbm_instance([50, 50], 0.2, 0.01, 1.0, 0.25, 2, [1, 0], rng=rng),
+        lambda rng: sbm_instance([20, 30, 25], 0.3, 0.05, 1.0, 0.25, 3, [1, 0, -1], rng=rng),
+        lambda rng: grid_instance(30, 30, 15, 1.0, 0.25, 4, [1, 0], rng=rng),
     ], ids=["sbm-2x50", "sbm-3-blocks", "grid-30x30"])
     def test_cyclic_interiors(self, make):
         rng = np.random.default_rng(5)
@@ -776,7 +776,7 @@ class TestRouteToRoots:
         # The seeded 2x50 SBM that `solve --gap-tol` finishes on a
         # certificate; the flow's bytes equal those routed by the reference.
         g, _, _, obs = sbm_instance(
-            [50, 50], 0.2, 0.01, 1.0, 0.25, 2, [1, 0], np.random.default_rng(0)
+            [50, 50], 0.2, 0.01, 1.0, 0.25, 2, [1, 0], rng=np.random.default_rng(0)
         )
         problem = Problem(g, obs, 0.1)
         state = init_state(problem)

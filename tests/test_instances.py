@@ -104,7 +104,7 @@ def test_sbm_draws_match_one_draw_per_pair():
     sizes, p_in, p_out = [6, 5, 4], 0.6, 0.2
     rng = np.random.default_rng(9)
     g, partition, _, obs = sbm_instance(
-        sizes, p_in, p_out, 1.0, 0.25, 2, [1, 0, -1], rng
+        sizes, p_in, p_out, 1.0, 0.25, 2, [1, 0, -1], rng=rng
     )
     ref_rng = np.random.default_rng(9)
     block = np.repeat(np.arange(len(sizes)), sizes)

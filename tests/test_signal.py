@@ -39,6 +39,15 @@ class TestObservations:
         with pytest.raises(ValueError, match="finite"):
             Observations(np.array([1]), np.array([np.nan]))
 
+    @pytest.mark.parametrize("nodes, labels, message", [
+        ([5, 3, 5, 3], [1.0] * 4, "duplicate node id 5 in sampling set"),
+        ([2, 0, -1], [1.0] * 3, "node ids must be >= 1, got 0"),
+        ([4, 2, 3], [1.0, np.inf, np.nan], "labels must be finite, got inf at node 2"),
+    ], ids=["duplicate", "below-one", "non-finite"])
+    def test_error_names_first_faulty_entry(self, nodes, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Observations(np.array(nodes), np.array(labels))
+
     def test_validate_for_range(self):
         g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
         Problem(g, Observations.from_dict({3: 1.0}), 1.0)
