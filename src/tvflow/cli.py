@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .flow import Flow, construct_tree_certificate, verify_certificate
-from .graph import EmpiricalGraph, components
+from .graph import EmpiricalGraph
 from .instances import (
     CHAIN_REF_DUAL,
     CHAIN_REF_PRIMAL,
@@ -51,7 +51,7 @@ from .io import (
     write_signal_csv,
 )
 from .signal import Observations, Partition, Problem
-from .solver import SolverConfig, SolverResult, run
+from .solver import SolverConfig, SolverResult, init_state, run
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -120,12 +120,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     params: dict[str, Any] = {name: getattr(args, name) for name in names}
     seeded = {"rng": np.random.default_rng(args.seed)} if "seed" in args else {}
     g, partition, signal, obs = args.make(**params, **seeded)
-    if args.kind == "sbm" and (components(g).max() > 0 or g.min_degree() == 0):
-        print(
-            "warning: generated graph is disconnected; the solver requires"
-            " min degree >= 1 and labels in every component",
-            file=sys.stderr,
-        )
+    try:  # the solver's own checks, which do not depend on lambda
+        init_state(Problem(g, obs, 1.0))
+    except ValueError as exc:
+        print(f"warning: solve will refuse this instance: {exc}", file=sys.stderr)
     outputs = _write_instance(out_dir, g, partition, signal, obs)
     _write_manifest(args, {"kind": args.kind, **params}, outputs)
     print(f"wrote {', '.join(outputs)} to {out_dir}")
@@ -206,16 +204,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     flow = read_flow_csv(args.flow, g)
     partition = read_partition_csv(args.partition)
     obs = read_observations_csv(args.observations)
-    problem = Problem(g, obs, args.lam)
-    # From half an edge's capacity on, a flow of half that capacity or less
-    # (from the full capacity on, no flow at all) passes as saturated.
-    half = 0.5 * float(np.min(problem.capacities, initial=np.inf))
-    if args.tol >= half:
-        raise ValueError(
-            f"tol must be below half the smallest capacity lambda * min w,"
-            f" {half:g}, got {args.tol}"
-        )
-    report = verify_certificate(problem, flow, partition, args.tol)
+    report = verify_certificate(Problem(g, obs, args.lam), flow, partition, args.tol)
 
     payload = {**report.to_dict(), "lambda": args.lam, "tol": args.tol}
     write_json(out_dir / "report.json", payload)

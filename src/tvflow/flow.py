@@ -20,6 +20,7 @@ import numpy as np
 from .graph import (
     EmpiricalGraph,
     _incidence,
+    _node_list,
     components,
     divergence,
     grounded_laplacian_cg,
@@ -147,8 +148,8 @@ class CertificateReport:
 
 def _check_flow_inputs(problem: Problem, f: Flow, tol: float = 0.0) -> None:
     """Reject a flow that does not live on the problem's extended graph,
-    and a tolerance that is negative or not finite."""
-    Problem.check_tol("tol", tol)
+    and a tolerance that breaks :meth:`Problem.check_certificate_tol`."""
+    problem.check_certificate_tol("tol", tol)
     if f.base.shape != (problem.graph.edge_count,):
         raise ValueError(
             f"flow has {f.base.shape[0]} base values, graph has"
@@ -338,14 +339,14 @@ def _reconstruct(
     bad[sampled_comp[off]] = True
     if bad.any():
         c = int(np.argmax(bad))
-        nodes = (np.flatnonzero(comp == c) + 1).tolist()
+        nodes = _node_list(np.flatnonzero(comp == c) + 1)
         if lowest[c] != highest[c]:
             raise ValueError(
-                f"component {nodes} spans multiple clusters; the flow does not"
+                f"component [{nodes}] spans multiple clusters; the flow does not"
                 " certify this partition"
             )
         if anchor[c] < 0:
-            raise ValueError(f"component {nodes} contains no sampled node")
+            raise ValueError(f"component [{nodes}] contains no sampled node")
         other = int(np.flatnonzero(off & (sampled_comp == c))[0])
         raise ValueError(
             f"sampled nodes {obs.nodes[anchor[c]]} and {obs.nodes[other]}"

@@ -43,6 +43,8 @@ _CG_MAX_ITERS = 1000
 # relative to itself, and fails after _POWER_MAX_ITERS iterations.
 _POWER_RTOL = 1e-8
 _POWER_MAX_ITERS = 50_000
+# Messages that list nodes name at most this many (see _node_list).
+_SHOWN_NODES = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +82,30 @@ class EmpiricalGraph:
         counts.setflags(write=False)
         return counts
 
-    def min_degree(self) -> int:
-        return int(self.degrees.min()) if self.node_count else 0
-
     def check_no_isolated(self) -> None:
         """The one rule where inverse degrees are needed: no isolated node."""
-        isolated = (np.flatnonzero(self.degrees == 0) + 1).tolist()
-        if isolated:
-            raise ValueError(f"isolated nodes {isolated}: the solver needs degree >= 1")
+        n = self.node_count
+        if n > 2 * self.edge_count:
+            # Some node is isolated.  The first ones are found among the
+            # first ids that are no endpoint, without an array per node: n
+            # may come from one stray huge id.
+            ends = np.unique(np.concatenate((self.heads, self.tails)))
+            ids = np.arange(1, min(n, ends.size + _SHOWN_NODES + 1) + 1)
+            isolated = ids[~np.isin(ids, ends)]
+        else:
+            isolated = np.flatnonzero(self.degrees == 0) + 1
+        if isolated.size:
+            raise ValueError(
+                f"isolated nodes [{_node_list(isolated)}]: the solver needs degree >= 1"
+            )
+
+
+def _node_list(nodes: Sequence[int] | np.ndarray) -> str:
+    """The first _SHOWN_NODES of the node ids ``nodes``, comma-separated,
+    with ", ..." when there are more: messages that name nodes stay short
+    on any graph."""
+    shown = ", ".join(str(int(i)) for i in nodes[:_SHOWN_NODES])
+    return shown + (", ..." if len(nodes) > _SHOWN_NODES else "")
 
 
 def build_graph(

@@ -121,8 +121,8 @@ class Problem:
     capacities lambda * W_e plus one uncapacitated accumulator edge per
     sampled node.  Construction validates the three inputs together once
     and derives the read-only arrays every consumer shares: ``capacities``,
-    ``sampled`` (0-based positions of the labeled nodes), the ``unsampled``
-    node mask and, on first use, ``inv_degrees`` (the solver's node steps)
+    ``sampled`` (0-based positions of the labeled nodes) and, on first use,
+    the ``unsampled`` node mask, ``inv_degrees`` (the solver's node steps)
     and ``step_constants`` (the other constants of a solver step).
     """
 
@@ -131,7 +131,6 @@ class Problem:
     lam: float
     capacities: np.ndarray = field(init=False, repr=False)
     sampled: np.ndarray = field(init=False, repr=False)
-    unsampled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.check_lambda(self.lam)
@@ -141,14 +140,8 @@ class Problem:
                 f"sampled node {int(obs.nodes[-1])} exceeds node count {g.node_count}"
             )
         lam = float(self.lam)
-        unsampled = np.ones(g.node_count, dtype=bool)
-        unsampled[obs.indices] = False
         object.__setattr__(self, "lam", lam)
-        for name, value in (
-            ("capacities", lam * g.weights),
-            ("sampled", obs.indices),
-            ("unsampled", unsampled),
-        ):
+        for name, value in (("capacities", lam * g.weights), ("sampled", obs.indices)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -166,6 +159,26 @@ class Problem:
         """The one rule for a tolerance: finite and non-negative."""
         if not (0.0 <= tol < np.inf):
             raise ValueError(f"{name} must be finite and non-negative, got {tol}")
+
+    def check_certificate_tol(self, name: str, tol: float) -> None:
+        """The one rule for a certificate's tolerance: ``check_tol``, and
+        below half the smallest capacity lambda * min w, from where a flow of
+        half an edge's capacity or less passes as saturated."""
+        self.check_tol(name, tol)
+        half = 0.5 * float(np.min(self.capacities, initial=np.inf))
+        if tol >= half:
+            raise ValueError(
+                f"{name} must be below half the smallest capacity lambda * min w,"
+                f" {half:g}, got {tol}"
+            )
+
+    @cached_property
+    def unsampled(self) -> np.ndarray:
+        """Mask of the unsampled nodes, by node position."""
+        unsampled = np.ones(self.graph.node_count, dtype=bool)
+        unsampled[self.sampled] = False
+        unsampled.setflags(write=False)
+        return unsampled
 
     @cached_property
     def inv_degrees(self) -> np.ndarray:

@@ -30,6 +30,7 @@ from .graph import (
     EmpiricalGraph,
     _divergence,
     _incidence,
+    _node_list,
     components,
     divergence,
     grounded_laplacian_cg,
@@ -159,10 +160,9 @@ def init_state(problem: Problem) -> SolverState:
     labeled = np.zeros(comp.max() + 1, dtype=bool)
     labeled[comp[problem.sampled]] = True
     if not labeled.all():
-        nodes = (np.flatnonzero(comp == np.argmin(labeled)) + 1).tolist()
-        shown = str(nodes[:5])[1:-1] + (", ..." if len(nodes) > 5 else "")
+        nodes = _node_list(np.flatnonzero(comp == np.argmin(labeled)) + 1)
         raise ValueError(
-            f"component with nodes {{{shown}}} has no labeled node;"
+            f"component with nodes {{{nodes}}} has no labeled node;"
             " the solver requires a label in every connected component"
         )
     n, m = g.node_count, g.edge_count
@@ -206,11 +206,15 @@ def run(g: EmpiricalGraph, obs: Observations, cfg: SolverConfig) -> SolverResult
     (:func:`~tvflow.flow.certificate_from_signal`); when it verifies and
     its gap is at most gap_tol, the run stops with the certificate.
     Otherwise the probe pairs the repaired dual with the better of the
-    running average and the last iterate.  Raises when the final
-    objectives or gap are not finite."""
+    running average and the last iterate.  Raises before the first step
+    when in gap mode feas_tol, at which every finish verifies, breaks
+    :meth:`~tvflow.signal.Problem.check_certificate_tol`, and at the end
+    when the final objectives or gap are not finite."""
     problem = Problem(g, obs, cfg.lam)
-    state = init_state(problem)
     gap_mode = cfg.gap_tol > 0.0
+    if gap_mode:
+        problem.check_certificate_tol("feas_tol", cfg.feas_tol)
+    state = init_state(problem)
     next_probe = _PROBE_EVERY
     certificate = None
     while True:

@@ -75,16 +75,29 @@ class TestGenerate:
         assert run_cli(["generate", "grid", "--out-dir", str(out)]) == 0
         g = read_graph_csv(out / "graph.csv")
         assert g.node_count == 24
-        assert g.min_degree() >= 2
+        assert g.degrees.min() >= 2
 
-    def test_sbm_disconnected_warns(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sizes, warning", [
+        # Two cliques with a label each: disconnected, yet solve certifies it.
+        ("3,3", ""),
+        # Node 4 has no edge, so graph.csv loses it.
+        ("3,1", "warning: solve will refuse this instance: isolated nodes [4]:"
+                " the solver needs degree >= 1\n"),
+    ], ids=["3,3", "3,1"])
+    def test_sbm_warns_exactly_when_solve_refuses(self, tmp_path, capsys, sizes, warning):
         out = tmp_path / "sbm"
         code = run_cli([
-            "generate", "sbm", "--sizes", "3,3", "--p-out", "0",
+            "generate", "sbm", "--sizes", sizes, "--p-out", "0",
             "--p-in", "1", "--out-dir", str(out),
         ])
         assert code == 0
-        assert "disconnected" in capsys.readouterr().err
+        assert capsys.readouterr().err == warning
+        code = run_cli([
+            "solve", "--graph", str(out / "graph.csv"),
+            "--observations", str(out / "observations.csv"),
+            "--gap-tol", "1e-6", "--out-dir", str(tmp_path / "sol"),
+        ])
+        assert code == (64 if warning else 0)
 
     def test_usage_error_exit_code(self):
         assert run_cli(["generate", "nonsense"]) == 64
@@ -327,6 +340,48 @@ class TestSolve:
         assert code == 64
         err = capsys.readouterr().err
         assert f"{name}:3: node id {2**70} does not fit in 64 bits" in err
+
+
+    @pytest.mark.parametrize("gap_tol, code", [("1e-3", 64), ("0", 0)])
+    def test_gap_mode_feas_tol_below_half_the_smallest_capacity(
+        self, tmp_path, capsys, gap_tol, code
+    ):
+        # Gap mode verifies certificates at feas_tol, so it takes the
+        # certificate's bound; fixed mode only checks feasibility with it.
+        (tmp_path / "graph.csv").write_text("i,j,w\n1,2,1.0\n2,3,1.0\n")
+        (tmp_path / "obs.csv").write_text("i,x\n1,0.0\n2,1.0\n3,0.0\n")
+        out = tmp_path / "sol"
+        assert run_cli([
+            "solve", "--graph", str(tmp_path / "graph.csv"),
+            "--observations", str(tmp_path / "obs.csv"), "--lambda", "1",
+            "--gap-tol", gap_tol, "--feas-tol", "0.5", "--out-dir", str(out),
+        ]) == code
+        if code == 64:
+            assert (
+                "feas_tol must be below half the smallest capacity lambda * min w,"
+                " 0.5, got 0.5"
+            ) in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_stray_huge_node_id_exits_64(self, tmp_path, capsys):
+        # Node count 2^62: an array per node would need exabytes.
+        huge = 2**62
+        (tmp_path / "graph.csv").write_text(f"i,j,w\n1,{huge},1.0\n")
+        (tmp_path / "obs.csv").write_text("i,x\n1,0.0\n")
+        (tmp_path / "flow.csv").write_text(f"head,tail,y\n1,{huge},0.0\n1,star,0.0\n")
+        (tmp_path / "partition.csv").write_text("i,cluster\n1,1\n2,1\n")
+        files = ["--graph", str(tmp_path / "graph.csv"),
+                 "--observations", str(tmp_path / "obs.csv")]
+        for argv, message in (
+            (["solve", *files], "isolated nodes [2, 3, 4, 5, 6, ...]"),
+            (["solve", *files, "--gap-tol", "1e-3"], "isolated nodes [2, 3, 4, 5, 6, ...]"),
+            (["certify", *files, "--flow", str(tmp_path / "flow.csv"),
+              "--partition", str(tmp_path / "partition.csv")],
+             f"partition covers 2 nodes, graph has {huge}"),
+        ):
+            assert run_cli([*argv, "--out-dir", str(tmp_path / "out")]) == 64
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestParserReuse:
@@ -901,3 +956,12 @@ def test_readme_commands_parse():
     for command in commands:
         args = cli._build_parser().parse_args(shlex.split(command)[1:])
         assert callable(args.func), command
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # Run in order, each command reads what the ones before it wrote; every
+    # one exits 0, as the README documents, and certify verifies.
+    monkeypatch.chdir(tmp_path)
+    for command in readme_commands():
+        assert run_cli(shlex.split(command)[1:]) == 0, command
+    assert capsys.readouterr().out.endswith("certificate verified\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -393,6 +394,23 @@ class TestVerifyCertificate:
         assert not report.verdict
 
 
+    @pytest.mark.parametrize("tol", [0.5, 2.0])
+    def test_tol_below_half_the_smallest_capacity(self, tol):
+        # Path 1-2-3 labelled 0, 1, 0 in singleton clusters, zero flow,
+        # lambda 1: from tol 1 on the zero flow passes as saturating every
+        # edge, and the signal 0, 1, 0 (objective 2, against the optimum's
+        # 1/3) would verify.
+        g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
+        obs = Observations.from_dict({1: 0.0, 2: 1.0, 3: 0.0})
+        f = Flow(np.zeros(2), obs.nodes, np.zeros(3))
+        message = (
+            "tol must be below half the smallest capacity lambda * min w,"
+            f" 0.5, got {tol}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_certificate(Problem(g, obs, 1.0), f, Partition([0, 1, 2]), tol)
+
+
 class TestReconstructPrimal:
     def test_chain_exact(self, chain):
         g, obs, partition = chain
@@ -430,6 +448,25 @@ class TestReconstructPrimal:
         f = Flow(np.zeros(2), obs.nodes, np.zeros(2))
         with pytest.raises(ValueError, match=r"component \[1, 2, 3\] spans multiple"):
             reconstruct_primal(Problem(g, obs, 1.0), f, p)
+
+    def test_component_messages_bounded(self):
+        # A path of 10^4 nodes cut into clusters {1} and {2, ..., 10^4},
+        # labelled at node 1 only.
+        n = 10**4
+        g = build_graph(n, [(i, i + 1, 1.0) for i in range(1, n)])
+        p = Partition(np.minimum(np.arange(n), 1))
+        obs = Observations.from_dict({1: 0.0})
+        problem = Problem(g, obs, 1.0)
+        saturated = np.zeros(n - 1)
+        saturated[0] = 1.0
+        for y, message in (
+            (np.zeros(n - 1), "component [1, 2, 3, 4, 5, ...] spans multiple clusters"),
+            (saturated, "component [2, 3, 4, 5, 6, ...] contains no sampled node"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                reconstruct_primal(problem, Flow(y, obs.nodes, np.zeros(1)), p)
+            assert str(exc.value).startswith(message)
+            assert len(str(exc.value)) < 200
 
     def test_inconsistent_samples_rejected(self):
         # Component {3, 4, 5} is sampled at 3 and 5 with labels that

@@ -469,3 +469,38 @@ class TestGroundedLaplacianCG:
             u, iters = grounded_laplacian_cg(g, free, rhs, weights)
             assert 0 < iters <= free.sum()
             assert np.max(np.abs(u - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+class TestCheckNoIsolated:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_graphs_with_masks())
+    def test_names_the_first_isolated_nodes(self, data):
+        # Reference: every node of degree 0, the first five shown.  Graphs
+        # with more than twice as many nodes as edges take the path that
+        # reads only the edge endpoints.
+        g, _ = data
+        isolated = [i + 1 for i in range(g.node_count) if g.degrees[i] == 0]
+        if not isolated:
+            g.check_no_isolated()
+            return
+        shown = ", ".join(map(str, isolated[:5])) + (", ..." if len(isolated) > 5 else "")
+        with pytest.raises(ValueError) as exc:
+            g.check_no_isolated()
+        assert str(exc.value) == f"isolated nodes [{shown}]: the solver needs degree >= 1"
+
+    @pytest.mark.parametrize("path_nodes", [2, 6000])
+    def test_message_bounded(self, path_nodes):
+        # A path on the first nodes of 10^4, the rest isolated: both sides
+        # of node_count > 2 * edge_count.
+        g = build_graph(10**4, [(i, i + 1, 1.0) for i in range(1, path_nodes)])
+        with pytest.raises(ValueError) as exc:
+            g.check_no_isolated()
+        first = path_nodes + 1
+        assert str(exc.value).startswith(f"isolated nodes [{first}, {first + 1},")
+        assert len(str(exc.value)) < 200
+
+    def test_huge_node_count_allocates_nothing_per_node(self):
+        # An array per node of 2^62 would need exabytes.
+        g = build_graph(2**62, [(1, 2**62, 1.0)])
+        with pytest.raises(ValueError, match=r"isolated nodes \[2, 3, 4, 5, 6, \.\.\.\]"):
+            g.check_no_isolated()
