@@ -36,6 +36,7 @@ __all__ = [
     "reconstruct_primal",
     "construct_tree_certificate",
     "Certificate",
+    "certificate_from_partition",
     "certificate_from_signal",
 ]
 
@@ -356,49 +357,17 @@ def _reconstruct(
 
 
 def construct_tree_certificate(
-    g: EmpiricalGraph,
-    partition: Partition,
-    obs: Observations,
-    lam: float,
+    g: EmpiricalGraph, partition: Partition, obs: Observations, lam: float
 ) -> Flow:
-    """Build a candidate certificate flow for a partition of a tree into
-    connected, sampled clusters: :func:`_partition_flow`, with each
-    cross-cluster edge saturated from the higher mean label to the lower
-    (no sign fixpoint) and the cluster values c_k.
-
-    The flow conserves and its cluster balances agree exactly, but strict
-    interior slack and the orientation of saturated edges may still fail;
-    run it through :func:`verify_certificate`.
-    """
+    """The unverified candidate flow for a partition of any graph into
+    connected, sampled clusters: :func:`_partition_flow` with the
+    mean-label signs (no sign fixpoint).  It conserves and its cluster
+    balances agree exactly; strict interior slack and the orientation of
+    saturated edges are left to :func:`verify_certificate`."""
     problem = Problem(g, obs, lam)
-    partition.check_graph(g)
-    n = g.node_count
-    if g.edge_count != n - 1:
-        raise ValueError(
-            f"expected a tree ({n - 1} edges for {n} nodes), got {g.edge_count}"
-        )
-    # n - 1 edges and one component make a tree.
-    if components(g).max() != 0:
-        raise ValueError(
-            "graph contains a cycle and is disconnected; expected a tree"
-        )
-
+    bmask = _check_clusters(problem, partition)
     ci, count = partition.cluster_index, partition.cluster_count
-    label_counts = np.bincount(ci[problem.sampled], minlength=count)
-    if not label_counts.all():
-        k = int(np.argmin(label_counts))
-        raise ValueError(f"cluster {k + 1} has no sampled node")
-    bmask = boundary_mask(g, partition)
-    low, high = _group_min_max(ci, components(g, ~bmask), count)
-    if np.any(low != high):
-        raise ValueError(
-            f"cluster {int(np.argmax(low != high)) + 1} is not connected in the graph"
-        )
-
-    # With no boundary flow the cluster values are the mean labels.
-    bh, bt = ci[g._head_idx[bmask]], ci[g._tail_idx[bmask]]
-    means = _cluster_values(problem, ci, count, bmask, np.zeros(bh.size))
-    signs = np.sign(means[bh] - means[bt])
+    signs = _boundary_signs(problem, ci, count, bmask, np.zeros(bmask.sum()))
     return _partition_flow(problem, ci, count, bmask, signs)[0]
 
 
@@ -413,48 +382,94 @@ class Certificate:
     report: CertificateReport
 
 
+def certificate_from_partition(
+    problem: Problem, partition: Partition, tol: float = Problem.DEFAULT_TOL
+) -> Certificate:
+    """Certify ``partition``, on any graph, as the clusters of the optimal
+    signal at the problem's lambda, verified at ``tol``.
+
+    Raises ValueError saying why not: a cluster without a sampled node or
+    not connected in the graph, no sign fixpoint, or the failed check's
+    ``failure_reason``.
+    """
+    bmask = _check_clusters(problem, partition)
+    certificate, reason, _ = _certify(problem, partition, bmask, tol)
+    if certificate is None:
+        raise ValueError(reason)
+    return certificate
+
+
 def certificate_from_signal(
     problem: Problem, x: np.ndarray, tol: float = Problem.DEFAULT_TOL
 ) -> tuple[Certificate | None, int]:
-    """Build a flow certificate from a signal near the optimum, verify it
-    at ``tol`` and return it (None when it does not verify), with the
-    number of CG iterations spent.
-
-    1. Partition: the components of the edges on which x jumps by at most
-       1e-2 * max(1, label range).  Every cluster needs a label.
-    2. Boundary signs: from the cluster means of x, iterated to a fixpoint
-       of sign(c_head - c_tail) with the values of :func:`_cluster_values`;
-       a zero sign, or signs unsettled after 10 rounds, give None.
-    3. Flow: :func:`_partition_flow` of that partition and those signs.
-    """
+    """Certify the partition read off a signal near the optimum, as
+    :func:`certificate_from_partition` does at ``tol``, and count the CG
+    iterations spent; None when a cluster has no label or it does not
+    verify.  The partition is the components of the edges on which x jumps
+    by at most 1e-2 * max(1, label range); the boundary signs start from
+    its clusters' mean labels, not from x."""
     g, obs = problem.graph, problem.obs
     eps = _JUMP_TOL * max(1.0, float(obs.labels.max() - obs.labels.min()))
     ci = components(g, np.abs(incidence_apply(g, x)) <= eps)
-    count = int(ci.max()) + 1
-    if not np.bincount(ci[problem.sampled], minlength=count).all():
+    partition = Partition(ci)
+    try:
+        bmask = _check_clusters(problem, partition, ci)
+    except ValueError:
         return None, 0
+    certificate, _, cg_iters = _certify(problem, partition, bmask, tol)
+    return certificate, cg_iters
 
-    bmask = ci[g._head_idx] != ci[g._tail_idx]
-    bh, bt = ci[g._head_idx[bmask]], ci[g._tail_idx[bmask]]
-    means = np.bincount(ci, weights=x, minlength=count) / np.bincount(ci)
-    signs = np.sign(means[bh] - means[bt])
+
+def _check_clusters(
+    problem: Problem, partition: Partition, comp: np.ndarray | None = None
+) -> np.ndarray:
+    """The boundary mask of ``partition``; raise unless every cluster has a
+    sampled node and is one component ``comp`` of the edges inside
+    clusters (computed when not given)."""
+    bmask = boundary_mask(problem.graph, partition)
+    ci, count = partition.cluster_index, partition.cluster_count
+    labeled = np.bincount(ci[problem.sampled], minlength=count)
+    if not labeled.all():
+        raise ValueError(f"cluster {int(np.argmin(labeled)) + 1} has no sampled node")
+    if comp is None:
+        comp = components(problem.graph, ~bmask)
+    low, high = _group_min_max(ci, comp, count)
+    if np.any(low != high):
+        k = int(np.argmax(low != high)) + 1
+        raise ValueError(f"cluster {k} is not connected in the graph")
+    return bmask
+
+
+def _certify(
+    problem: Problem, partition: Partition, bmask: np.ndarray, tol: float
+) -> tuple[Certificate | None, str | None, int]:
+    """The certificate of connected, labeled clusters with boundary edges
+    ``bmask`` (None and why not) and the CG iterations spent: signs from
+    the mean-label signs iterated to a fixpoint of :func:`_boundary_signs`,
+    :func:`_partition_flow`, and :func:`verify_certificate` at ``tol``."""
+    ci, count = partition.cluster_index, partition.cluster_count
+    settled = _boundary_signs(problem, ci, count, bmask, np.zeros(bmask.sum()))
     for _ in range(_SIGN_ROUNDS):
-        coeffs = _cluster_values(problem, ci, count, bmask, signs)
-        settled = np.sign(coeffs[bh] - coeffs[bt])
+        signs, settled = settled, _boundary_signs(problem, ci, count, bmask, settled)
         if not settled.all():
-            return None, 0
+            return None, "no sign fixpoint: equal cluster values across an edge", 0
         if np.array_equal(settled, signs):
             break
-        signs = settled
     else:
-        return None, 0
-
+        return None, f"no sign fixpoint in {_SIGN_ROUNDS} rounds", 0
     flow, cg_iters = _partition_flow(problem, ci, count, bmask, signs)
-    partition = Partition(ci)
     report = verify_certificate(problem, flow, partition, tol)
-    if not report.verdict:
-        return None, cg_iters
-    return Certificate(flow, partition, report), cg_iters
+    certificate = Certificate(flow, partition, report) if report.verdict else None
+    return certificate, report.failure_reason, cg_iters
+
+
+def _boundary_signs(
+    problem: Problem, ci: np.ndarray, count: int, bmask: np.ndarray, signs: np.ndarray
+) -> np.ndarray:
+    """sign(c_head - c_tail) on the boundary edges ``bmask`` for the values
+    of :func:`_cluster_values` with ``signs``; zero signs give the means."""
+    coeffs = _cluster_values(problem, ci, count, bmask, signs)
+    return np.sign(_incidence(problem.graph, coeffs[ci])[bmask])
 
 
 def _cluster_values(
