@@ -39,9 +39,8 @@ from .io import (
     _write_csv,
     _write_dual_and_flow_csv,
     read_flow_csv,
-    read_graph_csv,
+    read_graph_and_observations_csv,
     read_json,
-    read_observations_csv,
     read_partition_csv,
     write_flow_csv,
     write_graph_csv,
@@ -159,8 +158,7 @@ def _write_solution(
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     out_dir = args.out_dir
-    g = read_graph_csv(args.graph)
-    obs = read_observations_csv(args.observations)
+    g, obs = read_graph_and_observations_csv(args.graph, args.observations)
     cfg = _load_config(args)
     result = run(g, obs, cfg)
 
@@ -200,10 +198,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     out_dir = args.out_dir
-    g = read_graph_csv(args.graph)
+    g, obs = read_graph_and_observations_csv(args.graph, args.observations)
     flow = read_flow_csv(args.flow, g)
     partition = read_partition_csv(args.partition)
-    obs = read_observations_csv(args.observations)
     report = verify_certificate(Problem(g, obs, args.lam), flow, partition, args.tol)
 
     payload = {**report.to_dict(), "lambda": args.lam, "tol": args.tol}

@@ -15,14 +15,20 @@ bit pattern, so ``0.0`` and ``-0.0`` stay apart) is formatted once: the
 signals and flows tvflow writes repeat a few values many times.  The bytes
 are those of formatting every row with ``repr``.
 
-Every CSV reader first parses in bulk: after the header, ``np.loadtxt``
-reads the rows into typed columns, and vectorized checks look for
-non-finite numbers, ids out of range, duplicate ids and ids not covered.
-When loadtxt refuses the file or a check finds a fault, the reader parses
-it again row by row.  That path accepts everything Python's ``int`` and
-``float`` accept (``1_000``, ids beyond 64 bits) and raises the error,
-which cites the offending file and line.  Both paths give identical
-results on every file the bulk path accepts, so which one ran never shows.
+Every CSV reader first parses in bulk: the header is checked on the file's
+first line, ``np.loadtxt`` is handed the path and parses the rows after it
+in C into typed columns, and vectorized checks look for non-finite
+numbers, ids out of range, duplicate ids and ids not covered.  When
+loadtxt refuses the file or a check finds a fault, the reader reads the
+file's lines and parses them row by row.  That path accepts everything
+Python's ``int`` and ``float`` accept (``1_000``, ids beyond 64 bits) and
+raises the error, which cites the offending file and line.  Both paths
+give identical results on every file the bulk path accepts, so which one
+ran never shows.  A file with a line break that a text-mode file, and so
+loadtxt, does not break at (a form feed, say) goes row by row.
+
+``read_graph_and_observations_csv`` reads the two inputs of a problem with
+one node count, the largest id in either file.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -46,6 +53,7 @@ __all__ = [
     "write_signal_csv",
     "read_observations_csv",
     "write_observations_csv",
+    "read_graph_and_observations_csv",
     "read_partition_csv",
     "write_partition_csv",
     "read_flow_csv",
@@ -56,6 +64,11 @@ __all__ = [
 
 _INT64 = np.iinfo(np.int64)
 _FLOW_HEADER = "head,tail,y"
+# The line breaks of ``str.splitlines`` besides "\n" and "\r", as UTF-8: a
+# text-mode file does not end a line at them.
+_OTHER_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+_ASCII_BREAKS = _OTHER_BREAKS[:5]
+_NOT_A_LINE_END = re.compile(rb"[^\r\n]")
 # Rows formatted and written at a time by every CSV writer.
 _CHUNK_ROWS = 1 << 14
 
@@ -117,22 +130,23 @@ def _read_csv(
 ) -> Any:
     """Parse a CSV in bulk, or row by row where the bulk path cannot.
 
-    The rows after ``header`` go to ``np.loadtxt`` as one structured array
-    with a field per header name of the type in ``dtypes``.  When every
-    float field is finite, ``bulk(table)`` checks ids and returns the
-    parsed value, or None when it finds a fault.  When the file has no
-    data rows, loadtxt refuses it, a float is not finite or ``bulk``
-    returns None, ``row_by_row(path, _read_rows(path, header, lines))``
-    parses it one row at a time and raises the error that cites file:line.
+    When the file's first line is ``header``, a row follows and its lines
+    end only where both paths end them (``_bulk_readable``), ``np.loadtxt``
+    is handed the path and parses the rows after the header, in C, into one
+    structured array with a field per header name of the type in
+    ``dtypes``.  When every float field is finite, ``bulk(table)`` checks
+    ids and returns the parsed value, or None when it finds a fault.  When
+    the file is not bulk-readable, loadtxt refuses it, a float is not
+    finite or ``bulk`` returns None, the file's lines are read and
+    ``row_by_row(path, _read_rows(path, header, lines))`` parses them one
+    row at a time, raising the error that cites file:line.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    body = lines[1:]
-    # Only empty lines after the header make loadtxt warn, not raise.
-    if lines and lines[0].strip() == header and any(body):
+    if _bulk_readable(path, header):
         names = header.split(",")
         try:
             table = np.loadtxt(
-                body, list(zip(names, dtypes)), delimiter=",", comments=None, ndmin=1
+                path, list(zip(names, dtypes)), delimiter=",", comments=None,
+                skiprows=1, ndmin=1, encoding="utf-8",
             )
         except ValueError:
             table = None
@@ -144,7 +158,25 @@ def _read_csv(
             result = bulk(table)
             if result is not None:
                 return result
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     return row_by_row(path, _read_rows(path, header, lines))
+
+
+def _bulk_readable(path: Path | str, header: str) -> bool:
+    """Whether the file ``path`` starts with the line ``header``, has a
+    non-empty line after it (loadtxt warns, rather than raises, when it has
+    none) and ends lines only at ``\\n``, ``\\r`` and ``\\r\\n``: there a
+    text-mode file, and so loadtxt, splits its rows exactly as
+    ``str.splitlines``, and so the row-by-row path, does."""
+    data = Path(path).read_bytes()
+    first = data.partition(b"\n")[0].partition(b"\r")[0]
+    # The non-ASCII breaks are UTF-8 sequences; an ASCII file has none.
+    breaks = _ASCII_BREAKS if data.isascii() else _OTHER_BREAKS
+    return (
+        first.strip() == header.encode()
+        and _NOT_A_LINE_END.search(data, len(first)) is not None
+        and not any(b in data for b in breaks)
+    )
 
 
 def _read_rows(
@@ -337,6 +369,21 @@ def read_observations_csv(path: Path | str) -> Observations:
         return Observations(nodes, labels)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}")
+
+
+def read_graph_and_observations_csv(
+    graph_path: Path | str, observations_path: Path | str
+) -> tuple[EmpiricalGraph, Observations]:
+    """Read a graph and its labels.  The node count is the largest id in
+    either file, so a labeled node without edges is an isolated node of
+    the graph, which the solver names, not an id beyond it."""
+    g = read_graph_csv(graph_path)
+    obs = read_observations_csv(observations_path)
+    largest = int(obs.nodes[-1])
+    if largest > g.node_count:
+        # The canonical edges of g are those of the larger graph too.
+        g = EmpiricalGraph(largest, g.heads, g.tails, g.weights)
+    return g, obs
 
 
 def write_partition_csv(path: Path | str, p: Partition) -> None:

@@ -99,6 +99,36 @@ class TestGenerate:
         ])
         assert code == (64 if warning else 0)
 
+    def test_labeled_node_without_edges_is_a_node_of_the_graph(self, tmp_path, capsys):
+        # graph.csv ends at node 3; observations.csv labels node 4 too.
+        out = tmp_path / "sbm"
+        assert run_cli([
+            "generate", "sbm", "--sizes", "3,1", "--p-out", "0",
+            "--p-in", "1", "--out-dir", str(out),
+        ]) == 0
+        capsys.readouterr()
+        files = ["--graph", str(out / "graph.csv"),
+                 "--observations", str(out / "observations.csv")]
+        assert run_cli(["solve", *files, "--out-dir", str(tmp_path / "sol")]) == 64
+        assert capsys.readouterr().err == (
+            "tvflow: error: isolated nodes [4]: the solver needs degree >= 1\n"
+        )
+        # certify reads the same four nodes: the zero flow, with node 4 its
+        # own cluster, is the certificate.
+        flow = tmp_path / "flow.csv"
+        flow.write_text(
+            "head,tail,y\n1,2,0.0\n1,3,0.0\n2,3,0.0\n2,star,0.0\n4,star,0.0\n"
+        )
+        code = run_cli([
+            "certify", *files, "--flow", str(flow),
+            "--partition", str(out / "partition.csv"),
+            "--out-dir", str(tmp_path / "cert"),
+        ])
+        assert code == 0
+        assert read_signal_csv(tmp_path / "cert" / "reconstructed.csv").tolist() == [
+            1.0, 1.0, 1.0, 0.0
+        ]
+
     def test_usage_error_exit_code(self):
         assert run_cli(["generate", "nonsense"]) == 64
 

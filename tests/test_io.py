@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import edge_triples
+import tvflow.io
 from tvflow.flow import Flow
 from tvflow.graph import EmpiricalGraph, build_graph
 from tvflow.io import (
     _CHUNK_ROWS,
     _write_dual_and_flow_csv,
     read_flow_csv,
+    read_graph_and_observations_csv,
     read_graph_csv,
     read_json,
     read_observations_csv,
@@ -122,6 +124,18 @@ class TestObservationsCsv:
         path.write_text("i,x\n")
         with pytest.raises(ValueError, match="no rows"):
             read_observations_csv(path)
+
+
+@pytest.mark.parametrize("obs_text, node_count", [
+    ("i,x\n1,0.0\n", 2),
+    ("i,x\n4,1.0\n1,0.0\n", 4),  # nodes 3 and 4 have no edge
+])
+def test_node_count_is_the_largest_id_of_either_file(tmp_path, obs_text, node_count):
+    (tmp_path / "graph.csv").write_text("i,j,w\n2,1,0.5\n")
+    (tmp_path / "obs.csv").write_text(obs_text)
+    g, _ = read_graph_and_observations_csv(tmp_path / "graph.csv", tmp_path / "obs.csv")
+    assert g.node_count == node_count
+    assert (g.heads.tolist(), g.tails.tolist(), g.weights.tolist()) == ([1], [2], [0.5])
 
 
 class TestPartitionCsv:
@@ -442,9 +456,19 @@ def valid_rows(draw, kind):
 
 FIELD_MUTATIONS = [
     "whitespace", "plus", "underscore", "float-id", "non-finite", "big-id",
-    "out-of-range", "extra-field", "missing-field",
+    "out-of-range", "extra-field", "missing-field", "break-in-row",
 ]
-LINE_MUTATIONS = ["blank", "duplicate", "shuffle", "header-only", "no-header"]
+LINE_MUTATIONS = [
+    "blank", "duplicate", "shuffle", "header-only", "no-header", "break-between-rows",
+    "bom",
+]
+# Where str.splitlines, and so the row-by-row path, ends a line and a
+# text-mode file, and so np.loadtxt, does not.
+OTHER_BREAKS = st.sampled_from(list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+
+
+def join_lines(lines, ends):
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 @st.composite
@@ -455,6 +479,8 @@ def mutated_csv(draw):
     header, int_cols, float_cols, _, _ = READERS[kind]
     rows = draw(valid_rows(kind))
     extra_lines = []
+    row_breaks = []
+    bom = ""
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         mutation = draw(st.sampled_from(FIELD_MUTATIONS + LINE_MUTATIONS))
         row = rows[draw(st.integers(0, len(rows) - 1))] if rows else None
@@ -462,7 +488,7 @@ def mutated_csv(draw):
         int_field = row is not None and col < len(row) and row[col] != "star"
         if mutation == "whitespace" and row:
             c = draw(st.integers(0, len(row) - 1))
-            pad = st.sampled_from([" ", "\t", "  ", " "])
+            pad = st.sampled_from([" ", "\t", "  ", "\xa0"])
             row[c] = draw(pad) + row[c] + draw(pad)
         elif mutation == "plus" and int_field and not row[col].startswith("-"):
             row[col] = "+" + row[col]
@@ -480,6 +506,10 @@ def mutated_csv(draw):
             row.append("1")
         elif mutation == "missing-field" and row is not None and len(row) > 1:
             row.pop()
+        elif mutation == "break-in-row" and row:
+            c = draw(st.integers(0, len(row) - 1))
+            k = draw(st.integers(0, len(row[c])))
+            row[c] = row[c][:k] + draw(OTHER_BREAKS) + row[c][k:]
         elif mutation == "blank":
             extra_lines.append(draw(st.sampled_from(["", " ", "\t \t"])))
         elif mutation == "duplicate" and row is not None:
@@ -490,27 +520,82 @@ def mutated_csv(draw):
             rows = []
         elif mutation == "no-header":
             header = None
+        elif mutation == "break-between-rows":
+            row_breaks.append(draw(OTHER_BREAKS))
+        elif mutation == "bom":
+            bom = "\ufeff"
     lines = [",".join(r) for r in rows]
     for line in extra_lines:
         lines.insert(draw(st.integers(0, len(lines))), line)
     if header is not None:
         lines.insert(0, header)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return kind, newline.join(lines) + newline * draw(st.booleans())
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    ends = [newline] * len(lines)
+    for line_break in row_breaks:  # in place of a newline, the header's too
+        if ends:
+            ends[draw(st.integers(0, len(ends) - 1))] = line_break
+    if ends and not draw(st.booleans()):
+        ends[-1] = ""  # no trailing newline
+    return kind, bom + join_lines(lines, ends)
+
+
+def reader_outcomes(kind, text):
+    """The outcome of the reader of ``kind`` and of its reference on the
+    file ``text``."""
+    import tempfile
+
+    _, _, _, read, reference = READERS[kind]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return read_outcome(read, path), read_outcome(reference, path)
+
+
+# One well-formed file of each kind, as lines.
+WELL_FORMED = {
+    "graph": ["i,j,w", "1,2,1.0", "2,3,0.5", "1,3,2.0"],
+    "signal": ["i,x", "2,-1.5", "1,0.25", "3,1e-300"],
+    "observations": ["i,x", "3,1.0", "1,0.0", "7,-2.5"],
+    "partition": ["i,cluster", "1,4", "3,-1", "2,4"],
+    "flow": [
+        "head,tail,y", "2,3,0.5", "1,2,-0.25", "3,4,0.0", "4,5,1.0",
+        "2,star,0.75", "5,star,-1.0",
+    ],
+}
+
+
+# Files that line separators, a byte-order mark, blank lines or a missing
+# trailing newline make differ from the well-formed ones.
+LINE_CASES = {
+    "lone-cr": lambda lines: "\r".join(lines) + "\r",
+    "form-feed-between-rows": lambda lines: join_lines(
+        lines, ["\n", "\x0c"] + ["\n"] * len(lines)
+    ),
+    "u2028-between-rows": lambda lines: join_lines(
+        lines, ["\n", "\u2028"] + ["\n"] * len(lines)
+    ),
+    "u0085-between-rows": lambda lines: join_lines(
+        lines, ["\n", "\x85"] + ["\n"] * len(lines)
+    ),
+    "form-feed-at-row-end": lambda lines: join_lines(
+        lines, ["\n", "\x0c\n"] + ["\n"] * len(lines)
+    ),
+    # Where loadtxt strips a separator as blank space from around a field.
+    "form-feed-after-comma": lambda lines: join_lines(
+        [lines[0], lines[1].replace(",", ",\x0c", 1), *lines[2:]], ["\n"] * len(lines)
+    ),
+    "bom": lambda lines: "\ufeff" + "\n".join(lines) + "\n",
+    "blank-body": lambda lines: lines[0] + "\n\n \n\t\n\n",
+    "no-trailing-newline": lambda lines: "\n".join(lines),
+}
 
 
 class TestBulkReadersMatchRowReaders:
     @given(mutated_csv())
     @settings(max_examples=400, deadline=None)
     def test_same_arrays_or_same_error(self, case):
-        import tempfile
-
-        kind, text = case
-        _, _, _, read, reference = READERS[kind]
-        with tempfile.TemporaryDirectory() as d:
-            path = Path(d) / "data.csv"
-            path.write_bytes(text.encode("utf-8"))
-            assert read_outcome(read, path) == read_outcome(reference, path)
+        read, reference = reader_outcomes(*case)
+        assert read == reference
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_header_only_file(self, tmp_path, kind):
@@ -518,6 +603,43 @@ class TestBulkReadersMatchRowReaders:
         path = tmp_path / "data.csv"
         path.write_text(header + "\n")
         assert read_outcome(read, path) == read_outcome(reference, path)
+
+    @pytest.mark.parametrize("case", sorted(LINE_CASES))
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_line_separators(self, kind, case):
+        read, reference = reader_outcomes(kind, LINE_CASES[case](WELL_FORMED[kind]))
+        assert read == reference
+
+
+class TestBulkPathTaken:
+    """Both paths give the same results, so only a row-by-row path that
+    cannot run shows which one read a file."""
+
+    @pytest.fixture
+    def no_row_by_row(self, monkeypatch):
+        class RowByRow(Exception):
+            pass
+
+        def refuse(*args):
+            raise RowByRow
+
+        monkeypatch.setattr(tvflow.io, "_read_rows", refuse)
+        return RowByRow
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_well_formed_file_read_in_bulk(self, tmp_path, no_row_by_row, kind):
+        _, _, _, read, reference = READERS[kind]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(WELL_FORMED[kind]) + "\n")
+        assert read_outcome(read, path) == read_outcome(reference, path)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_wrong_header_read_row_by_row(self, tmp_path, no_row_by_row, kind):
+        _, _, _, read, _ = READERS[kind]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(["a,b,c"] + WELL_FORMED[kind][1:]) + "\n")
+        with pytest.raises(no_row_by_row):
+            read(path)
 
 
 # Writers against the reference formatting: one f-string with repr per row.
