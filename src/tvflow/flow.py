@@ -13,12 +13,13 @@ piecewise-constant signal it reconstructs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .graph import (
     EmpiricalGraph,
+    _adjacency,
     _incidence,
     _node_list,
     components,
@@ -365,10 +366,10 @@ def construct_tree_certificate(
     balances agree exactly; strict interior slack and the orientation of
     saturated edges are left to :func:`verify_certificate`."""
     problem = Problem(g, obs, lam)
-    bmask = _check_clusters(problem, partition)
+    bmask, forest = _check_clusters(problem, partition)
     ci, count = partition.cluster_index, partition.cluster_count
     signs = _boundary_signs(problem, ci, count, bmask, np.zeros(bmask.sum()))
-    return _partition_flow(problem, ci, count, bmask, signs)[0]
+    return _partition_flow(problem, ci, count, bmask, forest, signs)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,8 +393,8 @@ def certificate_from_partition(
     not connected in the graph, no sign fixpoint, or the failed check's
     ``failure_reason``.
     """
-    bmask = _check_clusters(problem, partition)
-    certificate, reason, _ = _certify(problem, partition, bmask, tol)
+    bmask, forest = _check_clusters(problem, partition)
+    certificate, reason, _ = _certify(problem, partition, bmask, forest, tol)
     if certificate is None:
         raise ValueError(reason)
     return certificate
@@ -413,40 +414,61 @@ def certificate_from_signal(
     ci = components(g, np.abs(incidence_apply(g, x)) <= eps)
     partition = Partition(ci)
     try:
-        bmask = _check_clusters(problem, partition, ci)
+        bmask, forest = _check_clusters(problem, partition)
     except ValueError:
         return None, 0
-    certificate, _, cg_iters = _certify(problem, partition, bmask, tol)
+    certificate, _, cg_iters = _certify(problem, partition, bmask, forest, tol)
     return certificate, cg_iters
 
 
+class _Forest(NamedTuple):
+    """A breadth-first forest of some of a graph's edges, grown from
+    ``roots`` (node positions).  ``parent`` and ``parent_edge`` hold each
+    node's parent and the edge to it, -1 for a node no root reaches; a
+    root is its own parent.  ``levels`` holds the nodes at depth 1, 2, ...,
+    each in the order a first-in first-out queue visits them."""
+
+    roots: np.ndarray
+    parent: np.ndarray
+    parent_edge: np.ndarray
+    levels: list[np.ndarray]
+
+
 def _check_clusters(
-    problem: Problem, partition: Partition, comp: np.ndarray | None = None
-) -> np.ndarray:
-    """The boundary mask of ``partition``; raise unless every cluster has a
-    sampled node and is one component ``comp`` of the edges inside
-    clusters (computed when not given)."""
+    problem: Problem, partition: Partition
+) -> tuple[np.ndarray, _Forest]:
+    """The boundary mask of ``partition`` and the breadth-first forest of
+    the edges inside its clusters, rooted at each cluster's lowest sampled
+    node; raise unless every cluster has a sampled node and the forest
+    reaches every node, which holds exactly when every cluster is
+    connected.  The error names the lowest cluster that breaks a rule."""
     bmask = boundary_mask(problem.graph, partition)
     ci, count = partition.cluster_index, partition.cluster_count
-    labeled = np.bincount(ci[problem.sampled], minlength=count)
+    sampled_ci = ci[problem.sampled]
+    labeled = np.bincount(sampled_ci, minlength=count)
     if not labeled.all():
         raise ValueError(f"cluster {int(np.argmin(labeled)) + 1} has no sampled node")
-    if comp is None:
-        comp = components(problem.graph, ~bmask)
-    low, high = _group_min_max(ci, comp, count)
-    if np.any(low != high):
-        k = int(np.argmax(low != high)) + 1
+    roots = _group_min_max(sampled_ci, problem.sampled, count)[0].astype(np.int64)
+    forest = _bfs_forest(problem.graph, ~bmask, roots)
+    unreached = forest.parent < 0
+    if unreached.any():
+        k = int(ci[unreached].min()) + 1
         raise ValueError(f"cluster {k} is not connected in the graph")
-    return bmask
+    return bmask, forest
 
 
 def _certify(
-    problem: Problem, partition: Partition, bmask: np.ndarray, tol: float
+    problem: Problem,
+    partition: Partition,
+    bmask: np.ndarray,
+    forest: _Forest,
+    tol: float,
 ) -> tuple[Certificate | None, str | None, int]:
     """The certificate of connected, labeled clusters with boundary edges
-    ``bmask`` (None and why not) and the CG iterations spent: signs from
-    the mean-label signs iterated to a fixpoint of :func:`_boundary_signs`,
-    :func:`_partition_flow`, and :func:`verify_certificate` at ``tol``."""
+    ``bmask`` and interior forest ``forest`` (None and why not) and the CG
+    iterations spent: signs from the mean-label signs iterated to a
+    fixpoint of :func:`_boundary_signs`, :func:`_partition_flow`, and
+    :func:`verify_certificate` at ``tol``."""
     ci, count = partition.cluster_index, partition.cluster_count
     settled = _boundary_signs(problem, ci, count, bmask, np.zeros(bmask.sum()))
     for _ in range(_SIGN_ROUNDS):
@@ -457,7 +479,7 @@ def _certify(
             break
     else:
         return None, f"no sign fixpoint in {_SIGN_ROUNDS} rounds", 0
-    flow, cg_iters = _partition_flow(problem, ci, count, bmask, signs)
+    flow, cg_iters = _partition_flow(problem, ci, count, bmask, forest, signs)
     report = verify_certificate(problem, flow, partition, tol)
     certificate = Certificate(flow, partition, report) if report.verdict else None
     return certificate, report.failure_reason, cg_iters
@@ -489,10 +511,17 @@ def _cluster_values(
 
 
 def _partition_flow(
-    problem: Problem, ci: np.ndarray, count: int, bmask: np.ndarray, signs: np.ndarray
+    problem: Problem,
+    ci: np.ndarray,
+    count: int,
+    bmask: np.ndarray,
+    forest: _Forest,
+    signs: np.ndarray,
 ) -> tuple[Flow, int]:
     """The certificate flow of a partition into connected, labeled clusters
     ``ci`` with boundary edges ``bmask``, and the CG iterations spent.
+    ``forest`` is the breadth-first forest of the interior edges from each
+    cluster's lowest sampled node, as :func:`_check_clusters` builds it.
 
     1. Values c_k of :func:`_cluster_values`; boundary edge e carries
        signs_e * lam * w_e.
@@ -500,10 +529,10 @@ def _partition_flow(
        inside clusters that gives every unsampled node zero divergence and
        every sampled node i of cluster k divergence label_i - c_k, by one
        :func:`~tvflow.graph.grounded_laplacian_cg` over all clusters with
-       each cluster's lowest sampled node grounded.  Skipped when the
-       interior edges form a forest, where step 3 alone gives that flow.
-    3. Exact conservation: every node but those roots routes its leftover
-       divergence up a breadth-first forest of the interior edges.
+       the forest's roots grounded.  Skipped when the interior edges form
+       a forest, where step 3 alone gives that flow.
+    3. Exact conservation: every node but the roots routes its leftover
+       divergence up ``forest``.
 
     Every sampled node's label minus its star value is then c_k, so the
     cluster balances agree by construction.
@@ -516,9 +545,8 @@ def _partition_flow(
     y[bmask] = signs * problem.capacities[bmask]
     target = np.zeros(n)
     target[problem.sampled] = obs.labels - coeffs[sampled_ci]
-    roots = _group_min_max(sampled_ci, problem.sampled, count)[0].astype(int)
     routed = np.ones(n, dtype=bool)
-    routed[roots] = False
+    routed[forest.roots] = False
     interior = ~bmask
     cg_iters = 0
     rhs = (target - divergence(g, y))[routed]
@@ -527,50 +555,30 @@ def _partition_flow(
         u = np.zeros(n)
         u[routed], cg_iters = grounded_laplacian_cg(g, routed, rhs, weights)
         y += weights * incidence_apply(g, u)
-    _route_to_roots(g, interior, roots, y, divergence(g, y) - target, routed)
+    _route_to_roots(g, forest, y, divergence(g, y) - target, routed)
     star = divergence(g, y)[problem.sampled]
     return Flow(base=y, star_nodes=obs.nodes, star=star), cg_iters
 
 
-def _route_to_roots(
-    g: EmpiricalGraph,
-    interior: np.ndarray,
-    roots: np.ndarray,
-    y: np.ndarray,
-    leftover: np.ndarray,
-    routed: np.ndarray,
-) -> None:
-    """Move each ``routed`` node's ``leftover`` divergence to a root, in
-    place in ``y``.
+def _bfs_forest(
+    g: EmpiricalGraph, edge_mask: np.ndarray, roots: np.ndarray
+) -> _Forest:
+    """The breadth-first forest of the edges ``edge_mask`` from ``roots``,
+    built level by level.
 
-    The forest is a breadth-first search over the ``interior`` edges from
-    ``roots`` (one node per cluster, not routed), built level by level.
-    Each level gathers the interior edge slots of the whole frontier, in
-    frontier order and slot order, drops neighbours that already have a
-    parent, and gives each new node the first slot that reaches it; the
-    new nodes, in the order of those slots, are the next frontier.  This
-    reproduces exactly the parents, parent edges and visiting order of a
-    first-in first-out queue.  Then, deepest level first and each level in
-    reverse, every routed node passes its leftover plus what its children
-    passed up its parent edge, so its divergence falls by exactly its
-    leftover; nodes that are not routed keep what reaches them.
-    ``np.add.at`` adds repeated indices in order, so each parent sums its
-    children in reverse breadth-first order, bit for bit as a node-by-node
-    pass would.  Every routed node must be reachable from a root.
+    Each level gathers the slots (:func:`~tvflow.graph._adjacency`) of the
+    whole frontier, in frontier order and slot order, drops neighbours
+    that already have a parent, and gives each new node the first slot
+    that reaches it; the new nodes, in the order of those slots, are the
+    next frontier.  This reproduces exactly the parents, parent edges and
+    visiting order of a first-in first-out queue.
 
     Cost: O(edges) array work plus a fixed number of numpy calls per
-    level, so a cluster whose radius is close to its size (a long path
-    with one root) pays those calls once per node.
+    level, so a tree whose radius is close to its size (a long path with
+    one root) pays those calls once per node.
     """
     n = g.node_count
-    # Slots: both ends of every interior edge, grouped by end node.
-    edges = np.flatnonzero(interior)
-    ends = np.concatenate([g._head_idx[edges], g._tail_idx[edges]])
-    by_end = np.argsort(ends, kind="stable")
-    ends = ends[by_end]
-    bounds = np.searchsorted(ends, np.arange(n + 1))
-    others = np.concatenate([g._tail_idx[edges], g._head_idx[edges]])[by_end]
-    edges = np.concatenate([edges, edges])[by_end]
+    bounds, ends, others, edges = _adjacency(g, edge_mask)
     # A node is reached once its parent is set; roots are their own.
     parent = np.full(n, -1)
     parent_edge = np.full(n, -1)
@@ -594,14 +602,34 @@ def _route_to_roots(
         parent[frontier] = ends[slots]
         parent_edge[frontier] = edges[slots]
         levels.append(frontier)
+    return _Forest(roots, parent, parent_edge, levels)
 
+
+def _route_to_roots(
+    g: EmpiricalGraph,
+    forest: _Forest,
+    y: np.ndarray,
+    leftover: np.ndarray,
+    routed: np.ndarray,
+) -> None:
+    """Move each ``routed`` node's ``leftover`` divergence to its root in
+    ``forest``, in place in ``y``.
+
+    Deepest level first and each level in reverse, every routed node
+    passes its leftover plus what its children passed up its parent edge,
+    so its divergence falls by exactly its leftover; nodes that are not
+    routed, the roots among them, keep what reaches them.  ``np.add.at``
+    adds repeated indices in order, so each parent sums its children in
+    reverse breadth-first order, bit for bit as a node-by-node pass would.
+    Every routed node must be reachable from a root.
+    """
     carried = leftover.copy()
-    for level in reversed(levels):
+    for level in reversed(forest.levels):
         nodes = level[::-1]
         nodes = nodes[routed[nodes]]
-        np.add.at(carried, parent[nodes], carried[nodes])
+        np.add.at(carried, forest.parent[nodes], carried[nodes])
     child = np.flatnonzero(routed)
-    edge = parent_edge[child]
+    edge = forest.parent_edge[child]
     up = carried[child]
     # Flow up the parent edge lowers the child's divergence by ``up``;
     # adding -0.0 to the +0.0 of an empty edge keeps a zero flow +0.0.

@@ -13,8 +13,10 @@ bit-deterministic.  The unchecked kernels ``_incidence`` and
 ``_divergence`` are their one implementation: the public functions check
 their input and call them, and hot loops call them directly.
 ``components`` labels the connected components of the graph or of a
-subset of its edges, and ``grounded_laplacian_cg`` solves weighted
-Laplacian systems with some nodes held at zero.
+subset of its edges, ``_adjacency`` lists the ends of a subset of its
+edges grouped by node, for searches that walk it, and
+``grounded_laplacian_cg`` solves weighted Laplacian systems with some
+nodes held at zero.
 """
 
 from __future__ import annotations
@@ -259,6 +261,44 @@ def components(
             parent = grand
     roots = parent == np.arange(g.node_count)
     return (np.cumsum(roots) - 1)[parent]
+
+
+def _adjacency(
+    g: EmpiricalGraph, edge_mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both ends of every edge where ``edge_mask`` is True, grouped by node.
+
+    Returns ``bounds, ends, others, edges``: slot s is edge ``edges[s]``
+    seen from node position ``ends[s]``, whose other end is ``others[s]``,
+    and node i's slots are bounds[i]:bounds[i + 1].  A node lists the
+    masked edges it heads, then those it tails, each in edge order: the
+    order of ``np.argsort(ends, kind="stable")`` over the masked heads
+    followed by the masked tails.
+    """
+    n = g.node_count
+    edges = np.flatnonzero(edge_mask)
+    ends = np.concatenate([g._head_idx[edges], g._tail_idx[edges]])
+    others = np.concatenate([g._tail_idx[edges], g._head_idx[edges]])
+    order = _group_order(ends, n)
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=bounds[1:])
+    return bounds, ends[order], others[order], np.concatenate([edges, edges])[order]
+
+
+def _group_order(ends: np.ndarray, n: int) -> np.ndarray:
+    """The stable permutation that sorts node positions ``ends`` (each in
+    0..n-1), as ``np.argsort(ends, kind="stable")`` does.
+
+    It sorts one key per entry, end << s | position, with s bits enough
+    for every position.  The keys are distinct, so ``np.sort`` puts them in
+    the stable order, at a fraction of a stable argsort's cost.  Where the
+    key could overflow 64 bits it falls back to the stable argsort.
+    """
+    shift = int(ends.size).bit_length()
+    if (n << shift) - 1 > np.iinfo(np.int64).max:
+        return np.argsort(ends, kind="stable")
+    keys = np.sort((ends << shift) | np.arange(ends.size))
+    return keys & ((1 << shift) - 1)
 
 
 def _incidence(g: EmpiricalGraph, x: np.ndarray) -> np.ndarray:

@@ -12,13 +12,18 @@ Every CSV writer streams its rows through one row writer, ``_write_csv``,
 in chunks of ``_CHUNK_ROWS`` rows, so the text held at any time is that of
 one chunk, not of the whole file.  Within a chunk each distinct float (by
 bit pattern, so ``0.0`` and ``-0.0`` stay apart) is formatted once: the
-signals and flows tvflow writes repeat a few values many times.  The bytes
-are those of formatting every row with ``repr``.
+signals and flows tvflow writes repeat a few values many times.  One ``%``
+operation then formats the chunk's rows.  The bytes are those of
+formatting every row with ``repr``.
 
 Every CSV reader first parses in bulk: the header is checked on the file's
 first line, ``np.loadtxt`` is handed the path and parses the rows after it
 in C into typed columns, and vectorized checks look for non-finite
-numbers, ids out of range, duplicate ids and ids not covered.  When
+numbers, ids out of range, duplicate ids and ids not covered.  A flow
+file's tail column holds ids on base rows and the word ``star`` on star
+rows, so only the rows from the first star row on are parsed with a text
+tail column; the base rows before it, all of them in the files tvflow
+writes, are parsed as integers.  When
 loadtxt refuses the file or a check finds a fault, the reader reads the
 file's lines and parses them row by row.  That path accepts everything
 Python's ``int`` and ``float`` accept (``1_000``, ids beyond 64 bits) and
@@ -33,12 +38,11 @@ one node count, the largest id in either file.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -64,6 +68,10 @@ __all__ = [
 
 _INT64 = np.iinfo(np.int64)
 _FLOW_HEADER = "head,tail,y"
+# The types of a flow file's columns on base rows, and on rows whose tail
+# may be the word "star".
+_FLOW_BASE = (np.int64, np.int64, np.float64)
+_FLOW_ROWS = (np.int64, object, np.float64)
 # The line breaks of ``str.splitlines`` besides "\n" and "\r", as UTF-8: a
 # text-mode file does not end a line at them.
 _OTHER_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
@@ -93,22 +101,26 @@ def _write_csv(path: Path | str, header: str, *blocks: Sequence[_Column]) -> Non
 
 
 def _csv_chunks(*columns: _Column) -> Iterator[str]:
-    """The rows whose fields are ``columns`` (two or three, of the length of
-    the first), as text of ``_CHUNK_ROWS`` rows at a time."""
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        fields = zip(*(_fields(column, rows) for column in columns))
-        if len(columns) == 2:
-            yield "".join([f"{a},{b}\n" for a, b in fields])
-        else:
-            yield "".join([f"{a},{b},{c}\n" for a, b, c in fields])
+    """The rows whose fields are ``columns`` (of the length of the first),
+    as text of ``_CHUNK_ROWS`` rows at a time, each formatted by one ``%``."""
+    width = len(columns)
+    template = ",".join(["%s"] * width) + "\n"
+    length = len(columns[0])
+    for start in range(0, length, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, length))
+        count = rows.stop - start
+        fields: list[Any] = [None] * (count * width)
+        for k, column in enumerate(columns):
+            fields[k::width] = _fields(column, rows)
+        yield (template * count) % tuple(fields)
 
 
-def _fields(column: _Column, rows: slice) -> Iterable[Any]:
-    """The values of ``column`` at ``rows``, each formatted as ``f"{v}"``
-    gives its CSV field: ints and strings as they are, floats as repr."""
+def _fields(column: _Column, rows: slice) -> Sequence[Any]:
+    """The values of ``column`` at ``rows`` (a slice within its length),
+    each formatted as ``"%s"`` gives its CSV field: ints and strings as
+    they are, floats as repr."""
     if isinstance(column, str):
-        return itertools.repeat(column)
+        return [column] * (rows.stop - rows.start)
     part = column[rows]
     if isinstance(part, range):
         return part
@@ -121,54 +133,77 @@ def _fields(column: _Column, rows: slice) -> Iterable[Any]:
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
+# Parses the rows after the header of the file at a path, whose bytes are
+# given, into one or more tables; raises ValueError where loadtxt does.
+_Load = Callable[[Path | str, str, bytes], tuple[np.ndarray, ...]]
+
+
 def _read_csv(
     path: Path | str,
     header: str,
-    dtypes: Sequence[type],
-    bulk: Callable[[np.ndarray], Any],
+    load: _Load,
+    bulk: Callable[..., Any],
     row_by_row: Callable[[Path | str, list[tuple[int, list[str]]]], Any],
 ) -> Any:
     """Parse a CSV in bulk, or row by row where the bulk path cannot.
 
     When the file's first line is ``header``, a row follows and its lines
-    end only where both paths end them (``_bulk_readable``), ``np.loadtxt``
-    is handed the path and parses the rows after the header, in C, into one
-    structured array with a field per header name of the type in
-    ``dtypes``.  When every float field is finite, ``bulk(table)`` checks
-    ids and returns the parsed value, or None when it finds a fault.  When
-    the file is not bulk-readable, loadtxt refuses it, a float is not
-    finite or ``bulk`` returns None, the file's lines are read and
-    ``row_by_row(path, _read_rows(path, header, lines))`` parses them one
-    row at a time, raising the error that cites file:line.
+    end only where both paths end them (``_bulk_readable``), ``load(path,
+    header, data)``, given the file's bytes, parses the rows after the
+    header in C (``_loadtxt``) into structured arrays.  When every float
+    field is finite, ``bulk(*tables)`` checks ids and returns the parsed
+    value, or None when it finds a fault.  When the file is not
+    bulk-readable, loadtxt refuses it, a float is not finite or ``bulk``
+    returns None, the file's lines are read and ``row_by_row(path,
+    _read_rows(path, header, lines))`` parses them one row at a time,
+    raising the error that cites file:line.
     """
-    if _bulk_readable(path, header):
-        names = header.split(",")
+    data = Path(path).read_bytes()
+    if _bulk_readable(data, header):
         try:
-            table = np.loadtxt(
-                path, list(zip(names, dtypes)), delimiter=",", comments=None,
-                skiprows=1, ndmin=1, encoding="utf-8",
-            )
+            tables = load(path, header, data)
         except ValueError:
-            table = None
-        if table is not None and all(
+            tables = None
+        if tables is not None and all(
             np.isfinite(table[name]).all()
-            for name in names
+            for table in tables
+            for name in header.split(",")
             if table[name].dtype.kind == "f"
         ):
-            result = bulk(table)
+            result = bulk(*tables)
             if result is not None:
                 return result
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     return row_by_row(path, _read_rows(path, header, lines))
 
 
-def _bulk_readable(path: Path | str, header: str) -> bool:
-    """Whether the file ``path`` starts with the line ``header``, has a
-    non-empty line after it (loadtxt warns, rather than raises, when it has
-    none) and ends lines only at ``\\n``, ``\\r`` and ``\\r\\n``: there a
-    text-mode file, and so loadtxt, splits its rows exactly as
+def _loadtxt(
+    path: Path | str,
+    header: str,
+    dtypes: Sequence[type],
+    skiprows: int = 1,
+    max_rows: int | None = None,
+) -> np.ndarray:
+    """The rows of the file ``path`` after its first ``skiprows`` lines (at
+    most ``max_rows`` of them), parsed by ``np.loadtxt`` into one structured
+    array with a field per name of ``header`` of the type in ``dtypes``."""
+    return np.loadtxt(
+        path, list(zip(header.split(","), dtypes)), delimiter=",", comments=None,
+        skiprows=skiprows, max_rows=max_rows, ndmin=1, encoding="utf-8",
+    )
+
+
+def _one_table(*dtypes: type) -> _Load:
+    """The ``load`` of a file whose every row has the types ``dtypes``."""
+    return lambda path, header, data: (_loadtxt(path, header, dtypes),)
+
+
+def _bulk_readable(data: bytes, header: str) -> bool:
+    """Whether the file of bytes ``data`` starts with the line ``header``,
+    has a non-empty line after it (loadtxt warns, rather than raises, when
+    it has none) and ends lines only at ``\\n``, ``\\r`` and ``\\r\\n``:
+    there a text-mode file, and so loadtxt, splits its rows exactly as
     ``str.splitlines``, and so the row-by-row path, does."""
-    data = Path(path).read_bytes()
     first = data.partition(b"\n")[0].partition(b"\r")[0]
     # The non-ASCII breaks are UTF-8 sequences; an ASCII file has none.
     breaks = _ASCII_BREAKS if data.isascii() else _OTHER_BREAKS
@@ -254,7 +289,7 @@ def read_graph_csv(path: Path | str) -> EmpiricalGraph:
         return largest, triples
 
     largest, edges = _read_csv(
-        path, "i,j,w", (np.int64, np.int64, np.float64), bulk, row_by_row
+        path, "i,j,w", _one_table(np.int64, np.int64, np.float64), bulk, row_by_row
     )
     if largest is None:
         raise ValueError(f"{path}: no edges")
@@ -336,7 +371,7 @@ def _read_per_node(
             values[i - 1] = parse(path, lineno, sv, what)
         return values
 
-    return _read_csv(path, header, (np.int64, dtype), bulk, row_by_row)
+    return _read_csv(path, header, _one_table(np.int64, dtype), bulk, row_by_row)
 
 
 def read_signal_csv(path: Path | str) -> np.ndarray:
@@ -364,7 +399,9 @@ def read_observations_csv(path: Path | str) -> Observations:
             labels.append(_parse_float(path, lineno, sx, "label"))
         return nodes, labels
 
-    nodes, labels = _read_csv(path, "i,x", (np.int64, np.float64), bulk, row_by_row)
+    nodes, labels = _read_csv(
+        path, "i,x", _one_table(np.int64, np.float64), bulk, row_by_row
+    )
     try:
         return Observations(nodes, labels)
     except ValueError as exc:
@@ -437,18 +474,45 @@ def _check_flow(path: Path | str, g: EmpiricalGraph, f: Flow) -> None:
     )
 
 
+def _load_flow(path: Path | str, header: str, data: bytes) -> tuple[np.ndarray, ...]:
+    """The rows of the flow file ``path`` of bytes ``data``: those before
+    its first line with the tail ``star``, with integer tails, then the
+    rest, with text tails.
+
+    That line is the one holding the first ``s`` after the header, which
+    no number has.  Every row is parsed with a text tail when that ``s``
+    does not start the field ``star``, no row comes before it, a line
+    before it is empty (loadtxt would warn that it does not count that
+    line towards ``max_rows``) or the file has a ``\\r``.
+    """
+    body = len(data.partition(b"\n")[0].partition(b"\r")[0])
+    star = data.find(b"s", body)
+    if data[star - 1 : star + 5] == b",star," and b"\r" not in data:
+        # The line ends of the header and of the rows before the star line.
+        ends = np.flatnonzero(np.frombuffer(data[body:star], np.uint8) == ord("\n"))
+        if ends.size > 1 and not np.any(np.diff(ends) == 1):
+            return (
+                _loadtxt(path, header, _FLOW_BASE, max_rows=ends.size - 1),
+                _loadtxt(path, header, _FLOW_ROWS, skiprows=ends.size),
+            )
+    return (_loadtxt(path, header, _FLOW_ROWS),)
+
+
 def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:
     """Read base rows, in any order, onto the graph's canonical edges, and
     star rows (tail 'star') onto ascending star node ids."""
 
-    def bulk(table: np.ndarray) -> Flow | None:
-        star = table["tail"] == "star"
-        base = ~star
+    def bulk(*tables: np.ndarray) -> Flow | None:
+        # The last table's tails are text: ids or "star".
+        *base, rows = tables
+        star = rows["tail"] == "star"
         try:
-            tails = table["tail"][base].astype(np.int64)
+            tails = rows["tail"][~star].astype(np.int64)
         except (ValueError, OverflowError):  # not an int, or beyond 64 bits
             return None
-        heads, values = table["head"][base], table["y"][base]
+        heads = np.concatenate([t["head"] for t in base] + [rows["head"][~star]])
+        tails = np.concatenate([t["tail"] for t in base] + [tails])
+        values = np.concatenate([t["y"] for t in base] + [rows["y"][~star]])
         # Sorted base rows equal to the distinct canonical edges, one for
         # one, are those edges each exactly once.
         order = _edge_order(heads, tails, g.node_count)
@@ -457,12 +521,12 @@ def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:
             and np.array_equal(tails[order], g.tails)
         ):
             return None
-        star_nodes = table["head"][star]
+        star_nodes = rows["head"][star]
         star_order = np.argsort(star_nodes, kind="stable")
         star_nodes = star_nodes[star_order]
         if np.any(star_nodes[1:] == star_nodes[:-1]):
             return None
-        return Flow(values[order], star_nodes, table["y"][star][star_order])
+        return Flow(values[order], star_nodes, rows["y"][star][star_order])
 
     def row_by_row(path: Path | str, rows: list[tuple[int, list[str]]]) -> Flow:
         base = {}
@@ -496,8 +560,7 @@ def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:
             star=np.asarray([star[int(i)] for i in star_nodes]),
         )
 
-    dtypes = (np.int64, object, np.float64)
-    return _read_csv(path, _FLOW_HEADER, dtypes, bulk, row_by_row)
+    return _read_csv(path, _FLOW_HEADER, _load_flow, bulk, row_by_row)
 
 
 def write_json(path: Path | str, payload: dict[str, Any]) -> None:

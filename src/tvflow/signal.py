@@ -88,11 +88,16 @@ class Partition:
         if ci.ndim != 1 or not ci.size or not np.issubdtype(ci.dtype, np.integer):
             raise ValueError("partition needs a non-empty 1-d integer array")
         ci = ci.astype(np.int64)  # a copy: the caller's writes cannot reach it
-        ids = np.unique(ci)
-        if ids[0] < 0:
-            raise ValueError(f"cluster ids must be >= 0, got {int(ids[0])}")
-        if ids[-1] != ids.size - 1:
-            k = int(np.argmax(ids != np.arange(ids.size)))
+        low = int(ci.min())
+        if low < 0:
+            raise ValueError(f"cluster ids must be >= 0, got {low}")
+        # n nodes fill at most n of the bins 0..n, the last one counting
+        # every id >= n, so some id k <= n has no node; cluster k + 1 is
+        # empty when a node has a larger id.
+        n = ci.size
+        present = np.bincount(np.minimum(ci, n), minlength=n + 1) > 0
+        k = int(np.argmin(present))
+        if present[k:].any():
             raise ValueError(f"cluster {k + 1} is empty")
         ci.setflags(write=False)
         object.__setattr__(self, "cluster_index", ci)

@@ -15,6 +15,8 @@ from conftest import (
 )
 from tvflow.flow import (
     Flow,
+    _bfs_forest,
+    _Forest,
     _route_to_roots,
     certificate_from_partition,
     certificate_from_signal,
@@ -121,16 +123,12 @@ def reference_tree_certificate(
     return Flow(base=y, star_nodes=obs.nodes.copy(), star=star)
 
 
-def reference_route(
-    g: EmpiricalGraph,
-    interior: np.ndarray,
-    roots: np.ndarray,
-    y: np.ndarray,
-    leftover: np.ndarray,
-    routed: np.ndarray,
-) -> None:
-    """flow._route_to_roots as a first-in first-out queue and a node-by-node
-    reverse pass: the reference for the level-synchronous version."""
+def reference_forest(
+    g: EmpiricalGraph, interior: np.ndarray, roots: np.ndarray
+) -> _Forest:
+    """flow._bfs_forest as a first-in first-out queue over adjacency lists
+    grouped by a stable argsort: the reference for the level-synchronous
+    version."""
     n = g.node_count
     edges = np.flatnonzero(interior)
     ends = np.concatenate([g._head_idx[edges], g._tail_idx[edges]])
@@ -141,6 +139,7 @@ def reference_route(
     edges = np.concatenate([edges, edges])[by_end].tolist()
     parent = [-1] * n
     parent_edge = [-1] * n
+    depth = [0] * n
     order = roots.tolist()
     for root in order:
         parent[root] = root
@@ -149,15 +148,37 @@ def reference_route(
         for other, e in zip(others[lo:hi], edges[lo:hi]):
             if parent[other] < 0:
                 parent[other], parent_edge[other] = node, e
+                depth[other] = depth[node] + 1
                 order.append(other)
+    levels = [[] for _ in range(max([depth[i] for i in order], default=0))]
+    for node in order[roots.size:]:
+        levels[depth[node] - 1].append(node)
+    return _Forest(
+        roots,
+        np.asarray(parent),
+        np.asarray(parent_edge),
+        [np.asarray(level, dtype=np.int64) for level in levels],
+    )
 
+
+def reference_route(
+    g: EmpiricalGraph,
+    forest: _Forest,
+    y: np.ndarray,
+    leftover: np.ndarray,
+    routed: np.ndarray,
+) -> None:
+    """flow._route_to_roots as a node-by-node pass in reverse breadth-first
+    order: the reference for the level-by-level version."""
+    order = np.concatenate([forest.roots, *forest.levels]).tolist()
+    parent = forest.parent.tolist()
     carried = leftover.tolist()
     moves = routed.tolist()
     for node in reversed(order):
         if moves[node]:
             carried[parent[node]] += carried[node]
     child = np.flatnonzero(routed)
-    edge = np.asarray(parent_edge, dtype=np.int64)[child]
+    edge = forest.parent_edge[child]
     up = np.asarray(carried)[child]
     y[edge] += np.where(g._head_idx[edge] == child, -up, up)
 
@@ -522,6 +543,16 @@ class TestConstructTreeCertificate:
         with pytest.raises(ValueError, match="no sampled node"):
             construct_tree_certificate(g, partition, obs, 1.0)
 
+    def test_clusters_checked_without_components(self, monkeypatch, chain):
+        # The forest that routes the flow is also the connectivity check.
+        def no_components(*args, **kwargs):
+            raise AssertionError("components ran")
+
+        monkeypatch.setattr("tvflow.flow.components", no_components)
+        g, obs, partition = chain
+        f = construct_tree_certificate(g, partition, obs, 1.0)
+        assert np.array_equal(f.base, CHAIN_REF_DUAL)
+
     def test_random_trees_verify_and_reconstruct(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
@@ -760,6 +791,81 @@ class TestCertificateFromPartition:
             certificate_from_partition(problem, Partition(clusters))
 
 
+def components_check(
+    g: EmpiricalGraph, partition: Partition, obs: Observations
+) -> str | None:
+    """The cluster check by connected components: the message that names
+    the lowest unlabeled cluster, else the lowest cluster that is not one
+    component of the edges inside clusters; None when there is none."""
+    ci, count = partition.cluster_index, partition.cluster_count
+    labeled = np.bincount(ci[obs.indices], minlength=count)
+    if not labeled.all():
+        return f"cluster {int(np.argmin(labeled)) + 1} has no sampled node"
+    comp = components(g, ~boundary_mask(g, partition))
+    for k in range(count):
+        if np.unique(comp[ci == k]).size > 1:
+            return f"cluster {k + 1} is not connected in the graph"
+    return None
+
+
+def both_builders(g: EmpiricalGraph, partition: Partition, obs: Observations):
+    """The two public builders that check a partition's clusters."""
+    return [
+        lambda: construct_tree_certificate(g, partition, obs, 1.0),
+        lambda: certificate_from_partition(Problem(g, obs, 1.0), partition),
+    ]
+
+
+class TestDisconnectedClusters:
+    """The breadth-first forest is the connectivity check: a node it does
+    not reach lies in a cluster that is not connected."""
+
+    def test_named_like_components(self):
+        # Merged clusters of random_clustered_tree draws, trees and trees
+        # with one extra edge alike.
+        rng = np.random.default_rng(83)
+        named = 0
+        for _ in range(300):
+            g, partition, obs = random_clustered_tree(rng)
+            want = components_check(g, partition, obs)
+            if want is None or "not connected" not in want:
+                continue
+            for build in both_builders(g, partition, obs):
+                with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                    build()
+            named += 1
+        assert named >= 10
+
+    def test_lowest_cluster_named(self):
+        # Path 1-...-6 in clusters {2, 3, 6}, {1, 5} and {4}: the first two
+        # are not connected, and the search misses node 5 of cluster 2 and
+        # node 6 of cluster 1.
+        g = build_graph(6, [(i, i + 1, 1.0) for i in range(1, 6)])
+        partition = Partition([1, 0, 0, 2, 1, 0])
+        obs = Observations.from_dict({1: 1.0, 2: 0.0, 4: 0.5})
+        want = "cluster 1 is not connected in the graph"
+        assert components_check(g, partition, obs) == want
+        for build in both_builders(g, partition, obs):
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                build()
+
+    def test_cyclic_interior_raises_before_cg(self, monkeypatch):
+        # The 4-cycle 1-2-3-4 with the chord {1, 3}, plus the path 4-5-6, in
+        # clusters {1, 2, 3, 4, 6} and {5}: the first has cycles inside and
+        # node 6 apart from them, so no electrical flow may be computed.
+        def no_cg(*args, **kwargs):
+            raise AssertionError("grounded_laplacian_cg ran")
+
+        monkeypatch.setattr("tvflow.flow.grounded_laplacian_cg", no_cg)
+        edges = [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (4, 5), (5, 6)]
+        g = build_graph(6, [(a, b, 1.0) for a, b in edges])
+        partition = Partition([0, 0, 0, 0, 1, 0])
+        obs = Observations.from_dict({1: 1.0, 5: 0.0})
+        for build in both_builders(g, partition, obs):
+            with pytest.raises(ValueError, match="^cluster 1 is not connected"):
+                build()
+
+
 def assert_routes_like_reference(
     g: EmpiricalGraph,
     interior: np.ndarray,
@@ -767,13 +873,21 @@ def assert_routes_like_reference(
     routed: np.ndarray,
     rng: np.random.Generator,
 ) -> None:
-    """Route the divergence of random boundary flows (interior edges start
-    at +0.0) with both implementations and compare the bits of ``y``."""
+    """Build the forest of ``interior`` from ``roots`` and route the
+    divergence of random boundary flows (interior edges start at +0.0) with
+    both implementations; compare the forests and the bits of ``y``."""
+    want_forest = reference_forest(g, interior, roots)
+    got_forest = _bfs_forest(g, interior, roots)
+    assert got_forest.parent.tolist() == want_forest.parent.tolist()
+    assert got_forest.parent_edge.tolist() == want_forest.parent_edge.tolist()
+    assert [level.tolist() for level in got_forest.levels if level.size] == [
+        level.tolist() for level in want_forest.levels
+    ]
     y = np.where(interior, 0.0, rng.normal(size=g.edge_count))
     leftover = divergence(g, y) - np.where(rng.random(g.node_count) < 0.3, 0.0, 1.0)
     want, got = y.copy(), y.copy()
-    reference_route(g, interior, roots, want, leftover, routed)
-    _route_to_roots(g, interior, roots, got, leftover, routed)
+    reference_route(g, want_forest, want, leftover, routed)
+    _route_to_roots(g, got_forest, got, leftover, routed)
     assert got.tobytes() == want.tobytes()
 
 
@@ -785,8 +899,8 @@ def lowest_sampled_roots(partition: Partition, obs: Observations) -> np.ndarray:
 
 
 class TestRouteToRoots:
-    """The level-synchronous routing gives the same bits as
-    ``reference_route``."""
+    """The level-synchronous forest and routing give the same forest as
+    ``reference_forest`` and the same bits as ``reference_route``."""
 
     @pytest.mark.parametrize("labels_per_cluster", [1, 3])
     def test_clustered_trees(self, labels_per_cluster):
@@ -888,6 +1002,7 @@ class TestRouteToRoots:
         assert cert is not None
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_flow_csv(got, g, cert.flow)
+        monkeypatch.setattr("tvflow.flow._bfs_forest", reference_forest)
         monkeypatch.setattr("tvflow.flow._route_to_roots", reference_route)
         ref, _ = certificate_from_signal(problem, state.x_curr)
         write_flow_csv(want, g, ref.flow)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import edge_triples, make_chain
 from tvflow.graph import (
     EmpiricalGraph,
+    _adjacency,
     _edge_order,
+    _group_order,
     build_graph,
     components,
     divergence,
@@ -151,6 +153,38 @@ class TestEdgeOrder:
         assert np.array_equal(
             _edge_order(heads, tails, big), np.lexsort((tails, heads))
         )
+
+
+class TestAdjacency:
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stable_argsort_order(self, n, pairs, random):
+        """The slots of a random edge mask are those of a stable argsort of
+        the masked heads followed by the masked tails, with searchsorted
+        bounds: ties (a node on many edges), empty masks and nodes that no
+        masked edge touches included."""
+        edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b and max(a, b) <= n}
+        g = build_graph(n, [(a, b, 1.0) for a, b in sorted(edges)])
+        mask = np.array([random.random() < 0.7 for _ in range(g.edge_count)], dtype=bool)
+        kept = np.flatnonzero(mask)
+        ends = np.concatenate([g._head_idx[kept], g._tail_idx[kept]])
+        others = np.concatenate([g._tail_idx[kept], g._head_idx[kept]])
+        by_end = np.argsort(ends, kind="stable")
+        bounds, got_ends, got_others, got_edges = _adjacency(g, mask)
+        assert bounds.tolist() == np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
+        assert got_ends.tolist() == ends[by_end].tolist()
+        assert got_others.tolist() == others[by_end].tolist()
+        assert got_edges.tolist() == np.concatenate([kept, kept])[by_end].tolist()
+
+    def test_stable_argsort_where_the_key_would_overflow(self):
+        rng = np.random.default_rng(0)
+        big = 2**60
+        ends = rng.integers(0, 4, 200) * (big // 4)
+        assert np.array_equal(_group_order(ends, big), np.argsort(ends, kind="stable"))
 
 
 @st.composite

@@ -590,11 +590,44 @@ LINE_CASES = {
 }
 
 
+@st.composite
+def flow_csv(draw):
+    """A flow file on FLOW_GRAPH: star rows first, interleaved or last,
+    tails ``star`` or padded with blank space, blank lines, and ``\\n``,
+    ``\\r`` or ``\\r\\n`` line ends."""
+    base = [f"{i},{i + 1},{draw(float_texts)}" for i in range(1, FLOW_NODES)]
+    rows = draw(st.permutations(base))
+    nodes = draw(st.lists(st.integers(1, FLOW_NODES), min_size=1, max_size=3, unique=True))
+    tail = st.sampled_from(["star", "star", " star ", "star ", "\tstar"])
+    stars = [f"{i},{draw(tail)},{draw(float_texts)}" for i in nodes]
+    place = draw(st.sampled_from(["first", "interleaved", "last"]))
+    if place == "first":
+        rows = stars + rows
+    elif place == "last":
+        rows = rows + stars
+    else:
+        for row in stars:
+            rows.insert(draw(st.integers(0, len(rows))), row)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", " ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r", "\r\n"]))
+    ends = [newline] * len(rows)
+    if not draw(st.booleans()):
+        ends[-1] = ""  # no trailing newline
+    return "head,tail,y" + newline + join_lines(rows, ends)
+
+
 class TestBulkReadersMatchRowReaders:
     @given(mutated_csv())
     @settings(max_examples=400, deadline=None)
     def test_same_arrays_or_same_error(self, case):
         read, reference = reader_outcomes(*case)
+        assert read == reference
+
+    @given(flow_csv())
+    @settings(max_examples=300, deadline=None)
+    def test_flow_star_rows_anywhere(self, text):
+        read, reference = reader_outcomes("flow", text)
         assert read == reference
 
     @pytest.mark.parametrize("kind", sorted(READERS))
@@ -632,6 +665,32 @@ class TestBulkPathTaken:
         path = tmp_path / "data.csv"
         path.write_text("\n".join(WELL_FORMED[kind]) + "\n")
         assert read_outcome(read, path) == read_outcome(reference, path)
+
+    def test_own_flow_base_rows_parsed_as_integers(
+        self, tmp_path, monkeypatch, no_row_by_row
+    ):
+        # A flow as write_flow_csv writes it: only its star rows are parsed
+        # with a text tail column.
+        rng = np.random.default_rng(3)
+        n = 200
+        g = build_graph(n, [(int(rng.integers(1, v)), v, 1.0) for v in range(2, n + 1)])
+        f = Flow(rng.normal(size=g.edge_count), np.array([1, 50, 200]), rng.normal(size=3))
+        path = tmp_path / "flow.csv"
+        write_flow_csv(path, g, f)
+        tables = []
+        loadtxt = tvflow.io._loadtxt
+
+        def spy(*args, **kwargs):
+            tables.append(loadtxt(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(tvflow.io, "_loadtxt", spy)
+        back = read_flow_csv(path, g)
+        for got, want in zip(_arrays(back), _arrays(f)):
+            assert got.tobytes() == want.tobytes()
+        assert sum(t.size for t in tables) == g.edge_count + 3
+        text_tails = [t["tail"].tolist() for t in tables if t.dtype["tail"] == object]
+        assert text_tails == [["star"] * 3]
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_wrong_header_read_row_by_row(self, tmp_path, no_row_by_row, kind):

@@ -120,6 +120,34 @@ class TestPartition:
             Partition(np.array([1, 1, 1]))
 
     @pytest.mark.parametrize("cluster_index, message", [
+        ([0, 10**12], "cluster 2 is empty"),
+        ([1, 2], "cluster 1 is empty"),
+    ])
+    def test_id_beyond_node_count_rejected(self, cluster_index, message):
+        # An id >= the node count leaves some smaller id without a node.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Partition(np.array(cluster_index))
+
+    @given(st.lists(st.integers(-2, 8) | st.just(2**62), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sorted_ids_rule(self, ids):
+        # The rule on the sorted distinct ids: the smallest must be 0 and
+        # the first id missing below the largest names the empty cluster.
+        distinct = sorted(set(ids))
+        want = None
+        if distinct[0] < 0:
+            want = f"cluster ids must be >= 0, got {distinct[0]}"
+        elif distinct[-1] != len(distinct) - 1:
+            k = next(k for k, i in enumerate(distinct) if i != k)
+            want = f"cluster {k + 1} is empty"
+        try:
+            Partition(np.array(ids))
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+
+    @pytest.mark.parametrize("cluster_index, message", [
         ([], "non-empty 1-d integer"),
         ([[0, 1]], "non-empty 1-d integer"),
         ([0.0, 1.0], "non-empty 1-d integer"),
