@@ -7,7 +7,9 @@ graph and its capacities are those of a :class:`~tvflow.signal.Problem`.
 A flow whose divergence matches its accumulator values, saturates exactly
 the cross-cluster edges and stays strictly inside capacity elsewhere, and
 whose per-cluster balances agree, certifies optimality of the
-piecewise-constant signal it reconstructs.
+piecewise-constant signal it reconstructs.  :func:`verify_certificate`
+runs those checks and is the one way to that signal; a flow's dual value
+is :func:`~tvflow.solver.duality_gap`'s.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ from .signal import Observations, Partition, Problem, boundary_mask
 __all__ = [
     "Flow",
     "CertificateReport",
-    "mincost_objective",
     "verify_certificate",
-    "reconstruct_primal",
     "construct_tree_certificate",
     "Certificate",
     "certificate_from_partition",
@@ -148,25 +148,6 @@ class CertificateReport:
         }
 
 
-def _check_flow_inputs(problem: Problem, f: Flow, tol: float = 0.0) -> None:
-    """Reject a flow that does not live on the problem's extended graph,
-    and a tolerance that breaks :meth:`Problem.check_certificate_tol`."""
-    problem.check_certificate_tol("tol", tol)
-    if f.base.shape != (problem.graph.edge_count,):
-        raise ValueError(
-            f"flow has {f.base.shape[0]} base values, graph has"
-            f" {problem.graph.edge_count} edges"
-        )
-    labeled = problem.obs.nodes
-    if not np.array_equal(f.star_nodes, labeled):
-        missing = np.setdiff1d(labeled, f.star_nodes)[:1].tolist()
-        extra = np.setdiff1d(f.star_nodes, labeled)[:1].tolist()
-        raise ValueError(
-            "flow star nodes do not match the labeled nodes: first labeled node"
-            f" without a star row {missing}, first star row at an unlabeled node {extra}"
-        )
-
-
 def _group_min_max(
     groups: np.ndarray, values: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -181,15 +162,6 @@ def _group_min_max(
     return low, high
 
 
-def mincost_objective(problem: Problem, f: Flow) -> float:
-    """Cost of the accumulator edges: sum of v_i * (v_i / 2 - label_i).
-
-    At an optimal flow this equals minus the recovery objective.
-    """
-    _check_flow_inputs(problem, f)
-    return float(np.sum(f.star * (0.5 * f.star - problem.obs.labels)))
-
-
 def verify_certificate(
     problem: Problem, f: Flow, partition: Partition, tol: float = Problem.DEFAULT_TOL
 ) -> CertificateReport:
@@ -202,7 +174,8 @@ def verify_certificate(
     Clusters without a sampled node leave their balance condition
     undecidable and are reported as indeterminate.
 
-    When those checks pass, the signal is reconstructed and one final
+    When those checks pass, the signal is reconstructed (the report's
+    ``reconstructed``, the one way to a signal from a flow) and one final
     condition is tested: on every saturated edge the flow direction must
     agree with the reconstructed signal's jump.  A saturated flow pushed
     against the jump satisfies all the counting conditions yet is not
@@ -217,8 +190,19 @@ def verify_certificate(
     nodes, and the star-value sum at the accumulator.  Capacities apply to
     base edges only; accumulator edges are uncapacitated.
     """
-    _check_flow_inputs(problem, f, tol)
     g, obs, caps = problem.graph, problem.obs, problem.capacities
+    problem.check_certificate_tol("tol", tol)
+    if f.base.shape != (g.edge_count,):
+        raise ValueError(
+            f"flow has {f.base.shape[0]} base values, graph has {g.edge_count} edges"
+        )
+    if not np.array_equal(f.star_nodes, obs.nodes):
+        missing = np.setdiff1d(obs.nodes, f.star_nodes)[:1].tolist()
+        extra = np.setdiff1d(f.star_nodes, obs.nodes)[:1].tolist()
+        raise ValueError(
+            "flow star nodes do not match the labeled nodes: first labeled node"
+            f" without a star row {missing}, first star row at an unlabeled node {extra}"
+        )
     bmask = boundary_mask(g, partition)
 
     div, capacity_excess, conservation = problem.dual_residuals(f.base)
@@ -266,7 +250,7 @@ def verify_certificate(
         failure_reason = "cluster balances disagree"
     elif not indeterminate:
         try:
-            reconstructed = _reconstruct(problem, abs_y, div, partition, tol)
+            reconstructed = _reconstruct(problem, abs_y, div, tol)
         except ValueError as exc:
             failure_reason = str(exc)
         else:
@@ -297,35 +281,28 @@ def verify_certificate(
     )
 
 
-def reconstruct_primal(
-    problem: Problem, f: Flow, partition: Partition, tol: float = Problem.DEFAULT_TOL
+def _reconstruct(
+    problem: Problem, abs_y: np.ndarray, div: np.ndarray, tol: float
 ) -> np.ndarray:
-    """Recover the optimal signal from a verified certificate flow.
+    """The signal of a flow that passed every check of
+    :func:`verify_certificate` but orientation, from its absolute base flow
+    ``abs_y`` and its divergence ``div``.
 
     The signal is constant on every connected component of the edges with
-    strict capacity slack; the value is label_i minus the base-flow
-    divergence at the lowest sampled node i of the component.  Other
+    strict capacity slack, ``abs_y < cap - tol``; the value is label_i
+    minus ``div`` at the lowest sampled node i of the component.  Other
     sampled nodes in the component must agree to within ``tol``.
+
+    No such component crosses a cluster boundary.  Every boundary edge
+    passed ``|abs_y - cap| <= tol``, and
+    :meth:`Problem.check_certificate_tol` holds ``tol`` below half of every
+    capacity, so there abs_y >= cap / 2 and that float subtraction is exact
+    (Sterbenz): abs_y >= cap - tol exactly, and the rounded ``cap - tol``
+    never exceeds abs_y, which leaves no boundary edge with strict slack.
     """
-    _check_flow_inputs(problem, f, tol)
-    g = problem.graph
-    partition.check_graph(g)
-    return _reconstruct(problem, np.abs(f.base), divergence(g, f.base), partition, tol)
-
-
-def _reconstruct(
-    problem: Problem,
-    abs_y: np.ndarray,
-    div: np.ndarray,
-    partition: Partition,
-    tol: float,
-) -> np.ndarray:
-    """:func:`reconstruct_primal` on checked inputs, from the absolute base
-    flow ``abs_y`` and its divergence ``div``."""
     g, obs = problem.graph, problem.obs
     comp = components(g, abs_y < problem.capacities - tol)
     count = int(comp.max()) + 1
-    lowest, highest = _group_min_max(comp, partition.cluster_index, count)
 
     sampled = problem.sampled
     candidates = obs.labels - div[sampled]
@@ -337,17 +314,12 @@ def _reconstruct(
     value = candidates[anchor]
     off = np.abs(candidates - value[sampled_comp]) > tol
 
-    bad = (lowest != highest) | (anchor < 0)
+    bad = anchor < 0
     bad[sampled_comp[off]] = True
     if bad.any():
         c = int(np.argmax(bad))
-        nodes = _node_list(np.flatnonzero(comp == c) + 1)
-        if lowest[c] != highest[c]:
-            raise ValueError(
-                f"component [{nodes}] spans multiple clusters; the flow does not"
-                " certify this partition"
-            )
         if anchor[c] < 0:
+            nodes = _node_list(np.flatnonzero(comp == c) + 1)
             raise ValueError(f"component [{nodes}] contains no sampled node")
         other = int(np.flatnonzero(off & (sampled_comp == c))[0])
         raise ValueError(

@@ -102,11 +102,11 @@ class EmpiricalGraph:
             )
 
 
-def _node_list(nodes: Sequence[int] | np.ndarray) -> str:
-    """The first _SHOWN_NODES of the node ids ``nodes``, comma-separated,
-    with ", ..." when there are more: messages that name nodes stay short
-    on any graph."""
-    shown = ", ".join(str(int(i)) for i in nodes[:_SHOWN_NODES])
+def _node_list(nodes: Sequence[Any] | np.ndarray) -> str:
+    """The first _SHOWN_NODES of ``nodes``, node ids or (head, tail) edges,
+    comma-separated, with ", ..." when there are more: messages that name
+    nodes or edges stay short on any graph."""
+    shown = ", ".join(str(i) for i in nodes[:_SHOWN_NODES])
     return shown + (", ..." if len(nodes) > _SHOWN_NODES else "")
 
 

@@ -24,10 +24,11 @@ file's tail column holds ids on base rows and the word ``star`` on star
 rows, so only the rows from the first star row on are parsed with a text
 tail column; the base rows before it, all of them in the files tvflow
 writes, are parsed as integers.  When
-loadtxt refuses the file or a check finds a fault, the reader reads the
-file's lines and parses them row by row.  That path accepts everything
-Python's ``int`` and ``float`` accept (``1_000``, ids beyond 64 bits) and
-raises the error, which cites the offending file and line.  Both paths
+loadtxt refuses the file or a check finds a fault, the reader splits the
+bytes it has already read into lines and parses them row by row.  That
+path accepts everything Python's ``int`` and ``float`` accept (``1_000``,
+ids beyond 64 bits) and raises the error, which cites the offending file
+and line.  Both paths
 give identical results on every file the bulk path accepts, so which one
 ran never shows.  A file with a line break that a text-mode file, and so
 loadtxt, does not break at (a form feed, say) goes row by row.
@@ -47,7 +48,7 @@ from typing import Any, Callable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .flow import Flow
-from .graph import EmpiricalGraph, _edge_order, build_graph
+from .graph import EmpiricalGraph, _edge_order, _node_list, build_graph
 from .signal import Observations, Partition
 
 __all__ = [
@@ -154,9 +155,9 @@ def _read_csv(
     field is finite, ``bulk(*tables)`` checks ids and returns the parsed
     value, or None when it finds a fault.  When the file is not
     bulk-readable, loadtxt refuses it, a float is not finite or ``bulk``
-    returns None, the file's lines are read and ``row_by_row(path,
-    _read_rows(path, header, lines))`` parses them one row at a time,
-    raising the error that cites file:line.
+    returns None, ``row_by_row(path, _read_rows(path, header, lines))``
+    parses the lines of those same bytes one row at a time, raising the
+    error that cites file:line.
     """
     data = Path(path).read_bytes()
     if _bulk_readable(data, header):
@@ -173,7 +174,7 @@ def _read_csv(
             result = bulk(*tables)
             if result is not None:
                 return result
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = data.decode("utf-8").splitlines()
     return row_by_row(path, _read_rows(path, header, lines))
 
 
@@ -547,11 +548,11 @@ def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:
                 base[(h, t)] = value
         expected = list(zip(g.heads.tolist(), g.tails.tolist()))
         if set(base) != set(expected):
-            missing = sorted(set(expected) - set(base))
-            extra = sorted(set(base) - set(expected))
+            missing = _node_list(sorted(set(expected) - set(base)))
+            extra = _node_list(sorted(set(base) - set(expected)))
             raise ValueError(
                 f"{path}: flow edges do not match the graph"
-                f" (missing {missing}, extraneous {extra})"
+                f" (missing [{missing}], extraneous [{extra}])"
             )
         star_nodes = np.asarray(sorted(star), dtype=np.int64)
         return Flow(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import Flow, mincost_objective
+from .flow import Flow
 from .graph import divergence, incidence_apply
 from .signal import Problem, primal_objective
 
@@ -25,6 +25,12 @@ __all__ = [
     "oracle_mincost_flow",
     "project_dual_feasible",
 ]
+
+# Iteration budgets: Dykstra rounds per projection, projected-gradient steps
+# of the flow oracle and subgradient steps of the nLasso oracle.
+_DYKSTRA_ITERS = 20_000
+_FLOW_BUDGET = 50_000
+_NLASSO_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +47,9 @@ class OracleResult:
 
 @dataclass(frozen=True, eq=False)
 class FlowOracleResult:
-    """Reference optimal flow with the objective it converged to."""
+    """Reference optimal flow with the objective it converged to: its cost
+    sum of v_i * (v_i / 2 - label_i) over the sampled nodes, v the
+    divergence, which is minus its dual value."""
 
     flow: Flow
     objective: float
@@ -68,14 +76,13 @@ def project_dual_feasible(
     problem: Problem,
     y: np.ndarray,
     tol: float = 1e-12,
-    max_iters: int = 20_000,
     _projector: np.ndarray | None = None,
 ) -> np.ndarray:
     """Project y onto the dual-feasible set (capacity box intersected with
     zero divergence at unsampled nodes), by Dykstra's alternating scheme.
 
     The returned point lies exactly in the divergence subspace and within
-    ``tol`` of the box.
+    ``tol`` of the box, unless ``_DYKSTRA_ITERS`` rounds do not get it there.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
@@ -85,7 +92,7 @@ def project_dual_feasible(
     x = proj @ y
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    for _ in range(max_iters):
+    for _ in range(_DYKSTRA_ITERS):
         z = np.clip(x + p, -caps, caps)
         p = x + p - z
         w = proj @ (z + q)
@@ -96,7 +103,7 @@ def project_dual_feasible(
     return x
 
 
-def oracle_mincost_flow(problem: Problem, budget: int = 50_000) -> FlowOracleResult:
+def oracle_mincost_flow(problem: Problem) -> FlowOracleResult:
     """Solve the flow problem by projected gradient over base edges.
 
     Star values are eliminated through conservation (each becomes the base
@@ -104,7 +111,7 @@ def oracle_mincost_flow(problem: Problem, budget: int = 50_000) -> FlowOracleRes
     edge values over the capacity box intersected with the zero-divergence
     subspace of the unsampled nodes.  Steps use the inverse of the exact
     curvature bound; each step re-projects with Dykstra.  Flagged when the
-    objective has not settled within ``budget`` iterations.
+    objective has not settled within ``_FLOW_BUDGET`` iterations.
     """
     g, obs = problem.graph, problem.obs
     m_idx = problem.sampled
@@ -131,7 +138,7 @@ def oracle_mincost_flow(problem: Problem, budget: int = 50_000) -> FlowOracleRes
     prev_obj = objective(y)
     converged = False
     used = 0
-    for it in range(1, budget + 1):
+    for it in range(1, _FLOW_BUDGET + 1):
         used = it
         v = divergence(g, y)
         u = np.zeros(g.node_count)
@@ -148,7 +155,7 @@ def oracle_mincost_flow(problem: Problem, budget: int = 50_000) -> FlowOracleRes
     flow = Flow(base=y, star_nodes=obs.nodes.copy(), star=divergence(g, y)[m_idx])
     return FlowOracleResult(
         flow=flow,
-        objective=mincost_objective(problem, flow),
+        objective=objective(y),
         method="projected-gradient",
         iterations=used,
         flagged=not converged,
@@ -168,9 +175,7 @@ def _subgradient(problem: Problem, x: np.ndarray) -> np.ndarray:
 
 
 def oracle_nlasso(
-    problem: Problem,
-    budget: int = 1_000_000,
-    target_gap: float = 5e-4,
+    problem: Problem, target_gap: float = 5e-4
 ) -> OracleResult:
     """Minimize the recovery objective by projected subgradient descent.
 
@@ -182,7 +187,7 @@ def oracle_nlasso(
     the mean with observed labels imputed.  Certified against the lower
     bound supplied by :func:`oracle_mincost_flow`; stops early once the
     certified gap falls below ``target_gap`` and is flagged when the gap is
-    still above 1e-3 at the end of the budget.
+    still above 1e-3 after ``_NLASSO_BUDGET`` steps.
     """
     g, obs = problem.graph, problem.obs
     mc = oracle_mincost_flow(problem)
@@ -209,8 +214,8 @@ def oracle_nlasso(
 
     phase_len = 2000.0
     used = 0
-    while used < budget and best_obj - dual_bound > target_gap:
-        steps = min(int(phase_len), budget - used)
+    while used < _NLASSO_BUDGET and best_obj - dual_bound > target_gap:
+        steps = min(int(phase_len), _NLASSO_BUDGET - used)
         avg = np.zeros(n)
         xp = best_x.copy()
         for t in range(1, steps + 1):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from conftest import edge_triples
 import tvflow.io
 from tvflow.flow import Flow
 from tvflow.graph import EmpiricalGraph, build_graph
+from tvflow.instances import grid_instance
 from tvflow.io import (
     _CHUNK_ROWS,
     _write_dual_and_flow_csv,
@@ -208,6 +210,35 @@ class TestFlowCsv:
         path = tmp_path / "flow.csv"
         path.write_text("head,tail,y\n1,2,0.0\n")
         with pytest.raises(ValueError, match="do not match"):
+            read_flow_csv(path, g)
+
+    def test_edge_mismatch_message_bounded(self, tmp_path):
+        # 9 of the 1,740 base rows of a 30 x 30 lattice: the message names
+        # the first five missing edges, not all 1,731.
+        g = grid_instance(30, 30, rng=np.random.default_rng(0))[0]
+        path = tmp_path / "flow.csv"
+        write_flow_csv(path, g, Flow(np.zeros(g.edge_count), [], []))
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:10]))
+        with pytest.raises(ValueError) as exc:
+            read_flow_csv(path, g)
+        message = str(exc.value)
+        assert message == (
+            f"{path}: flow edges do not match the graph (missing [(5, 35), (6, 7),"
+            " (6, 36), (7, 8), (7, 37), ...], extraneous [])"
+        )
+        assert len(message) < 300
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2,0.0\n2,3,0.0\n1,star,0.5\n1,star,0.5\n", ":5: duplicate star edge at node 1"),
+        ("1,2,0.0\n1,2,0.5\n2,3,0.0\n", ":3: duplicate edge (1, 2)"),
+    ], ids=["star", "base"])
+    def test_duplicate_row_cites_line(self, tmp_path, body, message):
+        # Both files parse in bulk; the bulk check that finds the repeat
+        # hands them to the row-by-row path, which names the line.
+        g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
+        path = tmp_path / "flow.csv"
+        path.write_text("head,tail,y\n" + body)
+        with pytest.raises(ValueError, match=f"flow.csv{re.escape(message)}$"):
             read_flow_csv(path, g)
 
 

@@ -99,7 +99,6 @@ def test_every_default_tolerance_is_the_one_constant():
         )
     assert {
         "verify_certificate(tol)",
-        "reconstruct_primal(tol)",
         "certificate_from_partition(tol)",
         "certificate_from_signal(tol)",
         "duality_gap(feas_tol)",

@@ -14,6 +14,7 @@ from conftest import (
     make_chain,
     random_connected_instance,
 )
+import tvflow.solver
 from tvflow.graph import build_graph, divergence, incidence_apply
 from tvflow.instances import (
     CHAIN_REF_DUAL,
@@ -542,6 +543,29 @@ class TestGapMode:
         assert result.gap.certified
         problem = Problem(g, obs, 0.1)
         assert duality_gap(problem, result.x, result.y) == result.gap
+
+    def test_verified_finish_above_gap_tol_discarded(self, monkeypatch):
+        # Every finish on this block model verifies, with a gap of about
+        # 5.6e-17, which misses a gap_tol of 1e-300: each is dropped, and the
+        # run ends on its budget without a certificate.
+        g, _, _, obs = sbm_instance(
+            sizes=(10, 10), p_in=0.5, p_out=0.05, samples_per_cluster=2,
+            rng=np.random.default_rng(2),
+        )
+        finishes = []
+        certificate_from_signal = tvflow.solver.certificate_from_signal
+
+        def spy(*args):
+            certificate, cg_iters = certificate_from_signal(*args)
+            finishes.append(certificate)
+            return certificate, cg_iters
+
+        monkeypatch.setattr(tvflow.solver, "certificate_from_signal", spy)
+        result = run(g, obs, SolverConfig(lam=0.2, max_iters=300, gap_tol=1e-300))
+        assert finishes and all(f is not None for f in finishes)
+        assert result.stop_reason == "max_iters"
+        assert result.iters == 300
+        assert result.certificate is None
 
     def test_fixed_mode_returns_average_and_raw_dual(self, chain):
         g, obs, _ = chain
