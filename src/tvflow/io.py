@@ -9,12 +9,16 @@ writers also refuse what their readers would refuse: a signal that is not
 one finite value per node, or a flow value that is not finite.
 
 Every CSV writer streams its rows through one row writer, ``_write_csv``,
-in chunks of ``_CHUNK_ROWS`` rows, so the text held at any time is that of
-one chunk, not of the whole file.  Within a chunk each distinct float (by
-bit pattern, so ``0.0`` and ``-0.0`` stay apart) is formatted once: the
-signals and flows tvflow writes repeat a few values many times.  One ``%``
-operation then formats the chunk's rows.  The bytes are those of
-formatting every row with ``repr``.
+in chunks of ``_CHUNK_ROWS`` rows, so the bytes held at any time are those
+of one chunk, not of the whole file.  A chunk is built as one byte matrix,
+a row per CSV row.  Integer columns become right-aligned digits, padded
+with 0 bytes.  Each distinct float (by bit pattern, so ``0.0`` and
+``-0.0`` stay apart) is formatted once with ``repr``, because the signals
+and flows tvflow writes repeat a few values many times, and its text is
+gathered into every row that holds it.  The chunk's bytes are the
+matrix's nonzero bytes in row order: those of formatting every row with
+``str`` and ``repr``.  CSVs are written in binary mode, so every line ends
+in ``\\n`` on every platform; JSON is written as text.
 
 Every CSV reader first parses in bulk: the header is checked on the file's
 first line, ``np.loadtxt`` is handed the path and parses the rows after it
@@ -22,9 +26,9 @@ in C into typed columns, and vectorized checks look for non-finite
 numbers, ids out of range, duplicate ids and ids not covered.  A flow
 file's tail column holds ids on base rows and the word ``star`` on star
 rows, so only the rows from the first star row on are parsed with a text
-tail column; the base rows before it, all of them in the files tvflow
-writes, are parsed as integers.  When
-loadtxt refuses the file or a check finds a fault, the reader splits the
+tail column, from the bytes already read; the base rows before it, all of
+them in the files tvflow writes, are parsed as integers.  When loadtxt
+refuses the file or a check finds a fault, the reader splits the
 bytes it has already read into lines and parses them row by row.  That
 path accepts everything Python's ``int`` and ``float`` accept (``1_000``,
 ids beyond 64 bits) and raises the error, which cites the offending file
@@ -42,6 +46,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from io import StringIO
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TextIO
 
@@ -80,58 +85,105 @@ _ASCII_BREAKS = _OTHER_BREAKS[:5]
 _NOT_A_LINE_END = re.compile(rb"[^\r\n]")
 # Rows formatted and written at a time by every CSV writer.
 _CHUNK_ROWS = 1 << 14
+# 10^e for every e with 10^e below 2^64.
+_POWERS = 10 ** np.arange(20, dtype=np.uint64)
 
 # A column of CSV fields: integers (an int array or a range), floats (a
 # float array, written with repr) or one string repeated on every row.
 _Column = np.ndarray | range | str
 
 
-def _open(path: Path | str) -> TextIO:
+def _create(path: Path | str) -> Path:
+    """``path``, after creating its missing parent directories."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("w", encoding="utf-8")
+    return path
 
 
 def _write_csv(path: Path | str, header: str, *blocks: Sequence[_Column]) -> None:
     """Write ``header``, then for each block the rows whose fields are its
     columns."""
-    with _open(path) as out:
-        out.write(header + "\n")
+    with _create(path).open("wb") as out:
+        out.write(header.encode() + b"\n")
         for columns in blocks:
             out.writelines(_csv_chunks(*columns))
 
 
-def _csv_chunks(*columns: _Column) -> Iterator[str]:
+def _csv_chunks(*columns: _Column) -> Iterator[bytes]:
     """The rows whose fields are ``columns`` (of the length of the first),
-    as text of ``_CHUNK_ROWS`` rows at a time, each formatted by one ``%``."""
-    width = len(columns)
-    template = ",".join(["%s"] * width) + "\n"
+    as the bytes of ``_CHUNK_ROWS`` rows at a time.
+
+    A chunk is one byte matrix, a row per CSV row: each column's fields,
+    padded with 0 bytes, then a ``,`` column, and ``\\n`` after the last.
+    No field holds a 0 byte, so the chunk's text is the matrix's bytes in
+    row order with every 0 byte deleted."""
     length = len(columns[0])
     for start in range(0, length, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, length))
-        count = rows.stop - start
-        fields: list[Any] = [None] * (count * width)
-        for k, column in enumerate(columns):
-            fields[k::width] = _fields(column, rows)
-        yield (template * count) % tuple(fields)
+        fields = [_field_bytes(column, rows) for column in columns]
+        width = sum(field.shape[1] for field in fields) + len(fields)
+        matrix = np.empty((rows.stop - start, width), dtype=np.uint8)
+        end = 0
+        for field in fields:
+            matrix[:, end : end + field.shape[1]] = field
+            end += field.shape[1] + 1
+            matrix[:, end - 1] = ord(",")
+        matrix[:, -1] = ord("\n")
+        yield matrix.tobytes().translate(None, b"\0")
 
 
-def _fields(column: _Column, rows: slice) -> Sequence[Any]:
-    """The values of ``column`` at ``rows`` (a slice within its length),
-    each formatted as ``"%s"`` gives its CSV field: ints and strings as
-    they are, floats as repr."""
+def _field_bytes(column: _Column, rows: slice) -> np.ndarray:
+    """The CSV fields of ``column`` at ``rows`` (a slice within its length),
+    one row of ASCII bytes each, padded with 0 bytes: integers as ``str``
+    gives them, floats as ``repr``.  A string column gives one row, which
+    broadcasts to every row."""
     if isinstance(column, str):
-        return [column] * (rows.stop - rows.start)
+        return np.frombuffer(column.encode(), dtype=np.uint8)[None, :]
     part = column[rows]
     if isinstance(part, range):
-        return part
-    if part.dtype.kind != "f":
-        return part.tolist()
-    # repr once per distinct bit pattern, then one text per row.
-    bits = np.ascontiguousarray(part, dtype=np.float64).view(np.int64)
+        part = np.arange(part.start, part.stop, part.step)
+    if part.dtype.kind == "f":
+        return _float_bytes(part)
+    return _int_bytes(part)
+
+
+def _float_bytes(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float, left-aligned: one ``repr`` per distinct bit
+    pattern (so ``0.0`` and ``-0.0`` stay apart), gathered per row."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = list(map(repr, distinct.view(np.float64).tolist()))
-    return np.array(texts, dtype=object)[inverse].tolist()
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype="S")
+    return texts[inverse].view(np.uint8).reshape(inverse.size, texts.itemsize)
+
+
+def _int_bytes(values: np.ndarray) -> np.ndarray:
+    """The decimal digits of each integer, right-aligned, with a ``-``
+    before those of a negative one."""
+    values = values.astype(np.int64, copy=False)
+    low, high = int(values.min()), int(values.max())
+    sign = int(low < 0)
+    largest = max(high, -low)
+    digits = len(str(largest))
+    # |int64 min| is 2^63, which fits in 64 unsigned bits.  Division by a
+    # constant is far cheaper in 32 bits than in 64.
+    magnitude = (np.abs(values).view(np.uint64) if sign else values).astype(
+        np.uint32 if largest < 1 << 32 else np.uint64
+    )
+    # One row per digit position, so every step runs over contiguous bytes.
+    out = np.empty((sign + digits, values.size), dtype=np.uint8)
+    rest = magnitude
+    for k in range(sign + digits - 1, sign - 1, -1):
+        shifted = rest // 10
+        out[k] = rest - shifted * 10
+        rest = shifted
+    out[sign:] += ord("0")
+    if sign or low < 10 ** (digits - 1):
+        # Blank each leading zero: the digit worth 10^e of a value below 10^e.
+        powers = _POWERS[digits - 1 : 0 : -1, None].astype(magnitude.dtype)
+        out[sign : sign + digits - 1] *= magnitude >= powers
+    if sign:
+        out[0] = np.where(values < 0, ord("-"), 0)
+    return out.T
 
 
 # Parses the rows after the header of the file at a path, whose bytes are
@@ -179,17 +231,18 @@ def _read_csv(
 
 
 def _loadtxt(
-    path: Path | str,
+    source: Path | str | TextIO,
     header: str,
     dtypes: Sequence[type],
     skiprows: int = 1,
     max_rows: int | None = None,
 ) -> np.ndarray:
-    """The rows of the file ``path`` after its first ``skiprows`` lines (at
-    most ``max_rows`` of them), parsed by ``np.loadtxt`` into one structured
-    array with a field per name of ``header`` of the type in ``dtypes``."""
+    """The rows of ``source``, a file's path or text, after its first
+    ``skiprows`` lines (at most ``max_rows`` of them), parsed by
+    ``np.loadtxt`` into one structured array with a field per name of
+    ``header`` of the type in ``dtypes``."""
     return np.loadtxt(
-        path, list(zip(header.split(","), dtypes)), delimiter=",", comments=None,
+        source, list(zip(header.split(","), dtypes)), delimiter=",", comments=None,
         skiprows=skiprows, max_rows=max_rows, ndmin=1, encoding="utf-8",
     )
 
@@ -454,9 +507,9 @@ def _write_dual_and_flow_csv(
     """Write ``f`` to ``flow_path`` as :func:`write_flow_csv` does, and its
     base rows alone to ``dual_path``, formatting those rows once."""
     _check_flow(flow_path, g, f)
-    with _open(dual_path) as dual, _open(flow_path) as flow:
+    with _create(dual_path).open("wb") as dual, _create(flow_path).open("wb") as flow:
         for out in (dual, flow):
-            out.write(_FLOW_HEADER + "\n")
+            out.write(_FLOW_HEADER.encode() + b"\n")
         for text in _csv_chunks(g.heads, g.tails, f.base):
             dual.write(text)
             flow.write(text)
@@ -478,7 +531,7 @@ def _check_flow(path: Path | str, g: EmpiricalGraph, f: Flow) -> None:
 def _load_flow(path: Path | str, header: str, data: bytes) -> tuple[np.ndarray, ...]:
     """The rows of the flow file ``path`` of bytes ``data``: those before
     its first line with the tail ``star``, with integer tails, then the
-    rest, with text tails.
+    rest, with text tails, parsed from ``data`` from that line on.
 
     That line is the one holding the first ``s`` after the header, which
     no number has.  Every row is parsed with a text tail when that ``s``
@@ -492,9 +545,10 @@ def _load_flow(path: Path | str, header: str, data: bytes) -> tuple[np.ndarray, 
         # The line ends of the header and of the rows before the star line.
         ends = np.flatnonzero(np.frombuffer(data[body:star], np.uint8) == ord("\n"))
         if ends.size > 1 and not np.any(np.diff(ends) == 1):
+            rows = StringIO(data[body + ends[-1] + 1 :].decode("utf-8"))
             return (
                 _loadtxt(path, header, _FLOW_BASE, max_rows=ends.size - 1),
-                _loadtxt(path, header, _FLOW_ROWS, skiprows=ends.size),
+                _loadtxt(rows, header, _FLOW_ROWS, skiprows=0),
             )
     return (_loadtxt(path, header, _FLOW_ROWS),)
 
@@ -566,7 +620,7 @@ def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:
 
 def write_json(path: Path | str, payload: dict[str, Any]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with _open(path) as out:
+    with _create(path).open("w", encoding="utf-8") as out:
         out.write(text + "\n")
 
 

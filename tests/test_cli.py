@@ -812,6 +812,9 @@ class TestExperimentChain:
         dual_lines = (out / "chain_dual.csv").read_text().splitlines()
         assert dual_lines[0] == "i,y"
         assert len(dual_lines) == 10  # header plus one row per chain edge
+        # CSVs are written as bytes: "\n" ends every line, on every platform.
+        for path in out.glob("*.csv"):
+            assert b"\r" not in path.read_bytes(), path.name
 
     def test_small_lambda_reported_and_strict_exit(self, tmp_path):
         out1 = tmp_path / "soft"

@@ -723,6 +723,33 @@ class TestBulkPathTaken:
         text_tails = [t["tail"].tolist() for t in tables if t.dtype["tail"] == object]
         assert text_tails == [["star"] * 3]
 
+    def test_own_flow_star_rows_parsed_from_bytes_already_read(
+        self, tmp_path, monkeypatch, no_row_by_row
+    ):
+        # No loadtxt call reads past the base rows to reach the star rows.
+        rng = np.random.default_rng(4)
+        n = 300
+        g = build_graph(n, [(int(rng.integers(1, v)), v, 1.0) for v in range(2, n + 1)])
+        f = Flow(rng.normal(size=g.edge_count), np.arange(1, n + 1, 7), rng.normal(size=43))
+        path = tmp_path / "flow.csv"
+        write_flow_csv(path, g, f)
+        calls = []
+        loadtxt = tvflow.io._loadtxt
+
+        def spy(source, *args, **kwargs):
+            table = loadtxt(source, *args, **kwargs)
+            calls.append((source, kwargs.get("skiprows", 1), table.size))
+            return table
+
+        monkeypatch.setattr(tvflow.io, "_loadtxt", spy)
+        back = read_flow_csv(path, g)
+        for got, want in zip(_arrays(back), _arrays(f)):
+            assert got.tobytes() == want.tobytes()
+        assert [(skip, size) for _, skip, size in calls] == [
+            (1, g.edge_count), (0, f.star.size)
+        ]
+        assert calls[0][0] == path and not isinstance(calls[1][0], (str, Path))
+
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_wrong_header_read_row_by_row(self, tmp_path, no_row_by_row, kind):
         _, _, _, read, _ = READERS[kind]
@@ -758,6 +785,19 @@ def reference_csv(header: str, rows) -> str:
     return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
+def csv_text(path: Path) -> str:
+    """The text of a written CSV, whose every line ends in "\\n" alone."""
+    data = path.read_bytes()
+    assert b"\r" not in data
+    return data.decode("utf-8")
+
+
+# Integers on both sides of every change of digit count of 64-bit ids.
+DIGIT_BOUNDARIES = sorted(
+    {1, 2**63 - 1} | {10**e + d for e in range(1, 19) for d in (-1, 0)}
+)
+
+
 def path_graph(weights: np.ndarray) -> EmpiricalGraph:
     n = weights.size + 1
     return build_graph(n, zip(range(1, n), range(2, n + 1), weights.tolist()))
@@ -768,7 +808,7 @@ class TestWritersMatchReferenceFormatting:
     def test_signal_graph_observations_partition(self, tmp_path, n):
         values = edge_value_array(n, seed=n)
         write_signal_csv(tmp_path / "signal.csv", values)
-        assert (tmp_path / "signal.csv").read_text() == reference_csv(
+        assert csv_text(tmp_path / "signal.csv") == reference_csv(
             "i,x", ((f"{i}", f"{v!r}") for i, v in enumerate(values.tolist(), 1))
         )
 
@@ -776,20 +816,20 @@ class TestWritersMatchReferenceFormatting:
         weights[weights == 0.0] = 2.5e-310
         g = path_graph(weights)
         write_graph_csv(tmp_path / "graph.csv", g)
-        assert (tmp_path / "graph.csv").read_text() == reference_csv(
+        assert csv_text(tmp_path / "graph.csv") == reference_csv(
             "i,j,w", ((f"{h}", f"{t}", f"{w!r}") for h, t, w in edge_triples(g))
         )
 
         nodes = np.arange(1, 2 * n + 1, 2)
         obs = Observations(nodes, values)
         write_observations_csv(tmp_path / "obs.csv", obs)
-        assert (tmp_path / "obs.csv").read_text() == reference_csv(
+        assert csv_text(tmp_path / "obs.csv") == reference_csv(
             "i,x", ((f"{i}", f"{v!r}") for i, v in zip(nodes.tolist(), values.tolist()))
         )
 
         ids = np.arange(n) % 7
         write_partition_csv(tmp_path / "partition.csv", Partition(ids))
-        assert (tmp_path / "partition.csv").read_text() == reference_csv(
+        assert csv_text(tmp_path / "partition.csv") == reference_csv(
             "i,cluster", ((f"{i}", f"{k + 1}") for i, k in enumerate(ids.tolist(), 1))
         )
 
@@ -812,15 +852,51 @@ class TestWritersMatchReferenceFormatting:
         ]
         flow_text = reference_csv("head,tail,y", base_rows + star_rows)
         write_flow_csv(tmp_path / "flow.csv", g, f)
-        assert (tmp_path / "flow.csv").read_text() == flow_text
+        assert csv_text(tmp_path / "flow.csv") == flow_text
 
         _write_dual_and_flow_csv(tmp_path / "dual.csv", tmp_path / "flow2.csv", g, f)
-        assert (tmp_path / "flow2.csv").read_text() == flow_text
+        assert csv_text(tmp_path / "flow2.csv") == flow_text
         dual_lines = [
             line for line in flow_text.splitlines(keepends=True)
             if ",star," not in line
         ]
-        assert (tmp_path / "dual.csv").read_text() == "".join(dual_lines)
+        assert csv_text(tmp_path / "dual.csv") == "".join(dual_lines)
+
+    def test_ids_crossing_every_digit_count_in_one_chunk(self, tmp_path):
+        nodes = np.array(DIGIT_BOUNDARIES, dtype=np.int64)
+        labels = edge_value_array(nodes.size, seed=5)
+        write_observations_csv(tmp_path / "obs.csv", Observations(nodes, labels))
+        assert csv_text(tmp_path / "obs.csv") == reference_csv(
+            "i,x", ((f"{i}", f"{v!r}") for i, v in zip(nodes.tolist(), labels.tolist()))
+        )
+
+    def test_star_column_with_any_int64_node(self, tmp_path):
+        # The star writer takes any ids, down to the most negative int64.
+        g = path_graph(np.ones(2))
+        small = [-(2**63), -(10**18), -100, -99, -10, -9, -1, 0]
+        star_nodes = np.array(small + DIGIT_BOUNDARIES, dtype=np.int64)
+        f = Flow(np.array([0.5, -0.0]), star_nodes, edge_value_array(star_nodes.size, 6))
+        rows = [("1", "2", "0.5"), ("2", "3", "-0.0")] + [
+            (f"{i}", "star", f"{v!r}")
+            for i, v in zip(star_nodes.tolist(), f.star.tolist())
+        ]
+        write_flow_csv(tmp_path / "flow.csv", g, f)
+        assert csv_text(tmp_path / "flow.csv") == reference_csv("head,tail,y", rows)
+
+    @pytest.mark.parametrize("n", [_CHUNK_ROWS, _CHUNK_ROWS + 1])
+    def test_one_float_over_a_full_chunk(self, tmp_path, n):
+        write_signal_csv(tmp_path / "signal.csv", np.full(n, 0.1))
+        assert csv_text(tmp_path / "signal.csv") == reference_csv(
+            "i,x", ((f"{i}", "0.1") for i in range(1, n + 1))
+        )
+
+    def test_negative_zero_beside_zero(self, tmp_path):
+        x = np.array([0.0, -0.0, -0.0, 0.0, 1.0, -0.0])
+        write_signal_csv(tmp_path / "signal.csv", x)
+        assert csv_text(tmp_path / "signal.csv") == reference_csv(
+            "i,x", ((f"{i}", f"{v!r}") for i, v in enumerate(x.tolist(), 1))
+        )
+        assert csv_text(tmp_path / "signal.csv").splitlines()[1:3] == ["1,0.0", "2,-0.0"]
 
 
 class TestWritersRejectWhatReadersRefuse:
