@@ -23,7 +23,6 @@ from .graph import (
     EmpiricalGraph,
     _adjacency,
     _incidence,
-    _node_list,
     components,
     divergence,
     grounded_laplacian_cg,
@@ -174,16 +173,20 @@ def verify_certificate(
     Clusters without a sampled node leave their balance condition
     undecidable and are reported as indeterminate.
 
-    When those checks pass, the signal is reconstructed (the report's
-    ``reconstructed``, the one way to a signal from a flow) and one final
-    condition is tested: on every saturated edge the flow direction must
-    agree with the reconstructed signal's jump.  A saturated flow pushed
-    against the jump satisfies all the counting conditions yet is not
-    optimal (the joint optimality of the pair requires the jump to lie in
-    the capacity indicator's subdifferential at the flow), so skipping this
-    would certify non-optimal flows whenever lam times the boundary weight
-    exceeds half the label gap.  A reconstruction that raises fails the
-    certificate with the error as its ``failure_reason``.
+    When those checks pass, the signal is reconstructed, one value per
+    cluster (the report's ``reconstructed``, the one way to a signal from a
+    flow); it fails when a cluster's sampled nodes disagree on label_i
+    minus divergence_i by more than ``tol``.  A piece of a cluster that a
+    tight interior edge cuts off from its labels takes the cluster's value:
+    edges inside a cluster have zero jump, so any flow within capacity is
+    optimal there.  One final condition is then tested: on every saturated
+    edge the flow direction must agree with the reconstructed signal's
+    jump.  A saturated flow pushed against the jump satisfies all the
+    counting conditions yet is not optimal (the joint optimality of the
+    pair requires the jump to lie in the capacity indicator's
+    subdifferential at the flow), so skipping this would certify
+    non-optimal flows whenever lam times the boundary weight exceeds half
+    the label gap.
 
     The conservation residual is the largest node imbalance: divergence
     minus the star value at sampled nodes, raw divergence at unsampled
@@ -250,7 +253,7 @@ def verify_certificate(
         failure_reason = "cluster balances disagree"
     elif not indeterminate:
         try:
-            reconstructed = _reconstruct(problem, abs_y, div, tol)
+            reconstructed = _reconstruct(problem, partition, div, tol)
         except ValueError as exc:
             failure_reason = str(exc)
         else:
@@ -282,51 +285,29 @@ def verify_certificate(
 
 
 def _reconstruct(
-    problem: Problem, abs_y: np.ndarray, div: np.ndarray, tol: float
+    problem: Problem, partition: Partition, div: np.ndarray, tol: float
 ) -> np.ndarray:
     """The signal of a flow that passed every check of
-    :func:`verify_certificate` but orientation, from its absolute base flow
-    ``abs_y`` and its divergence ``div``.
-
-    The signal is constant on every connected component of the edges with
-    strict capacity slack, ``abs_y < cap - tol``; the value is label_i
-    minus ``div`` at the lowest sampled node i of the component.  Other
-    sampled nodes in the component must agree to within ``tol``.
-
-    No such component crosses a cluster boundary.  Every boundary edge
-    passed ``|abs_y - cap| <= tol``, and
-    :meth:`Problem.check_certificate_tol` holds ``tol`` below half of every
-    capacity, so there abs_y >= cap / 2 and that float subtraction is exact
-    (Sterbenz): abs_y >= cap - tol exactly, and the rounded ``cap - tol``
-    never exceeds abs_y, which leaves no boundary edge with strict slack.
-    """
-    g, obs = problem.graph, problem.obs
-    comp = components(g, abs_y < problem.capacities - tol)
-    count = int(comp.max()) + 1
-
-    sampled = problem.sampled
+    :func:`verify_certificate` but orientation: on each cluster, label_i
+    minus ``div`` at its lowest sampled node i (the root of
+    :func:`_check_clusters`' forest).  The cluster's other sampled nodes
+    must agree to within ``tol``; the balance check, on label minus star,
+    bounds their spread only to 3 * ``tol``."""
+    sampled, obs = problem.sampled, problem.obs
+    groups, count = partition.cluster_index[sampled], partition.cluster_count
     candidates = obs.labels - div[sampled]
-    sampled_comp = comp[sampled]
-    # Anchor: position in ``sampled`` of each component's lowest sampled node.
-    anchor = np.full(count, -1)
-    present, first = np.unique(sampled_comp, return_index=True)
-    anchor[present] = first
+    lowest = _group_min_max(groups, sampled, count)[0].astype(np.int64)
+    anchor = np.searchsorted(sampled, lowest)
     value = candidates[anchor]
-    off = np.abs(candidates - value[sampled_comp]) > tol
-
-    bad = anchor < 0
-    bad[sampled_comp[off]] = True
-    if bad.any():
-        c = int(np.argmax(bad))
-        if anchor[c] < 0:
-            nodes = _node_list(np.flatnonzero(comp == c) + 1)
-            raise ValueError(f"component [{nodes}] contains no sampled node")
-        other = int(np.flatnonzero(off & (sampled_comp == c))[0])
+    off = np.flatnonzero(np.abs(candidates - value[groups]) > tol)
+    if off.size:
+        other = off[0]
+        first = anchor[groups[other]]
         raise ValueError(
-            f"sampled nodes {obs.nodes[anchor[c]]} and {obs.nodes[other]}"
-            f" give inconsistent values {value[c]:g} vs {candidates[other]:g}"
+            f"sampled nodes {obs.nodes[first]} and {obs.nodes[other]}"
+            f" give inconsistent values {candidates[first]:g} vs {candidates[other]:g}"
         )
-    return value[comp]
+    return value[partition.cluster_index]
 
 
 def construct_tree_certificate(

@@ -609,11 +609,12 @@ class TestCertify:
         assert report["status"] == "indeterminate"
         assert report["indeterminate_clusters"] == [2]
 
-    def test_unreconstructable_certificate_exits_one(self, tmp_path, capsys):
+    def test_tight_interior_edge_certifies_at_tol_zero(self, tmp_path, capsys):
         # The chain with weight 1/4 on edges {5, 6} and {6, 7}: the tree
         # certificate carries exactly the capacity of {6, 7}, which passes
-        # the slack check at --tol 0 but leaves node 6 without a label, so
-        # no signal is reconstructed and nothing is certified.
+        # the slack check at --tol 0 and cuts node 6 off from every label.
+        # Node 6 takes its cluster's value and the certificate verifies; at
+        # the default --tol the slack check fails.
         edges = [(i, i + 1, 1.0) for i in range(1, 10)]
         edges[4] = (5, 6, 0.25)
         edges[5] = (6, 7, 0.25)
@@ -625,23 +626,28 @@ class TestCertify:
         write_observations_csv(tmp_path / "observations.csv", obs)
         write_partition_csv(tmp_path / "partition.csv", partition)
         write_flow_csv(tmp_path / "flow.csv", g, flow)
+        inputs = [
+            f"--{name}={tmp_path / name}.csv"
+            for name in ("graph", "flow", "partition", "observations")
+        ]
         out = tmp_path / "cert"
         code = run_cli([
-            "certify",
-            "--graph", str(tmp_path / "graph.csv"),
-            "--flow", str(tmp_path / "flow.csv"),
-            "--partition", str(tmp_path / "partition.csv"),
-            "--observations", str(tmp_path / "observations.csv"),
-            "--lambda", "1", "--tol", "0", "--out-dir", str(out),
+            "certify", *inputs, "--lambda", "1", "--tol", "0", "--out-dir", str(out),
         ])
-        assert code == 1
-        reason = "component [6] contains no sampled node"
-        assert capsys.readouterr().out == f"certificate failed\nreason: {reason}\n"
+        assert code == 0
+        assert capsys.readouterr().out == "certificate verified\n"
         report = json.loads((out / "report.json").read_text())
-        assert report["status"] == "failed"
-        assert report["verdict"] is False
-        assert report["failure_reason"] == reason
-        assert not (out / "reconstructed.csv").exists()
+        assert report["status"] == "verified"
+        assert report["interior_slack"] == 0.0
+        signal = read_signal_csv(out / "reconstructed.csv")
+        assert signal.tolist() == [0.75] * 5 + [0.25] * 5
+
+        default = tmp_path / "default"
+        code = run_cli(["certify", *inputs, "--lambda", "1", "--out-dir", str(default)])
+        assert code == 1
+        reason = "an interior edge has no capacity slack"
+        assert capsys.readouterr().out == f"certificate failed\nreason: {reason}\n"
+        assert not (default / "reconstructed.csv").exists()
 
     def test_no_interior_edge_report_is_strict_json(self, tmp_path, experiment_dir):
         # Every node its own cluster: no edge lies inside a cluster, so the
@@ -875,7 +881,7 @@ _CHAIN_INPUTS = {
 }
 # The chain with weight 1/4 on {6, 7} too: the certificate flow carries
 # exactly that edge's capacity, so it has no slack at the default tol and
-# leaves node 6 without a label at tol 0.
+# cuts node 6 off from every label at tol 0.
 _TIGHT_CHAIN_INPUTS = {
     **_CHAIN_INPUTS,
     "graph.csv": _CHAIN_GRAPH.replace("6,7,1.0", "6,7,0.25"),
@@ -887,6 +893,11 @@ _CERTIFY_CASES = {
     "verified": (
         _CHAIN_INPUTS, ["--lambda", "1"], 0, None,
         "c2c161759114e8b93624f7dcdf63d45432a04bf728422b91b8e4a58cdc27f47d",
+    ),
+    # Node 6 is cut off from every label at --tol 0 and takes its cluster's value.
+    "verified_tight": (
+        _TIGHT_CHAIN_INPUTS, ["--lambda", "1", "--tol", "0"], 0, None,
+        "d0068db66998a08a43e4f040f5e3c0ea34f268956709ec28e2f8694a02482f3e",
     ),
     "conservation": (
         {**_CHAIN_INPUTS, "flow.csv": _CHAIN_FLOW.replace("2,star,0.25", "2,star,0.3")},
@@ -913,10 +924,18 @@ _CERTIFY_CASES = {
         ["--lambda", "1"], 1, "cluster balances disagree",
         "970d199e1af034716aaf0c50979b11b600d45bc33777a3d038110a989257e011",
     ),
+    # One edge inside one cluster, zero flow, star values 0.075 and -0.075:
+    # label minus star agrees to within 0.1, label minus divergence does not.
     "reconstruction": (
-        _TIGHT_CHAIN_INPUTS, ["--lambda", "1", "--tol", "0"], 1,
-        "component [6] contains no sampled node",
-        "abb6ca4e1fecd1e7aedb165eb7c826a97c0779952fc56fa020d38c83d047f3fb",
+        {
+            "graph.csv": "i,j,w\n1,2,1.0\n",
+            "partition.csv": "i,cluster\n1,1\n2,1\n",
+            "observations.csv": "i,x\n1,0.15\n2,0.0\n",
+            "flow.csv": "head,tail,y\n1,2,0.0\n1,star,0.075\n2,star,-0.075\n",
+        },
+        ["--lambda", "1", "--tol", "0.1"], 1,
+        "sampled nodes 1 and 2 give inconsistent values 0.15 vs 0",
+        "aa259c04e681e8d63b72a026196efb0774f980cd9efb08e28df8984c0ed647f5",
     ),
     # Saturated from node 2 to node 1, against the jump of the signal 2, -1.
     "orientation": (
@@ -947,7 +966,7 @@ _CERTIFY_CASES = {
 
 class TestCertifyPinnedBytes:
     """certify writes report.json (and reconstructed.csv when verified)
-    byte for byte as pinned, for a verified certificate, each reachable
+    byte for byte as pinned, for two verified certificates, each reachable
     failure_reason and an indeterminate one."""
 
     @pytest.mark.parametrize("case", list(_CERTIFY_CASES))

@@ -218,6 +218,35 @@ def random_clustered_tree(
     return g, Partition(cluster_of), Observations(np.asarray(nodes), labels)
 
 
+def saturated_path(n: int) -> tuple[Problem, Flow, Partition]:
+    """Path 1..n cut into clusters {1} and {2, ..., n}, labelled 1 and 0 at
+    its ends, weight 1 on its end edges and 2 between, and a unit flow from
+    node 1 to node n.  The flow saturates the boundary edge and the last
+    edge, which at tol 0 cuts nodes 2 to n - 1 off from every label; their
+    cluster's value, 1, lies above node 1's 0, against the flow."""
+    edges = [(i, i + 1, 1.0 if i in (1, n - 1) else 2.0) for i in range(1, n)]
+    g = build_graph(n, edges)
+    obs = Observations.from_dict({1: 1.0, n: 0.0})
+    y = np.ones(n - 1)
+    f = Flow(y, obs.nodes, divergence(g, y)[obs.indices])
+    return Problem(g, obs, 1.0), f, Partition(np.minimum(np.arange(n), 1))
+
+
+def tight_chain() -> tuple[Problem, Flow, Partition]:
+    """The chain with weight 1/4 on edge {6, 7} as well as on {5, 6}, and
+    its tree certificate, which carries exactly the capacity of {6, 7}."""
+    edges = [(i, i + 1, 1.0) for i in range(1, 10)]
+    edges[4] = (5, 6, 0.25)
+    edges[5] = (6, 7, 0.25)
+    g = build_graph(10, edges)
+    _, obs, partition = make_chain()
+    f = construct_tree_certificate(g, partition, obs, 1.0)
+    return Problem(g, obs, 1.0), f, partition
+
+
+_AGAINST_JUMP = "a saturated edge carries flow against the reconstructed jump"
+
+
 def chain_certificate_flow() -> Flow:
     return Flow(
         base=CHAIN_REF_DUAL.copy(),
@@ -361,27 +390,33 @@ class TestVerifyCertificate:
         # have been wrong.
         assert duality_gap(problem, np.full(3, 0.5), f.base).dual < 0.25 - 1e-3
 
-    def test_unreconstructable_flow_fails(self):
+    def test_tight_interior_edge_verifies_at_tol_zero(self):
         # Edge {6, 7} carries exactly its capacity 1/4 inside cluster 2.  At
-        # tol 0 that passes the slack check, but it cuts node 6 off from
-        # every label, so no signal can be reconstructed.
-        edges = [(i, i + 1, 1.0) for i in range(1, 10)]
-        edges[4] = (5, 6, 0.25)
-        edges[5] = (6, 7, 0.25)
-        g = build_graph(10, edges)
-        _, obs, partition = make_chain()
-        f = construct_tree_certificate(g, partition, obs, 1.0)
-        report = verify_certificate(Problem(g, obs, 1.0), f, partition, tol=0.0)
-        assert report.flow_ok and report.saturation_ok and report.balance_ok
+        # tol 0 that passes the slack check and cuts node 6 off from every
+        # label; node 6 takes its cluster's value and the certificate
+        # verifies.
+        problem, f, partition = tight_chain()
+        report = verify_certificate(problem, f, partition, tol=0.0)
         assert report.strict_interior_ok and report.interior_slack == 0.0
-        assert report.reconstructed is None
-        assert report.status == "failed"
-        assert not report.verdict
-        assert report.failure_reason == "component [6] contains no sampled node"
+        assert report.status == "verified"
+        assert np.array_equal(report.reconstructed, np.repeat([0.75, 0.25], 5))
         # At the default tolerance the slack check itself fails.
-        report = verify_certificate(Problem(g, obs, 1.0), f, partition)
+        report = verify_certificate(problem, f, partition)
         assert report.strict_interior_ok is False
         assert report.status == "failed"
+
+    def test_verifies_without_components(self, monkeypatch, chain):
+        # The reconstruction reads the clusters off the partition.
+        def no_components(*args, **kwargs):
+            raise AssertionError("components ran")
+
+        monkeypatch.setattr("tvflow.flow.components", no_components)
+        monkeypatch.setattr("tvflow.graph.components", no_components)
+        g, obs, partition = chain
+        report = verify_certificate(
+            Problem(g, obs, 1.0), chain_certificate_flow(), partition
+        )
+        assert np.array_equal(report.reconstructed, CHAIN_REF_PRIMAL)
 
     def test_balance_violation_detected(self):
         # Two sampled nodes in one cluster with different label-minus-star
@@ -434,37 +469,31 @@ class TestReconstructPrimal:
         assert report.verdict, report.failure_reason
         assert np.array_equal(report.reconstructed, obs.labels - v)
 
-    def test_component_without_sample_rejected(self):
-        # Both edges of the path carry their full capacity 1 from node 1 to
-        # node 3; at tol 0 interior edge (2, 3) passes the slack check, but
-        # saturated it cuts node 2 off from every label.
-        g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
-        p = Partition([0, 1, 1])
-        obs = Observations.from_dict({1: 1.0, 3: 0.0})
-        y = np.array([1.0, 1.0])
-        f = Flow(y, obs.nodes, divergence(g, y)[obs.indices])
-        report = verify_certificate(Problem(g, obs, 1.0), f, p, tol=0.0)
+    @pytest.mark.parametrize("make, reason", [
+        (lambda: saturated_path(3), _AGAINST_JUMP),
+        (lambda: saturated_path(10**4), _AGAINST_JUMP),
+        (tight_chain, None),
+    ], ids=["short_path", "long_path", "tight_chain"])
+    def test_unlabeled_piece_takes_cluster_value(self, make, reason):
+        # At tol 0 an interior edge that carries exactly its capacity passes
+        # the slack check and cuts a piece of its cluster off from every
+        # label.  The piece takes its cluster's value, and the orientation
+        # of the saturated edges decides.
+        problem, f, partition = make()
+        report = verify_certificate(problem, f, partition, tol=0.0)
         assert report.flow_ok and report.saturation_ok and report.balance_ok
-        assert report.strict_interior_ok
-        assert report.status == "failed"
-        assert report.failure_reason == "component [2] contains no sampled node"
-
-    def test_component_messages_bounded(self):
-        # A path of 10^4 nodes cut into clusters {1} and {2, ..., 10^4},
-        # labelled at both ends.  A unit flow runs from node 1 to node 10^4,
-        # saturating the boundary edge and the last edge (weight 1) but not
-        # the edges between (weight 2), which at tol 0 leaves nodes 2 to
-        # 10^4 - 1 without a label.
-        n = 10**4
-        edges = [(i, i + 1, 1.0 if i in (1, n - 1) else 2.0) for i in range(1, n)]
-        g = build_graph(n, edges)
-        p = Partition(np.minimum(np.arange(n), 1))
-        obs = Observations.from_dict({1: 0.0, n: 0.0})
-        y = np.ones(n - 1)
-        f = Flow(y, obs.nodes, divergence(g, y)[obs.indices])
-        report = verify_certificate(Problem(g, obs, 1.0), f, p, tol=0.0)
-        message = "component [2, 3, 4, 5, 6, ...] contains no sampled node"
-        assert report.failure_reason == message
+        assert report.strict_interior_ok and report.interior_slack == 0.0
+        assert report.failure_reason == reason
+        assert report.orientation_ok is (reason is None)
+        if reason is not None:
+            return
+        x = report.reconstructed
+        for c in range(partition.cluster_count):
+            assert np.unique(x[partition.cluster_index == c]).size == 1
+        assert duality_gap(problem, x, f.base).gap == 0.0
+        oracle = oracle_nlasso(problem)
+        assert not oracle.flagged
+        assert abs(primal_objective(problem, x) - oracle.objective) <= 1e-3
 
     def test_inconsistent_samples_rejected(self):
         # One edge inside one cluster, zero flow, labels 0.15 and 0 and
@@ -481,6 +510,32 @@ class TestReconstructPrimal:
             "sampled nodes 1 and 2 give inconsistent values 0.15 vs 0"
         )
 
+    def test_disconnected_cluster_takes_one_value(self):
+        # Path 1-2-3-4 split as {1, 4} / {2, 3}, every node labelled, and a
+        # unit flow from each end into the middle that saturates both
+        # boundary edges: cluster {1, 4} is two pieces with one value.
+        g = build_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+        p = Partition([0, 1, 1, 0])
+        y = np.array([1.0, 0.0, -1.0])
+        div = divergence(g, y)
+        obs = Observations.from_dict({1: 3.0, 2: 0.0, 3: 0.0, 4: 3.0})
+        report = verify_certificate(Problem(g, obs, 1.0), Flow(y, obs.nodes, div), p)
+        assert report.verdict, report.failure_reason
+        assert np.array_equal(report.reconstructed, [2.0, 1.0, 1.0, 2.0])
+        # Star values 0.075 off the divergence at nodes 1 and 4 keep label
+        # minus star at 2.075 on both pieces, so the balance check passes
+        # at tol 0.1, but label minus divergence is 2.15 against 2.
+        obs = Observations.from_dict({1: 3.15, 2: 0.0, 3: 0.0, 4: 3.0})
+        star = div + np.array([0.075, 0.0, 0.0, -0.075])
+        report = verify_certificate(
+            Problem(g, obs, 1.0), Flow(y, obs.nodes, star), p, tol=0.1
+        )
+        assert report.flow_ok and report.saturation_ok and report.balance_ok
+        assert report.strict_interior_ok
+        assert report.failure_reason == (
+            "sampled nodes 1 and 4 give inconsistent values 2.15 vs 2"
+        )
+
     @pytest.mark.parametrize("tol_scale", [1e-9, 0.1, 0.499])
     def test_verified_reconstruction_constant_on_clusters(self, tol_scale):
         # Certificates of the planted partitions of random block models at
@@ -488,8 +543,8 @@ class TestReconstructPrimal:
         # pulled back from its capacity by up to twice tol over the most
         # boundary edges at a node, so some flows leave saturation or
         # conservation and some still verify.  Whatever verifies leaves no
-        # boundary edge with strict slack, which the reconstruction relies
-        # on without checking, and its signal is constant on every cluster.
+        # boundary edge with strict slack, and its signal is constant on
+        # every cluster.
         rng = np.random.default_rng(67)
         verified = 0
         for _ in range(150):
