@@ -1,8 +1,8 @@
 """CSV and JSON readers/writers for every on-disk artifact.
 
 All CSVs carry a header row and 1-based node ids.  Floats are written
-with ``repr``, the shortest string that round-trips exactly, so writer
-output is byte-deterministic and readers recover identical values.
+as ``repr`` writes them, the shortest string that round-trips exactly, so
+writer output is byte-deterministic and readers recover identical values.
 Writers create missing parent directories, and JSON writers reject
 non-finite numbers, which JSON cannot represent.  The signal and flow
 writers also refuse what their readers would refuse: a signal that is not
@@ -13,12 +13,16 @@ in chunks of ``_CHUNK_ROWS`` rows, so the bytes held at any time are those
 of one chunk, not of the whole file.  A chunk is built as one byte matrix,
 a row per CSV row.  Integer columns become right-aligned digits, padded
 with 0 bytes.  Each distinct float (by bit pattern, so ``0.0`` and
-``-0.0`` stay apart) is formatted once with ``repr``, because the signals
-and flows tvflow writes repeat a few values many times, and its text is
-gathered into every row that holds it.  The chunk's bytes are the
-matrix's nonzero bytes in row order: those of formatting every row with
-``str`` and ``repr``.  CSVs are written in binary mode, so every line ends
-in ``\\n`` on every platform; JSON is written as text.
+``-0.0`` stay apart) is formatted once, because the signals and flows
+tvflow writes often repeat a few values many times, and its text is
+gathered into every row that holds it.  A chunk's column with fewer than
+``_VECTOR_MIN`` distinct floats calls ``repr`` once per distinct value; a
+column with more, such as the dual of a large grid, is formatted in bulk
+by ``_float_repr.repr_texts``, a numpy Ryū that gives ``repr``'s
+characters.  The chunk's bytes are the matrix's nonzero bytes in row
+order: those of formatting every row with ``str`` and ``repr``.  CSVs are
+written in binary mode, so every line ends in ``\\n`` on every platform;
+JSON is written as text.
 
 Every CSV reader first parses in bulk: the header is checked on the file's
 first line, ``np.loadtxt`` is handed the path and parses the rows after it
@@ -52,6 +56,7 @@ from typing import Any, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+from ._float_repr import repr_texts
 from .flow import Flow
 from .graph import EmpiricalGraph, _edge_order, _node_list, build_graph
 from .signal import Observations, Partition
@@ -85,11 +90,17 @@ _ASCII_BREAKS = _OTHER_BREAKS[:5]
 _NOT_A_LINE_END = re.compile(rb"[^\r\n]")
 # Rows formatted and written at a time by every CSV writer.
 _CHUNK_ROWS = 1 << 14
+# Distinct floats from which a chunk's column is formatted in bulk rather
+# than with one ``repr`` each.  The bulk formatter costs about 0.2 ms per
+# call plus a third of ``repr``'s time per value, so the two break even
+# near 500 values; the threshold leaves a margin above that.
+_VECTOR_MIN = 1024
 # 10^e for every e with 10^e below 2^64.
 _POWERS = 10 ** np.arange(20, dtype=np.uint64)
 
 # A column of CSV fields: integers (an int array or a range), floats (a
-# float array, written with repr) or one string repeated on every row.
+# float array, written as repr writes them) or one string repeated on
+# every row.
 _Column = np.ndarray | range | str
 
 
@@ -148,11 +159,17 @@ def _field_bytes(column: _Column, rows: slice) -> np.ndarray:
 
 
 def _float_bytes(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float, left-aligned: one ``repr`` per distinct bit
-    pattern (so ``0.0`` and ``-0.0`` stay apart), gathered per row."""
+    """The text ``repr`` gives each float, padded with 0 bytes: formatted
+    once per distinct bit pattern (so ``0.0`` and ``-0.0`` stay apart) and
+    gathered per row.  Fewer than ``_VECTOR_MIN`` distinct values get one
+    ``repr`` each; more are formatted together by ``repr_texts``, whose
+    texts hold the same characters with 0 bytes among them."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype="S")
+    if distinct.size < _VECTOR_MIN:
+        texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype="S")
+    else:
+        texts = repr_texts(distinct.view(np.float64))
     return texts[inverse].view(np.uint8).reshape(inverse.size, texts.itemsize)
 
 

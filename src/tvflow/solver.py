@@ -186,8 +186,10 @@ def pd_step(state: SolverState, problem: Problem) -> SolverState:
     x_tilde = 2.0 * state.x_curr - state.x_prev
     y = state.y + 0.5 * _incidence(g, x_tilde)
     # Exact box projection; same point as y / max(1, |y|/cap) but keeps
-    # |y_e| <= cap_e bitwise.
-    np.clip(y, neg_cap, problem.capacities, out=y)
+    # |y_e| <= cap_e bitwise.  The capacities are positive, so minimum then
+    # maximum gives np.clip's bits, signed zeros included.
+    np.minimum(y, problem.capacities, out=y)
+    np.maximum(y, neg_cap, out=y)
 
     x = state.x_curr - gamma * _divergence(g, y)
     m = problem.sampled

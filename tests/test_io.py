@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from conftest import edge_triples
 import tvflow.io
+from tvflow._float_repr import repr_texts
 from tvflow.flow import Flow
 from tvflow.graph import EmpiricalGraph, build_graph
 from tvflow.instances import grid_instance
 from tvflow.io import (
     _CHUNK_ROWS,
+    _VECTOR_MIN,
     _write_dual_and_flow_csv,
     read_flow_csv,
     read_graph_and_observations_csv,
@@ -898,6 +900,41 @@ class TestWritersMatchReferenceFormatting:
         )
         assert csv_text(tmp_path / "signal.csv").splitlines()[1:3] == ["1,0.0", "2,-0.0"]
 
+    @pytest.mark.parametrize("distinct, rows, bulk", [
+        pytest.param(_VECTOR_MIN - 1, _VECTOR_MIN - 1, False, id="below"),
+        pytest.param(_VECTOR_MIN, _VECTOR_MIN, True, id="at"),
+        pytest.param(_VECTOR_MIN - 1, _CHUNK_ROWS, False, id="repeats-below"),
+    ])
+    def test_both_sides_of_the_bulk_threshold(
+        self, tmp_path, monkeypatch, distinct, rows, bulk
+    ):
+        # Values of every layout: both zeros, fixed and exponent form.
+        rng = np.random.default_rng(distinct + rows)
+        pool = rng.standard_normal(distinct) * 10.0 ** rng.integers(-9, 20, distinct)
+        pool[:2] = [0.0, -0.0]
+        assert np.unique(pool.view(np.int64)).size == distinct
+        values = np.concatenate([pool, rng.choice(pool, rows - distinct)])
+        rng.shuffle(values)
+        formatted = []
+        monkeypatch.setattr(
+            tvflow.io, "repr_texts", lambda v: formatted.append(v.size) or repr_texts(v)
+        )
+
+        write_signal_csv(tmp_path / "signal.csv", values)
+        assert csv_text(tmp_path / "signal.csv") == reference_csv(
+            "i,x", ((f"{i}", f"{v!r}") for i, v in enumerate(values.tolist(), 1))
+        )
+        g = path_graph(np.ones(rows))
+        f = Flow(values, np.array([1]), values[:1])
+        write_flow_csv(tmp_path / "flow.csv", g, f)
+        assert csv_text(tmp_path / "flow.csv") == reference_csv(
+            "head,tail,y",
+            [(f"{h}", f"{t}", f"{v!r}")
+             for h, t, v in zip(g.heads.tolist(), g.tails.tolist(), values.tolist())]
+            + [("1", "star", repr(values.tolist()[0]))],
+        )
+        assert formatted == ([distinct, distinct] if bulk else [])
+
 
 class TestWritersRejectWhatReadersRefuse:
     @pytest.mark.parametrize("x, message", [
@@ -944,15 +981,97 @@ class TestWritersRejectWhatReadersRefuse:
 
 
 def test_signal_writer_memory_is_bounded(tmp_path):
-    """Writing a 10^6-node signal of 50 clusters holds one chunk's text at a
-    time, not the file's: the peak traced allocation stays under a fifth of
-    the file (a writer that builds the whole text peaks at about 6x)."""
-    x = np.repeat(np.random.default_rng(0).standard_normal(50), 20_000)
+    """Writing a 10^6-node signal holds one chunk's text at a time, not the
+    file's: the peak traced allocation stays under a fifth of the file (a
+    writer that builds the whole text peaks at about 6x), on a signal of 50
+    clusters and on one of distinct values, which the bulk formatter
+    formats."""
+    clusters = np.repeat(np.random.default_rng(0).standard_normal(50), 20_000)
+    distinct = np.random.default_rng(0).standard_normal(10**6)
     path = tmp_path / "signal.csv"
-    tracemalloc.start()
-    try:
-        write_signal_csv(path, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < path.stat().st_size / 5
+    for x in (clusters, distinct):
+        tracemalloc.start()
+        try:
+            write_signal_csv(path, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 5
+
+
+def bulk_text(values: np.ndarray) -> bytes:
+    """The texts ``repr_texts`` gives ``values``, each followed by a comma,
+    with the 0 bytes dropped."""
+    texts = repr_texts(values)
+    rows = texts.view(np.uint8).reshape(values.size, texts.itemsize)
+    commas = np.full((values.size, 1), ord(","), dtype=np.uint8)
+    return np.hstack([rows, commas]).tobytes().translate(None, b"\0")
+
+
+def assert_texts_are_repr(values) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    if bulk_text(values) != "".join(f"{v!r}," for v in values.tolist()).encode():
+        texts = [t.replace(b"\0", b"").decode() for t in repr_texts(values).tolist()]
+        wrong = [(repr(v), t) for v, t in zip(values.tolist(), texts) if repr(v) != t]
+        pytest.fail(f"{len(wrong)} texts are not repr's, the first: {wrong[:5]}")
+
+
+def with_neighbours(values: np.ndarray) -> np.ndarray:
+    below, above = np.nextafter(values, -np.inf), np.nextafter(values, np.inf)
+    return np.concatenate([values, below, above])
+
+
+class TestBulkFormatterIsRepr:
+    """``repr_texts``, which formats chunks of at least ``_VECTOR_MIN``
+    distinct floats, against ``repr``, one value at a time."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20)
+        n = 10**6
+        # Every sign, every finite biased exponent, any mantissa.
+        bits = (
+            rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+            | rng.integers(0, 2047, n, dtype=np.uint64) << np.uint64(52)
+            | rng.integers(0, 1 << 52, n, dtype=np.uint64)
+        )
+        for block in np.split(bits.view(np.float64), 16):
+            assert_texts_are_repr(block)
+
+    def test_powers_of_two_and_neighbours(self):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        assert_texts_are_repr(with_neighbours(powers))
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        assert_texts_are_repr(with_neighbours(powers))
+
+    def test_integers_exact_products_and_short_decimals(self):
+        rng = np.random.default_rng(21)
+        around = np.array([2**53 + k for k in range(-2000, 2001)], dtype=np.float64)
+        small = np.arange(-3000, 3001, dtype=np.float64)
+        assert_texts_are_repr(np.concatenate([around, small, -around]))
+        # Values whose scaled digits may be exact, and ties between two
+        # shortest candidates.
+        products = [float(5**a * 2**b) for a in range(60) for b in range(-40, 40)]
+        odd = np.arange(1, 2000, 2, dtype=np.float64)
+        assert_texts_are_repr(
+            np.concatenate([products] + [np.ldexp(odd, e) for e in range(-80, 100, 7)])
+        )
+        uniform = (rng.random(20_000) * 10.0 ** rng.integers(-6, 8, 20_000)).tolist()
+        assert_texts_are_repr([round(v, k) for k in range(1, 10) for v in uniform])
+
+    def test_layout_switches_and_extremes(self):
+        switches = [1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e-5,
+                    1e100, 1e-100, 123456789012345.6, 0.5, 5e-324,
+                    2.2250738585072014e-308]
+        largest = np.finfo(np.float64).max
+        values = np.append(with_neighbours(np.array(switches)), [largest, 0.0])
+        assert_texts_are_repr(np.concatenate([values, -values]))
+        assert bulk_text(np.array([0.0, -0.0, 1e16, 1e-5, -1e-100])) == (
+            b"0.0,-0.0,1e+16,1e-05,-1e-100,"
+        )
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_any_finite_floats(self, values):
+        assert_texts_are_repr(values)
