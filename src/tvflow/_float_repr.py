@@ -11,13 +11,15 @@ fixed-width integer arithmetic, which runs here on whole numpy arrays:
    126-bit multiplier from a table, kept as four 32-bit limbs.  Each
    product is shifted right by 118 to 125 bits, so of a 2-limb by 4-limb
    product only limbs 3 to 5 are formed.
-2. For most doubles no scaled value is exact, and the digits are vr with
-   r decimal digits removed, where r is the highest decimal position at
-   which vm and vp differ, rounded half up on the last removed digit.
-3. A double whose vr or vm may be exact (a small power of five or of two
-   divides it) takes Ryū's general case, which may remove more digits
-   and breaks ties to even as ``dtoa`` does.  Those are few, and only
-   they run it.
+2. When no scaled value is exact, the digits are vr with r decimal
+   digits removed, where r is the highest decimal position at which vm
+   and vp differ, rounded half up on the last removed digit: Ryū's
+   common case, the only one computed here.
+3. A double whose vr, vp or vm may be exact is formatted by ``repr``
+   itself: every double from 2^49 to 2^131, and below that those whose
+   mv ends in enough zero bits, such as integers and multiples of 1/4.
+   A solver's output has few: of the 184,312 distinct dual values a
+   316 x 316 grid solve writes, 2 take ``repr``.
 
 The digits are then laid out as ``repr`` does: exponent form (``e`` and at
 least two exponent digits) when the decimal point falls 4 or more places
@@ -25,8 +27,10 @@ before the first digit or more than 16 after it, else fixed form, with
 ``.0`` after an integral value.  Each text is a column of a byte frame
 whose rows are the sign, the ``0.`` and zeros before a small fixed value,
 the digits with the point among them, and the exponent; a text's unused
-rows hold 0 bytes, which its caller drops.  Doubles are formatted in
-blocks of ``_BLOCK``, so that a call's temporaries stay small.
+rows hold 0 bytes, which its caller drops.  So the rows a text takes do
+not matter, and ``repr``'s texts fill a column from the top.  Doubles
+are formatted in blocks of ``_BLOCK``, so that a call's temporaries stay
+small.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ import functools
 
 import numpy as np
 
-__all__ = ["repr_texts"]
+__all__ = ["POW10", "repr_texts", "write_digits"]
 
 _U64 = np.uint64
 _LOW32 = _U64(0xFFFFFFFF)
-_POW10 = 10 ** np.arange(20, dtype=_U64)
+# 10^e for every e with 10^e below 2^64.
+POW10 = 10 ** np.arange(20, dtype=_U64)
 _BLOCK = 1 << 12
 # Frame rows: the sign, "0." and up to three zeros, 17 digits and the
 # point, then "e", the exponent's sign and up to three digits.
@@ -83,15 +88,13 @@ def _tables() -> dict[str, np.ndarray]:
         "up": (128 - shift).astype(_U64),
         "e10": np.where(pos, q, q + e2),
         "hidden": np.where(biased > 0, 1 << 52, 0).astype(_U64),
-        # Where a scaled value may be exact: for e2 >= 0 and q <= 21, when
-        # 5^q divides mv, mm or mp; for e2 < 0 and q <= 1, always; for
-        # other e2 < 0, when mv & twos == 0 (twos is all ones where
-        # that cannot hold, as mv > 0).
-        "fives": pos & (q <= 21),
-        "q": q,
-        "few_twos": ~pos & (q <= 1),
+        # A scaled value may be exact: for e2 >= 0 and q <= 21 ("exact"),
+        # when 5^q divides mv, mm or mp; for e2 < 0, when mv & twos == 0,
+        # as it does for every mv at q <= 1 (twos is all ones where that
+        # cannot hold, as mv > 0).
+        "exact": pos & (q <= 21),
         "twos": np.where(
-            ~pos & (q >= 2) & (q < 63),
+            ~pos & (q < 63),
             (_U64(1) << small_q) - _U64(1),
             _U64(0xFFFFFFFFFFFFFFFF),
         ),
@@ -107,25 +110,33 @@ def repr_texts(values: np.ndarray) -> np.ndarray:
     """``repr`` of each finite value of the float64 array ``values``, as
     an array of byte strings: item k holds the characters of
     ``repr(values[k])`` in order, with 0 bytes between and after them."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(_U64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits = values.view(_U64)
     frame = np.zeros((_WIDTH, bits.size), dtype=np.uint8)  # a column per text
     for start in range(0, bits.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        _layout(frame[:, block], *_shortest(bits[block]))
+        digits, e10, sign, exact = _shortest(bits[block])
+        _layout(frame[:, block], digits, e10, sign)
+        # Where the digits may be wrong, repr's text replaces the column.
+        rows = start + np.flatnonzero(exact)
+        texts = np.array(list(map(repr, values[rows].tolist())), f"S{_WIDTH}")
+        frame[:, rows] = texts.view(np.uint8).reshape(-1, _WIDTH).T
     used = frame.any(axis=1)
     width = int(used.sum())
     return np.ascontiguousarray(frame[used].T).view(f"S{width}").reshape(-1)
 
 
-def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ryū's d2d: the shortest digits of each double as an integer, its
-    power of ten, and the sign bit; zeros give digits 0."""
+def _shortest(
+    bits: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ryū's d2d, common case only: the shortest digits of each double as
+    an integer, its power of ten, the sign bit, and the mask of the
+    doubles whose vr, vp or vm may be exact, whose digits may be wrong."""
     t = _tables()
     biased = (bits >> _U64(52)).astype(np.intp) & 0x7FF
     mantissa = bits & _U64((1 << 52) - 1)
-    zero = (biased == 0) & (mantissa == 0)
-    if zero.any():  # format 1.0 in their place
-        biased[zero] = 1023
+    # Zeros are scaled as 1.0, which is exact, so they are formatted by repr.
+    biased[(biased == 0) & (mantissa == 0)] = 1023
     m2 = mantissa | t["hidden"][biased]
     mv = m2 << _U64(2)
     # mm = mv - 2 except at the bottom of a binade, where the gap below
@@ -136,34 +147,9 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vr = _mul_shift(mv, b, down, up)
     vp = _mul_shift(mv + _U64(2), b, down, up)
     vm = _mul_shift(mv - _U64(1) - mm_shift, b, down, up)
-    e10 = t["e10"][biased]
-
-    even = (m2 & _U64(1)) == 0
-    vr_zeros = (mv & t["twos"][biased]) == 0
-    vm_zeros = np.zeros_like(vr_zeros)
-    rows = np.flatnonzero(t["fives"][biased])
-    if rows.size:
-        mvs, ev = mv[rows], even[rows]
-        p5 = _U64(5) ** t["q"][biased[rows]].astype(_U64)
-        by_five = mvs % _U64(5) == 0
-        vr_zeros[rows] = by_five & (mvs % p5 == 0)
-        vm_zeros[rows] = ~by_five & ev & ((mvs - _U64(1) - mm_shift[rows]) % p5 == 0)
-        vp[rows] -= (~by_five & ~ev & ((mvs + _U64(2)) % p5 == 0)).astype(_U64)
-    rows = np.flatnonzero(t["few_twos"][biased])
-    if rows.size:
-        ev = even[rows]
-        vr_zeros[rows] = True
-        vm_zeros[rows] = ev & (mm_shift[rows] == 1)
-        vp[rows] -= (~ev).astype(_U64)
-
+    exact = t["exact"][biased] | ((mv & t["twos"][biased]) == 0)
     digits, removed = _common(vr, vp, vm)
-    rows = np.flatnonzero(vr_zeros | vm_zeros)
-    if rows.size:
-        digits[rows], removed[rows] = _general(
-            vr[rows], vm[rows], removed[rows], vr_zeros[rows], vm_zeros[rows], even[rows]
-        )
-    digits[zero] = 0
-    return digits, e10 + removed, bits >> _U64(63)
+    return digits, t["e10"][biased] + removed, bits >> _U64(63), exact
 
 
 def _mul_shift(
@@ -194,47 +180,17 @@ def _common(
     diff = vp - vm
     # vp // 10^s > vm // 10^s holds for every s with 10^s <= vp - vm,
     # and while it does the digit at position s can go.
-    r = np.searchsorted(_POW10[1:], diff, side="right")
+    r = np.searchsorted(POW10[1:], diff, side="right")
     # It holds at s exactly when a multiple of 10^s lies in (vm, vp].
-    rows = np.flatnonzero(vp % _POW10[r + 1] < diff)
+    rows = np.flatnonzero(vp % POW10[r + 1] < diff)
     while rows.size:
         r[rows] += 1
-        rows = rows[vp[rows] % _POW10[r[rows] + 1] < diff[rows]]
-    scale = _POW10[r]
+        rows = rows[vp[rows] % POW10[r[rows] + 1] < diff[rows]]
+    scale = POW10[r]
     digits = vr // scale
     rest = vr - digits * scale
     digits += ((vr - rest <= vm) | (rest << _U64(1) >= scale)).astype(_U64)
     return digits, r
-
-
-def _general(
-    vr: np.ndarray,
-    vm: np.ndarray,
-    r: np.ndarray,
-    vr_zeros: np.ndarray,
-    vm_zeros: np.ndarray,
-    even: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ryū's general case, for doubles whose vr or vm may be exact: the
-    digits and the count of digits removed.
-
-    Ryū removes digits one at a time: the r of the common case, then, if
-    vm is still exact, the trailing zeros of what is left of vm.  vr was
-    exact if every removed digit but the last was 0, and then a last
-    digit of 5 is a tie, which goes to the even neighbour.  An exact vm is
-    a candidate only when the bounds are accepted (``even``)."""
-    vm_zeros &= vm % _POW10[r] == 0
-    left = vm // _POW10[r]
-    zeros = (left[:, None] % _POW10[1:] == 0).sum(axis=1)
-    removed = r + np.where(vm_zeros, zeros, 0)
-    scale = _POW10[removed]
-    digits = vr // scale
-    rest = vr - digits * scale
-    below = _POW10[np.maximum(removed - 1, 0)]
-    last = rest // below
-    tie = vr_zeros & (rest == last * below) & (last == 5) & (digits % _U64(2) == 0)
-    up = ((digits == vm // scale) & (~even | ~vm_zeros)) | ((last >= 5) & ~tie)
-    return digits + up.astype(_U64), removed
 
 
 def _layout(
@@ -242,7 +198,7 @@ def _layout(
 ) -> None:
     """Write the text of digits * 10^e10, negative where ``sign`` is 1,
     into ``frame``: a column per value, a row per character position."""
-    count = np.maximum(np.searchsorted(_POW10, digits, side="right"), 1)
+    count = np.maximum(np.searchsorted(POW10, digits, side="right"), 1)
     point = count + e10  # the decimal point's place after the first digit
     fixed = (point > -4) & (point <= 16)
     whole = fixed & (point > 0)
@@ -261,19 +217,12 @@ def _layout(
     # after the last digit.
     at = np.where(whole, point, np.where(fixed | (count == 1), 17, 1))
     end = np.where(whole, np.maximum(count, point + 1) + 1, count + (at < 17))
-    full = digits * _POW10[17 - count]
+    full = digits * POW10[17 - count]
     # 18 digits: a 0 inserted at place `at`, which becomes the point.
-    full = full * _U64(10) - full % _POW10[17 - at] * _U64(9)
+    full = full * _U64(10) - full % POW10[17 - at] * _U64(9)
     body = frame[1 + _LEAD : 1 + _LEAD + _BODY]
-    for rest, places in (
-        ((full // _POW10[9]).astype(np.uint32), range(8, -1, -1)),
-        ((full % _POW10[9]).astype(np.uint32), range(17, 8, -1)),
-    ):
-        for k in places:
-            shifted = rest // 10
-            body[k] = rest - shifted * 10
-            rest = shifted
-    body += ord("0")
+    write_digits(body[:9], (full // POW10[9]).astype(np.uint32))
+    write_digits(body[9:], (full % POW10[9]).astype(np.uint32))
     places = np.arange(_BODY)[:, None]
     np.subtract(body, ord("0") - ord("."), out=body, where=places == at)
     body *= places < end
@@ -281,3 +230,16 @@ def _layout(
     if rows.size:
         exponent = _tables()["exp"][point[rows] - 1 + 324]
         frame[1 + _LEAD + _BODY :, rows] = exponent.T
+
+
+def write_digits(rows: np.ndarray, values: np.ndarray) -> None:
+    """Write the characters of the last ``len(rows)`` decimal digits of
+    each unsigned integer of ``values`` into the byte rows ``rows``, a row
+    per place and the units in the last, a column per value.  Leading
+    zeros are written as ``0``."""
+    rest = values
+    for k in range(len(rows) - 1, -1, -1):
+        shifted = rest // 10
+        rows[k] = rest - shifted * 10
+        rest = shifted
+    rows += ord("0")

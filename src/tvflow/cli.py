@@ -201,6 +201,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     g, obs = read_graph_and_observations_csv(args.graph, args.observations)
     flow = read_flow_csv(args.flow, g)
     partition = read_partition_csv(args.partition)
+    try:
+        partition.check_graph(g)
+    except ValueError as exc:
+        raise ValueError(f"{args.partition}: {exc}")
     report = verify_certificate(Problem(g, obs, args.lam), flow, partition, args.tol)
 
     payload = {**report.to_dict(), "lambda": args.lam, "tol": args.tol}

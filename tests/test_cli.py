@@ -407,7 +407,7 @@ class TestSolve:
             (["solve", *files, "--gap-tol", "1e-3"], "isolated nodes [2, 3, 4, 5, 6, ...]"),
             (["certify", *files, "--flow", str(tmp_path / "flow.csv"),
               "--partition", str(tmp_path / "partition.csv")],
-             f"partition covers 2 nodes, graph has {huge}"),
+             f"{tmp_path / 'partition.csv'}: partition covers 2 nodes, graph has {huge}"),
         ):
             assert run_cli([*argv, "--out-dir", str(tmp_path / "out")]) == 64
             assert message in capsys.readouterr().err
@@ -544,6 +544,26 @@ class TestCertify:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "verified"
         assert report["verdict"] is True
+
+    def test_partition_short_of_the_graph_names_its_file(
+        self, tmp_path, experiment_dir, capsys
+    ):
+        lines = (experiment_dir / "partition.csv").read_text().splitlines(keepends=True)
+        partition = tmp_path / "partition.csv"
+        partition.write_text("".join(lines[:-1]))  # nodes 1 to 9 of 10
+        out = tmp_path / "cert"
+        code = run_cli([
+            "certify",
+            "--graph", str(experiment_dir / "graph.csv"),
+            "--flow", str(experiment_dir / "flow.csv"),
+            "--partition", str(partition),
+            "--observations", str(experiment_dir / "observations.csv"),
+            "--lambda", "1", "--out-dir", str(out),
+        ])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert f"{partition}: partition covers 9 nodes, graph has 10" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("lam, status", [("1", "verified"), ("2", "failed")])
     def test_signal_only_in_reconstructed_csv(

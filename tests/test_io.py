@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import edge_triples
 import tvflow.io
-from tvflow._float_repr import repr_texts
+from tvflow._float_repr import _shortest, repr_texts
 from tvflow.flow import Flow
 from tvflow.graph import EmpiricalGraph, build_graph
 from tvflow.instances import grid_instance
@@ -805,6 +805,30 @@ def path_graph(weights: np.ndarray) -> EmpiricalGraph:
     return build_graph(n, zip(range(1, n), range(2, n + 1), weights.tolist()))
 
 
+def write_signal_and_flow(tmp_path: Path, monkeypatch, values: np.ndarray) -> list:
+    """Write ``values`` as a signal and as the base flow of a path graph,
+    check both files against the f-string reference, and return the sizes
+    ``repr_texts`` was called with."""
+    formatted = []
+    monkeypatch.setattr(
+        tvflow.io, "repr_texts", lambda v: formatted.append(v.size) or repr_texts(v)
+    )
+    write_signal_csv(tmp_path / "signal.csv", values)
+    assert csv_text(tmp_path / "signal.csv") == reference_csv(
+        "i,x", ((f"{i}", f"{v!r}") for i, v in enumerate(values.tolist(), 1))
+    )
+    g = path_graph(np.ones(values.size))
+    f = Flow(values, np.array([1]), values[:1])
+    write_flow_csv(tmp_path / "flow.csv", g, f)
+    assert csv_text(tmp_path / "flow.csv") == reference_csv(
+        "head,tail,y",
+        [(f"{h}", f"{t}", f"{v!r}")
+         for h, t, v in zip(g.heads.tolist(), g.tails.tolist(), values.tolist())]
+        + [("1", "star", repr(values.tolist()[0]))],
+    )
+    return formatted
+
+
 class TestWritersMatchReferenceFormatting:
     @pytest.mark.parametrize("n", CHUNK_LENGTHS)
     def test_signal_graph_observations_partition(self, tmp_path, n):
@@ -915,25 +939,21 @@ class TestWritersMatchReferenceFormatting:
         assert np.unique(pool.view(np.int64)).size == distinct
         values = np.concatenate([pool, rng.choice(pool, rows - distinct)])
         rng.shuffle(values)
-        formatted = []
-        monkeypatch.setattr(
-            tvflow.io, "repr_texts", lambda v: formatted.append(v.size) or repr_texts(v)
-        )
-
-        write_signal_csv(tmp_path / "signal.csv", values)
-        assert csv_text(tmp_path / "signal.csv") == reference_csv(
-            "i,x", ((f"{i}", f"{v!r}") for i, v in enumerate(values.tolist(), 1))
-        )
-        g = path_graph(np.ones(rows))
-        f = Flow(values, np.array([1]), values[:1])
-        write_flow_csv(tmp_path / "flow.csv", g, f)
-        assert csv_text(tmp_path / "flow.csv") == reference_csv(
-            "head,tail,y",
-            [(f"{h}", f"{t}", f"{v!r}")
-             for h, t, v in zip(g.heads.tolist(), g.tails.tolist(), values.tolist())]
-            + [("1", "star", repr(values.tolist()[0]))],
-        )
+        formatted = write_signal_and_flow(tmp_path, monkeypatch, values)
         assert formatted == ([distinct, distinct] if bulk else [])
+
+    @pytest.mark.parametrize("step", [1.0, 0.25], ids=["integers", "quarters"])
+    def test_values_that_take_repr_inside_the_bulk_route(
+        self, tmp_path, monkeypatch, step
+    ):
+        # A scaled value of each of these may be exact, so repr_texts
+        # writes repr's text for every one.  The last lie between 2^49 and
+        # 2^131, where every double does.
+        n = 2 * _VECTOR_MIN
+        values = np.arange(-n // 2, n // 2) * step
+        values[-64:] = np.arange(1, 65) * 2.0**70 * step
+        assert _shortest(values.view(np.uint64))[3].all()
+        assert write_signal_and_flow(tmp_path, monkeypatch, values) == [n, n]
 
 
 class TestWritersRejectWhatReadersRefuse:
@@ -1075,3 +1095,9 @@ class TestBulkFormatterIsRepr:
     @settings(max_examples=200, deadline=None)
     def test_any_finite_floats(self, values):
         assert_texts_are_repr(values)
+
+    def test_normals_take_the_common_case(self):
+        # No scaled value of data like the solver's output is exact, so
+        # none of it is handed to repr.
+        normals = np.random.default_rng(22).standard_normal(10**5)
+        assert not _shortest(normals.view(np.uint64))[3].any()
