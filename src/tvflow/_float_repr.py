@@ -28,9 +28,12 @@ before the first digit or more than 16 after it, else fixed form, with
 whose rows are the sign, the ``0.`` and zeros before a small fixed value,
 the digits with the point among them, and the exponent; a text's unused
 rows hold 0 bytes, which its caller drops.  So the rows a text takes do
-not matter, and ``repr``'s texts fill a column from the top.  Doubles
-are formatted in blocks of ``_BLOCK``, so that a call's temporaries stay
-small.
+not matter, and ``repr``'s texts fill a column from the top.  A call
+formats all its doubles in one pass, whose temporaries take about 210
+bytes per double, so its caller bounds their number: the CSV writers call
+it once per chunk of at most ``io._CHUNK_ROWS`` rows.  On a chunk of
+15,000 doubles one pass is about 8% faster than passes over blocks of
+4,096 (2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ _U64 = np.uint64
 _LOW32 = _U64(0xFFFFFFFF)
 # 10^e for every e with 10^e below 2^64.
 POW10 = 10 ** np.arange(20, dtype=_U64)
-_BLOCK = 1 << 12
 # Frame rows: the sign, "0." and up to three zeros, 17 digits and the
 # point, then "e", the exponent's sign and up to three digits.
 _LEAD = 5
@@ -111,16 +113,13 @@ def repr_texts(values: np.ndarray) -> np.ndarray:
     an array of byte strings: item k holds the characters of
     ``repr(values[k])`` in order, with 0 bytes between and after them."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    bits = values.view(_U64)
-    frame = np.zeros((_WIDTH, bits.size), dtype=np.uint8)  # a column per text
-    for start in range(0, bits.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        digits, e10, sign, exact = _shortest(bits[block])
-        _layout(frame[:, block], digits, e10, sign)
-        # Where the digits may be wrong, repr's text replaces the column.
-        rows = start + np.flatnonzero(exact)
-        texts = np.array(list(map(repr, values[rows].tolist())), f"S{_WIDTH}")
-        frame[:, rows] = texts.view(np.uint8).reshape(-1, _WIDTH).T
+    frame = np.zeros((_WIDTH, values.size), dtype=np.uint8)  # a column per text
+    digits, e10, sign, exact = _shortest(values.view(_U64))
+    _layout(frame, digits, e10, sign)
+    # Where the digits may be wrong, repr's text replaces the column.
+    rows = np.flatnonzero(exact)
+    texts = np.array(list(map(repr, values[rows].tolist())), f"S{_WIDTH}")
+    frame[:, rows] = texts.view(np.uint8).reshape(-1, _WIDTH).T
     used = frame.any(axis=1)
     width = int(used.sum())
     return np.ascontiguousarray(frame[used].T).view(f"S{width}").reshape(-1)

@@ -42,7 +42,7 @@ __all__ = [
 
 # The exact finish joins two nodes into one cluster when their jump is at
 # most _JUMP_TOL * max(1, label range), and lets the boundary signs settle
-# for at most _SIGN_ROUNDS rounds.
+# for at most _SIGN_ROUNDS rounds, giving up early when the signs repeat.
 _JUMP_TOL = 1e-2
 _SIGN_ROUNDS = 10
 
@@ -424,13 +424,16 @@ def _certify(
     :func:`verify_certificate` at ``tol``."""
     ci, count = partition.cluster_index, partition.cluster_count
     settled = _boundary_signs(problem, ci, count, bmask, np.zeros(bmask.sum()))
+    seen = set()
     for _ in range(_SIGN_ROUNDS):
+        seen.add(settled.tobytes())
         signs, settled = settled, _boundary_signs(problem, ci, count, bmask, settled)
         if not settled.all():
             return None, "no sign fixpoint: equal cluster values across an edge", 0
-        if np.array_equal(settled, signs):
+        if settled.tobytes() in seen:
+            # A fixpoint, or the start of a cycle, which never reaches one.
             break
-    else:
+    if not np.array_equal(settled, signs):
         return None, f"no sign fixpoint in {_SIGN_ROUNDS} rounds", 0
     flow, cg_iters = _partition_flow(problem, ci, count, bmask, forest, signs)
     report = verify_certificate(problem, flow, partition, tol)

@@ -633,7 +633,12 @@ def read_flow_csv(path: Path | str, g: EmpiricalGraph) -> Flow:
 
 
 def write_json(path: Path | str, payload: dict[str, Any]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    """Write ``payload`` as JSON; raise naming ``path``, and write nothing,
+    when it holds a value JSON cannot represent, such as a non-finite float."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with _create(path).open("w", encoding="utf-8") as out:
         out.write(text + "\n")
 

@@ -27,6 +27,10 @@ __all__ = [
     "primal_objective",
 ]
 
+# Edges per block of a solver step's dual update: the block's temporaries,
+# 128 KB each, stay in cache from one operation on them to the next.
+_STEP_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class Observations:
@@ -127,8 +131,9 @@ class Problem:
     sampled node.  Construction validates the three inputs together once
     and derives the read-only arrays every consumer shares: ``capacities``,
     ``sampled`` (0-based positions of the labeled nodes) and, on first use,
-    the ``unsampled`` node mask, ``inv_degrees`` (the solver's node steps)
-    and ``step_constants`` (the other constants of a solver step).
+    the ``unsampled`` node mask, ``inv_degrees`` (the solver's node steps),
+    ``step_constants`` (the other constants of a solver step) and
+    ``step_blocks`` (the edge blocks of its dual update).
     """
 
     graph: EmpiricalGraph
@@ -205,6 +210,21 @@ class Problem:
         for arr in constants:
             arr.setflags(write=False)
         return constants
+
+    @cached_property
+    def step_blocks(
+        self,
+    ) -> tuple[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The edges of a solver step's dual update in consecutive blocks of
+        ``_STEP_BLOCK``: per block its slice and views of the head and tail
+        positions, the capacities and -capacities on it."""
+        g, cap = self.graph, self.capacities
+        neg_cap = self.step_constants[0]
+        starts = range(0, g.edge_count, _STEP_BLOCK)
+        return tuple(
+            (edges, g._head_idx[edges], g._tail_idx[edges], cap[edges], neg_cap[edges])
+            for edges in (slice(start, start + _STEP_BLOCK) for start in starts)
+        )
 
     def dual_residuals(self, y: np.ndarray) -> tuple[np.ndarray, float, float]:
         """Divergence of the edge flow y, its capacity excess (largest

@@ -29,7 +29,6 @@ from .flow import Certificate, certificate_from_signal
 from .graph import (
     EmpiricalGraph,
     _divergence,
-    _incidence,
     _node_list,
     components,
     divergence,
@@ -176,27 +175,46 @@ def init_state(problem: Problem) -> SolverState:
 
 
 def pd_step(state: SolverState, problem: Problem) -> SolverState:
-    """Run one full primal-dual iteration and return the new state."""
+    """Run one full primal-dual iteration and return the new state; the
+    arrays of ``state`` are left unchanged.
+
+    Each operation is the one of the six updates written on whole arrays,
+    at most with its two operands swapped, so the iterates are bit for bit
+    those of the updates written out.  The dual update runs over the edge
+    blocks of ``problem.step_blocks``, so that a block's temporaries stay
+    in cache, and each block is written into the new dual.  The other
+    updates run in place on the arrays the step allocates."""
     g = problem.graph
     if state.x_curr.shape != (g.node_count,) or state.y.shape != (g.edge_count,):
         raise ValueError("state dimensions do not match the graph")
     gamma = problem.inv_degrees
-    neg_cap, gamma_labels, gamma_plus_one = problem.step_constants
+    _, gamma_labels, gamma_plus_one = problem.step_constants
 
-    x_tilde = 2.0 * state.x_curr - state.x_prev
-    y = state.y + 0.5 * _incidence(g, x_tilde)
-    # Exact box projection; same point as y / max(1, |y|/cap) but keeps
-    # |y_e| <= cap_e bitwise.  The capacities are positive, so minimum then
-    # maximum gives np.clip's bits, signed zeros included.
-    np.minimum(y, problem.capacities, out=y)
-    np.maximum(y, neg_cap, out=y)
+    x_tilde = 2.0 * state.x_curr
+    x_tilde -= state.x_prev
+    y_old = state.y
+    y = np.empty(g.edge_count)
+    for edges, heads, tails, cap, neg_cap in problem.step_blocks:
+        block = x_tilde[heads]
+        block -= x_tilde[tails]
+        block *= 0.5
+        block += y_old[edges]
+        # Exact box projection; same point as y / max(1, |y|/cap) but keeps
+        # |y_e| <= cap_e bitwise.  The capacities are positive, so minimum
+        # then maximum gives np.clip's bits, signed zeros included.
+        np.minimum(block, cap, out=block)
+        np.maximum(block, neg_cap, out=y[edges])
 
-    x = state.x_curr - gamma * _divergence(g, y)
+    div = _divergence(g, y)
+    div *= gamma
+    x = state.x_curr - div
     m = problem.sampled
     x[m] = (gamma_labels + x[m]) / gamma_plus_one
 
     k = state.k + 1
-    x_avg = (1.0 - 1.0 / k) * state.x_avg + (1.0 / k) * x
+    # The running average takes over x_tilde's array.
+    x_avg = np.multiply(state.x_avg, 1.0 - 1.0 / k, out=x_tilde)
+    x_avg += np.multiply(x, 1.0 / k, out=div)
     return SolverState(x_curr=x, x_prev=state.x_curr, y=y, x_avg=x_avg, k=k)
 
 

@@ -13,6 +13,7 @@ from conftest import (
     random_connected_instance,
     random_tree_instance,
 )
+import tvflow.flow
 from tvflow.flow import (
     Flow,
     _bfs_forest,
@@ -853,6 +854,21 @@ class TestCertificateFromPartition:
         g, partition, _, obs = grid_instance(30, 30, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match=f"^{reason}"):
             certificate_from_partition(Problem(g, obs, lam), partition)
+
+    def test_sign_cycle_stops_at_first_repeat(self, monkeypatch):
+        # At lambda 0.5 the boundary signs of the default 30x30 grid's own
+        # partition alternate between two vectors.  The search stops when
+        # the first comes back, after the mean-label signs and two rounds,
+        # with the message of a search that ran out of rounds.
+        g, partition, _, obs = grid_instance(30, 30, rng=np.random.default_rng(0))
+        signs = tvflow.flow._boundary_signs
+        calls = []
+        monkeypatch.setattr(
+            tvflow.flow, "_boundary_signs", lambda *a: calls.append(1) or signs(*a)
+        )
+        with pytest.raises(ValueError, match="^no sign fixpoint in 10 rounds"):
+            certificate_from_partition(Problem(g, obs, 0.5), partition)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("clusters, message", [
         ([0, 0, 1, 1], "cluster 2 has no sampled node"),

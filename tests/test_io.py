@@ -264,6 +264,16 @@ class TestJson:
         write_json(path, payload)
         assert read_json(path) == payload
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_path(self, tmp_path, value):
+        path = tmp_path / "out" / "report.json"
+        with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(path))}: Out of range float values are not JSON"
+            f" compliant: {value!r}$"
+        )):
+            write_json(path, {"gap": {"value": value}})
+        assert not path.exists()
+
     def test_invalid_json_cites_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "a": 1,\n  oops\n}\n')

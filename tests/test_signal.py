@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import edge_triples, make_chain
 from tvflow.graph import build_graph, incidence_apply
+from tvflow.instances import grid_instance
 from tvflow.signal import (
     Observations,
     Partition,
@@ -100,6 +101,16 @@ class TestProblem:
         for arr in (problem.capacities, problem.sampled, problem.unsampled,
                     problem.inv_degrees, *problem.step_constants):
             assert not arr.flags.writeable
+
+    def test_step_blocks_are_views_that_cover_the_edges(self):
+        g, _, _, obs = grid_instance(100, 100, 50, rng=np.random.default_rng(0))
+        problem = Problem(g, obs, 0.5)
+        blocks = problem.step_blocks
+        assert [block[0] for block in blocks] == [slice(0, 16384), slice(16384, 32768)]
+        whole = (g._head_idx, g._tail_idx, problem.capacities, problem.step_constants[0])
+        for k, arr in enumerate(whole, start=1):
+            assert np.array_equal(np.concatenate([block[k] for block in blocks]), arr)
+            assert all(block[k].base is arr for block in blocks)
 
 
 class TestPartition:

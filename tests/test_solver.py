@@ -90,6 +90,24 @@ def operator_step(state, problem):
     return SolverState(x_curr=x, x_prev=state.x_curr, y=y, x_avg=x_avg, k=k)
 
 
+def step_instance(kind):
+    """Graph and observations of a step test's instance.  The 100x100 grid
+    has 19,800 edges, so a step updates its dual in two blocks of
+    ``Problem.step_blocks``, the second one partial."""
+    rng = np.random.default_rng(17)
+    g, _, _, obs = {
+        "chain": chain_instance,
+        "grid": lambda: grid_instance(8, 9, 4, 1.0, 0.25, 2, [1.0, 0.0], rng=rng),
+        "grid-100x100": lambda: grid_instance(
+            100, 100, 50, 1.0, 0.25, 2, [1.0, 0.0], rng=rng
+        ),
+        "sbm": lambda: sbm_instance(
+            [30, 30], 0.3, 0.05, 1.0, 0.25, 2, [1.0, -1.0], rng=rng
+        ),
+    }[kind]()
+    return g, obs
+
+
 def assert_steps_match_reference(problem, state, steps):
     """Run ``pd_step`` and ``operator_step`` side by side from ``state`` and
     require bit-identical iterates after every step."""
@@ -245,18 +263,30 @@ class TestPdStep:
             assert np.all(np.abs(state.y) <= lam * g.weights)
 
     @pytest.mark.parametrize("lam", [0.1, 1.0])
-    @pytest.mark.parametrize("kind", ["chain", "grid", "sbm"])
+    @pytest.mark.parametrize("kind", ["chain", "grid", "sbm", "grid-100x100"])
     def test_bitwise_equal_to_operator_form(self, kind, lam):
-        rng = np.random.default_rng(17)
-        g, _, _, obs = {
-            "chain": chain_instance,
-            "grid": lambda: grid_instance(8, 9, 4, 1.0, 0.25, 2, [1.0, 0.0], rng=rng),
-            "sbm": lambda: sbm_instance(
-                [30, 30], 0.3, 0.05, 1.0, 0.25, 2, [1.0, -1.0], rng=rng
-            ),
-        }[kind]()
-        problem = Problem(g, obs, lam)
+        problem = Problem(*step_instance(kind), lam)
+        assert len(problem.step_blocks) == (2 if kind == "grid-100x100" else 1)
         assert_steps_match_reference(problem, init_state(problem), 320)
+
+    @pytest.mark.parametrize("kind", ["chain", "sbm", "grid-100x100"])
+    def test_leaves_input_state_unchanged(self, kind):
+        g, obs = step_instance(kind)
+        problem = Problem(g, obs, 0.5)
+        rng = np.random.default_rng(31)
+        state = SolverState(
+            x_curr=rng.standard_normal(g.node_count),
+            x_prev=rng.standard_normal(g.node_count),
+            y=rng.standard_normal(g.edge_count),
+            x_avg=rng.standard_normal(g.node_count),
+            k=3,
+        )
+        names = ("x_curr", "x_prev", "y", "x_avg")
+        before = [getattr(state, name).tobytes() for name in names]
+        after = pd_step(state, problem)
+        assert [getattr(state, name).tobytes() for name in names] == before
+        assert after.x_prev is state.x_curr
+        assert after.x_avg is not state.x_avg
 
     @given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.01, 10.0))
     @settings(max_examples=60, deadline=None)
@@ -567,8 +597,9 @@ class TestGapMode:
         assert result.iters == 300
         assert result.certificate is None
 
-    def test_fixed_mode_returns_average_and_raw_dual(self, chain):
-        g, obs, _ = chain
+    @pytest.mark.parametrize("kind", ["chain", "sbm", "grid-100x100"])
+    def test_fixed_mode_returns_average_and_raw_dual(self, kind):
+        g, obs = step_instance(kind)
         problem = Problem(g, obs, 1.0)
         state = init_state(problem)
         for _ in range(300):
