@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,17 +34,12 @@ __all__ = [
     "incidence_apply",
     "divergence",
     "grounded_laplacian_cg",
-    "scaled_operator_norm",
 ]
 
 # CG stops when the residual norm falls below _CG_RTOL times the starting
 # one, or after _CG_MAX_ITERS iterations.
 _CG_RTOL = 1e-13
 _CG_MAX_ITERS = 1000
-# Power iteration stops when the estimate moves by at most _POWER_RTOL
-# relative to itself, and fails after _POWER_MAX_ITERS iterations.
-_POWER_RTOL = 1e-8
-_POWER_MAX_ITERS = 50_000
 # Messages that list nodes name at most this many (see _node_list).
 _SHOWN_NODES = 5
 
@@ -126,8 +121,14 @@ def build_graph(
     """
     if not isinstance(node_count, (int, np.integer)) or node_count < 1:
         raise ValueError(f"node_count must be a positive integer, got {node_count!r}")
-    n = int(node_count)
+    return _build_graph(int(node_count), edge_list, lambda k: f"edge #{k}")
 
+
+def _build_graph(
+    n: int, edge_list: Iterable[Sequence[float]], where: Callable[[int], str]
+) -> EmpiricalGraph:
+    """:func:`build_graph` over nodes 1..n, naming the faulty edge at input
+    position k as ``where(k)``.  For n below 1 every edge is out of range."""
     columns, non_triple = _edge_columns(edge_list)
     i, j = (_id_array(c, n) for c in columns[:2])
     w = np.asarray(columns[2], dtype=np.float64)
@@ -149,19 +150,17 @@ def build_graph(
         pos = int(faults[0])
         if out_of_range[pos]:
             a, b = (int(c[pos]) for c in columns[:2])
-            raise ValueError(f"edge #{pos}: node id out of range 1..{n}: ({a}, {b})")
-        if self_loop[pos]:
-            raise ValueError(f"edge #{pos}: self-loop at node {int(i[pos])}")
-        if bad_weight[pos]:
-            raise ValueError(
-                f"edge #{pos}: weight must be finite and positive, got {float(w[pos])}"
-            )
-        raise ValueError(
-            f"edge #{pos}: duplicate edge {{{int(heads[pos])}, {int(tails[pos])}}}"
-        )
+            fault = f"node id out of range 1..{n}: ({a}, {b})"
+        elif self_loop[pos]:
+            fault = f"self-loop at node {int(i[pos])}"
+        elif bad_weight[pos]:
+            fault = f"weight must be finite and positive, got {float(w[pos])}"
+        else:
+            fault = f"duplicate edge {{{int(heads[pos])}, {int(tails[pos])}}}"
+        raise ValueError(f"{where(pos)}: {fault}")
     if non_triple is not None:
         pos, item = non_triple
-        raise ValueError(f"edge #{pos}: expected an (i, j, w) triple, got {item!r}")
+        raise ValueError(f"{where(pos)}: expected an (i, j, w) triple, got {item!r}")
 
     weights = w[order]
     for arr in (sorted_heads, sorted_tails, weights):
@@ -386,41 +385,3 @@ def grounded_laplacian_cg(
         p = z + (rz / rz_prev) * p
         iters += 1
     return u, iters
-
-
-def scaled_operator_norm(g: EmpiricalGraph) -> float:
-    """Spectral norm of the degree-scaled adjoint difference operator.
-
-    This is the quantity the solver's step sizes are chosen to control:
-    with node steps 1/d_i and edge steps 1/2 it never exceeds 1 (it equals
-    1 exactly on bipartite graphs).  Computed matrix-free by power
-    iteration on the PSD composition, to relative tolerance 1e-8 within
-    50,000 iterations.  The Rayleigh-quotient estimate approaches the true
-    value from below.
-    """
-    if g.node_count == 0:
-        return 0.0
-    g.check_no_isolated()
-    inv_deg = 1.0 / g.degrees
-
-    def apply_sym(u: np.ndarray) -> np.ndarray:
-        # 0.5 * B diag(1/d) B^T u, the square of the scaled operator
-        return 0.5 * _incidence(g, inv_deg * _divergence(g, u))
-
-    rng = np.random.default_rng(1905)
-    v = rng.standard_normal(g.edge_count)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(_POWER_MAX_ITERS):
-        w = apply_sym(v)
-        new_estimate = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        if abs(new_estimate - estimate) <= _POWER_RTOL * max(abs(new_estimate), 1e-30):
-            return float(np.sqrt(max(new_estimate, 0.0)))
-        estimate = new_estimate
-    raise RuntimeError(
-        f"power iteration did not converge within {_POWER_MAX_ITERS} iterations"
-    )

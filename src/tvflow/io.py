@@ -36,14 +36,15 @@ file's tail column holds ids on base rows and the word ``star`` on star
 rows, so only the rows from the first star row on are parsed with a text
 tail column, from the bytes already read; the base rows before it, all of
 them in the files tvflow writes, are parsed as integers.  When loadtxt
-refuses the file or a check finds a fault, the reader splits the
-bytes it has already read into lines and parses them row by row.  That
-path accepts everything Python's ``int`` and ``float`` accept (``1_000``,
-ids beyond 64 bits) and raises the error, which cites the offending file
-and line.  Both paths
-give identical results on every file the bulk path accepts, so which one
-ran never shows.  A file with a line break that a text-mode file, and so
-loadtxt, does not break at (a form feed, say) goes row by row.
+refuses the file or a check finds a fault, the reader splits the bytes it
+has already read into lines and parses them row by row, raising the error,
+which cites the offending file and line.  Both paths read a file one way.
+A line ends at ``\\n``, ``\\r`` or ``\\r\\n`` and nowhere else, as in a
+text-mode file, which loadtxt reads.  Every integer field must fit in 64
+bits, as the arrays that hold it do.  Fields are read as Python's ``int``
+and ``float`` read them (``+3``, ``1_000``).  So the two paths give
+identical results on every file the bulk path accepts, and which one ran
+never shows.
 
 ``read_graph_and_observations_csv`` reads the two inputs of a problem with
 one node count, the largest id in either file.
@@ -62,7 +63,7 @@ import numpy as np
 
 from ._float_repr import POW10, repr_texts, write_digits
 from .flow import Flow
-from .graph import EmpiricalGraph, _edge_order, _node_list, build_graph
+from .graph import EmpiricalGraph, _build_graph, _edge_order, _node_list, build_graph
 from .signal import Observations, Partition
 
 __all__ = [
@@ -87,10 +88,6 @@ _FLOW_HEADER = "head,tail,y"
 # may be the word "star".
 _FLOW_BASE = (np.int64, np.int64, np.float64)
 _FLOW_ROWS = (np.int64, object, np.float64)
-# The line breaks of ``str.splitlines`` besides "\n" and "\r", as UTF-8: a
-# text-mode file does not end a line at them.
-_OTHER_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
-_ASCII_BREAKS = _OTHER_BREAKS[:5]
 _NOT_A_LINE_END = re.compile(rb"[^\r\n]")
 # Rows formatted and written at a time by every CSV writer.
 _CHUNK_ROWS = 1 << 14
@@ -214,16 +211,16 @@ def _read_csv(
 ) -> Any:
     """Parse a CSV in bulk, or row by row where the bulk path cannot.
 
-    When the file's first line is ``header``, a row follows and its lines
-    end only where both paths end them (``_bulk_readable``), ``load(path,
-    header, data)``, given the file's bytes, parses the rows after the
-    header in C (``_loadtxt``) into structured arrays.  When every float
-    field is finite, ``bulk(*tables)`` checks ids and returns the parsed
-    value, or None when it finds a fault.  When the file is not
-    bulk-readable, loadtxt refuses it, a float is not finite or ``bulk``
-    returns None, ``row_by_row(path, _read_rows(path, header, lines))``
-    parses the lines of those same bytes one row at a time, raising the
-    error that cites file:line.
+    When the file's first line is ``header`` and a row follows
+    (``_bulk_readable``), ``load(path, header, data)``, given the file's
+    bytes, parses the rows after the header in C (``_loadtxt``) into
+    structured arrays.  When every float field is finite, ``bulk(*tables)``
+    checks ids and returns the parsed value, or None when it finds a fault.
+    When the file is not bulk-readable, loadtxt refuses it, a float is not
+    finite or ``bulk`` returns None, ``row_by_row(path, _read_rows(path,
+    header, lines))`` parses the lines of those same bytes one row at a
+    time, raising the error that cites file:line.  Those lines end at
+    ``\\n``, ``\\r`` and ``\\r\\n``, as loadtxt's do.
     """
     data = Path(path).read_bytes()
     if _bulk_readable(data, header):
@@ -240,7 +237,7 @@ def _read_csv(
             result = bulk(*tables)
             if result is not None:
                 return result
-    lines = data.decode("utf-8").splitlines()
+    lines = StringIO(data.decode("utf-8"), newline=None).readlines()
     return row_by_row(path, _read_rows(path, header, lines))
 
 
@@ -267,18 +264,13 @@ def _one_table(*dtypes: type) -> _Load:
 
 
 def _bulk_readable(data: bytes, header: str) -> bool:
-    """Whether the file of bytes ``data`` starts with the line ``header``,
-    has a non-empty line after it (loadtxt warns, rather than raises, when
-    it has none) and ends lines only at ``\\n``, ``\\r`` and ``\\r\\n``:
-    there a text-mode file, and so loadtxt, splits its rows exactly as
-    ``str.splitlines``, and so the row-by-row path, does."""
+    """Whether the file of bytes ``data`` starts with the line ``header``
+    and has a non-empty line after it: loadtxt warns, rather than raises,
+    when it has none."""
     first = data.partition(b"\n")[0].partition(b"\r")[0]
-    # The non-ASCII breaks are UTF-8 sequences; an ASCII file has none.
-    breaks = _ASCII_BREAKS if data.isascii() else _OTHER_BREAKS
     return (
         first.strip() == header.encode()
         and _NOT_A_LINE_END.search(data, len(first)) is not None
-        and not any(b in data for b in breaks)
     )
 
 
@@ -309,18 +301,14 @@ def _read_rows(
 
 
 def _parse_int(path: Path | str, lineno: int, text: str, what: str) -> int:
+    """An integer field that fits in 64 bits, as the arrays that hold it
+    do."""
     try:
-        return int(text)
+        i = int(text)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: {what} is not an integer: '{text}'")
-
-
-def _parse_node_id(path: Path | str, lineno: int, text: str) -> int:
-    """A node id of a graph or observations file: an integer that fits in
-    64 bits, as the arrays that hold node ids do."""
-    i = _parse_int(path, lineno, text, "node id")
     if not _INT64.min <= i <= _INT64.max:
-        raise ValueError(f"{path}:{lineno}: node id {i} does not fit in 64 bits")
+        raise ValueError(f"{path}:{lineno}: {what} {i} does not fit in 64 bits")
     return i
 
 
@@ -339,32 +327,34 @@ def write_graph_csv(path: Path | str, g: EmpiricalGraph) -> None:
 
 
 def read_graph_csv(path: Path | str) -> EmpiricalGraph:
-    """Read an edge-list CSV; the node count is the largest id seen."""
+    """Read an edge-list CSV; the node count is the largest id seen.  A
+    faulty edge is named by its line."""
 
-    def bulk(table: np.ndarray) -> tuple[int, np.ndarray]:
-        return int(max(table["i"].max(), table["j"].max())), table
+    def bulk(table: np.ndarray) -> EmpiricalGraph | None:
+        try:
+            return build_graph(int(max(table["i"].max(), table["j"].max())), table)
+        except ValueError:  # row by row names the faulty edge's line
+            return None
 
     def row_by_row(
         path: Path | str, rows: list[tuple[int, list[str]]]
-    ) -> tuple[int | None, list[tuple[int, int, float]]]:
-        triples = []
-        for lineno, (si, sj, sw) in rows:
-            i = _parse_node_id(path, lineno, si)
-            j = _parse_node_id(path, lineno, sj)
-            w = _parse_float(path, lineno, sw, "weight")
-            triples.append((i, j, w))
-        largest = max(max(i, j) for i, j, _ in triples) if triples else None
-        return largest, triples
+    ) -> EmpiricalGraph:
+        if not rows:
+            raise ValueError(f"{path}: no edges")
+        triples = [
+            (
+                _parse_int(path, lineno, si, "node id"),
+                _parse_int(path, lineno, sj, "node id"),
+                _parse_float(path, lineno, sw, "weight"),
+            )
+            for lineno, (si, sj, sw) in rows
+        ]
+        largest = max(max(i, j) for i, j, _ in triples)
+        return _build_graph(largest, triples, lambda k: f"{path}:{rows[k][0]}")
 
-    largest, edges = _read_csv(
+    return _read_csv(
         path, "i,j,w", _one_table(np.int64, np.int64, np.float64), bulk, row_by_row
     )
-    if largest is None:
-        raise ValueError(f"{path}: no edges")
-    try:
-        return build_graph(largest, edges)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}")
 
 
 def write_signal_csv(path: Path | str, x: np.ndarray) -> None:
@@ -463,7 +453,7 @@ def read_observations_csv(path: Path | str) -> Observations:
             raise ValueError(f"{path}: observations file has no rows")
         nodes, labels = [], []
         for lineno, (si, sx) in rows:
-            nodes.append(_parse_node_id(path, lineno, si))
+            nodes.append(_parse_int(path, lineno, si, "node id"))
             labels.append(_parse_float(path, lineno, sx, "label"))
         return nodes, labels
 
@@ -498,13 +488,10 @@ def write_partition_csv(path: Path | str, p: Partition) -> None:
 
 def read_partition_csv(path: Path | str) -> Partition:
     """Read node-to-cluster rows covering 1..n exactly (any order).  Cluster
-    ids are any integers; clusters are numbered by ascending id."""
-    values = _read_per_node(
+    ids are any 64-bit integers; clusters are numbered by ascending id."""
+    ids = _read_per_node(
         path, "i,cluster", "partition", _parse_int, "cluster id", np.int64
     )
-    ids = np.asarray(values)
-    if ids.dtype.kind != "i":  # ids beyond 64 bits: sort them as Python ints
-        ids = np.asarray(values, dtype=object)
     return Partition(np.unique(ids, return_inverse=True)[1])
 
 

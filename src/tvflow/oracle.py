@@ -4,8 +4,9 @@ These exist to cross-check the primal-dual solver and the duality claims
 on small instances, so they deliberately share none of its update logic:
 the primal side runs projected subgradient descent with decreasing steps
 and iterate averaging, the dual side runs projected gradient on the flow
-polytope.  Dense matrices are fine here; nothing in this module is meant
-to scale.
+polytope.  ``scaled_operator_norm`` checks the bound the solver's step
+sizes rely on.  Dense matrices are fine here; nothing in this module is
+meant to scale.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import Flow
-from .graph import divergence, incidence_apply
+from .graph import EmpiricalGraph, divergence, incidence_apply
 from .signal import Problem, primal_objective
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "oracle_nlasso",
     "oracle_mincost_flow",
     "project_dual_feasible",
+    "scaled_operator_norm",
 ]
 
 # Iteration budgets: Dykstra rounds per projection, projected-gradient steps
@@ -31,6 +33,10 @@ __all__ = [
 _DYKSTRA_ITERS = 20_000
 _FLOW_BUDGET = 50_000
 _NLASSO_BUDGET = 1_000_000
+# Power iteration stops when the estimate moves by at most _POWER_RTOL
+# relative to itself, and fails after _POWER_MAX_ITERS iterations.
+_POWER_RTOL = 1e-8
+_POWER_MAX_ITERS = 50_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,4 +247,42 @@ def oracle_nlasso(
         iterations=used,
         certified_gap=gap,
         flagged=gap > 1e-3,
+    )
+
+
+def scaled_operator_norm(g: EmpiricalGraph) -> float:
+    """Spectral norm of the degree-scaled adjoint difference operator.
+
+    This is the quantity the solver's step sizes are chosen to control:
+    with node steps 1/d_i and edge steps 1/2 it never exceeds 1 (it equals
+    1 exactly on bipartite graphs).  Computed matrix-free by power
+    iteration on the PSD composition, to relative tolerance 1e-8 within
+    50,000 iterations.  The Rayleigh-quotient estimate approaches the true
+    value from below.
+    """
+    if g.node_count == 0:
+        return 0.0
+    g.check_no_isolated()
+    inv_deg = 1.0 / g.degrees
+
+    def apply_sym(u: np.ndarray) -> np.ndarray:
+        # 0.5 * B diag(1/d) B^T u, the square of the scaled operator
+        return 0.5 * incidence_apply(g, inv_deg * divergence(g, u))
+
+    rng = np.random.default_rng(1905)
+    v = rng.standard_normal(g.edge_count)
+    v /= np.linalg.norm(v)
+    estimate = 0.0
+    for _ in range(_POWER_MAX_ITERS):
+        w = apply_sym(v)
+        new_estimate = float(v @ w)
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            return 0.0
+        v = w / norm_w
+        if abs(new_estimate - estimate) <= _POWER_RTOL * max(abs(new_estimate), 1e-30):
+            return float(np.sqrt(max(new_estimate, 0.0)))
+        estimate = new_estimate
+    raise RuntimeError(
+        f"power iteration did not converge within {_POWER_MAX_ITERS} iterations"
     )

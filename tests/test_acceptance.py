@@ -20,13 +20,14 @@ from tvflow.flow import (
     construct_tree_certificate,
     verify_certificate,
 )
-from tvflow.graph import (
-    divergence,
-    incidence_apply,
+from tvflow.graph import divergence, incidence_apply
+from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL, CHAIN_REF_OBJECTIVE
+from tvflow.oracle import (
+    oracle_mincost_flow,
+    oracle_nlasso,
+    project_dual_feasible,
     scaled_operator_norm,
 )
-from tvflow.instances import CHAIN_REF_DUAL, CHAIN_REF_PRIMAL, CHAIN_REF_OBJECTIVE
-from tvflow.oracle import oracle_mincost_flow, oracle_nlasso, project_dual_feasible
 from tvflow.signal import Observations, Problem, primal_objective
 from tvflow.solver import (
     SolverConfig,

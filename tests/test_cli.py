@@ -565,6 +565,26 @@ class TestCertify:
         assert f"{partition}: partition covers 9 nodes, graph has 10" in err
         assert not out.exists()
 
+    def test_star_row_id_beyond_64_bits_names_its_line(
+        self, tmp_path, experiment_dir, capsys
+    ):
+        flow = tmp_path / "flow.csv"
+        lines = (experiment_dir / "flow.csv").read_text().splitlines(keepends=True)
+        flow.write_text("".join(lines) + f"{2**64 + 1},star,0.0\n")
+        out = tmp_path / "cert"
+        code = run_cli([
+            "certify",
+            "--graph", str(experiment_dir / "graph.csv"),
+            "--flow", str(flow),
+            "--partition", str(experiment_dir / "partition.csv"),
+            "--observations", str(experiment_dir / "observations.csv"),
+            "--lambda", "1", "--out-dir", str(out),
+        ])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert f"{flow}:{len(lines) + 1}: head id {2**64 + 1} does not fit in 64 bits" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lam, status", [("1", "verified"), ("2", "failed")])
     def test_signal_only_in_reconstructed_csv(
         self, tmp_path, experiment_dir, lam, status

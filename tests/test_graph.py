@@ -16,8 +16,8 @@ from tvflow.graph import (
     divergence,
     grounded_laplacian_cg,
     incidence_apply,
-    scaled_operator_norm,
 )
+from tvflow.oracle import scaled_operator_norm
 
 
 def reference_build_graph(node_count, edge_list) -> EmpiricalGraph:

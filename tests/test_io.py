@@ -87,6 +87,21 @@ class TestGraphCsv:
         with pytest.raises(ValueError, match="duplicate"):
             read_graph_csv(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("1,2,1.0\n2,3,1.0\n3,4,-5\n", ":4: weight must be finite and positive, got -5.0"),
+        ("1,2,1.0\n3,3,1.0\n", ":3: self-loop at node 3"),
+        ("1,2,1.0\n2,3,1.0\n\n3,2,0.5\n", ":5: duplicate edge {2, 3}"),
+        ("1,2,1.0\n0,2,1.0\n", ":3: node id out of range 1..2: (0, 2)"),
+        ("-1,0,1.0\n", ":2: node id out of range 1..0: (-1, 0)"),
+    ], ids=["weight", "self-loop", "duplicate", "out-of-range", "no-positive-id"])
+    def test_graph_fault_cites_line(self, tmp_path, body, message):
+        # Each file parses in bulk; build_graph's refusal hands it to the
+        # row-by-row path, which names the faulty edge's line.
+        path = tmp_path / "graph.csv"
+        path.write_text("i,j,w\n" + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
+            read_graph_csv(path)
+
 
 class TestSignalCsv:
     @given(st.lists(finite_floats, min_size=1, max_size=12))
@@ -165,12 +180,18 @@ class TestPartitionCsv:
 
     @pytest.mark.parametrize("extra, expected", [
         ("", [1, 0, 2, 0]),
-        (f"5,{2**63}\n6,{-2**70}\n", [2, 1, 3, 1, 4, 0]),  # beyond 64 bits
+        (f"5,{2**63 - 1}\n6,{-2**63}\n", [2, 1, 3, 1, 4, 0]),  # the 64-bit extremes
+        # Beyond 64 bits: an error that cites the line.
+        (f"5,{2**63}\n6,{-2**70}\n", f":6: cluster id {2**63} does not fit in 64 bits"),
     ])
     def test_sparse_ids_numbered_by_ascending_id(self, tmp_path, extra, expected):
         path = tmp_path / "partition.csv"
         path.write_text("i,cluster\n3,30\n1,20\n2,10\n4,10\n" + extra)
-        assert read_partition_csv(path).cluster_index.tolist() == expected
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"partition.csv{expected}$"):
+                read_partition_csv(path)
+        else:
+            assert read_partition_csv(path).cluster_index.tolist() == expected
 
 
 class TestFlowCsv:
@@ -287,7 +308,8 @@ class TestJson:
 
 def ref_read_rows(path, header):
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    with path.open(encoding="utf-8") as f:  # lines end at \n, \r and \r\n
+        lines = f.readlines()
     if not lines:
         raise ValueError(f"{path}:1: empty file, expected header '{header}'")
     if lines[0].strip() != header:
@@ -310,9 +332,12 @@ def ref_read_rows(path, header):
 
 def ref_parse_int(path, lineno, text, what):
     try:
-        return int(text)
+        i = int(text)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: {what} is not an integer: '{text}'")
+    if not -(2**63) <= i < 2**63:
+        raise ValueError(f"{path}:{lineno}: {what} {i} does not fit in 64 bits")
+    return i
 
 
 def ref_parse_float(path, lineno, text, what):
@@ -325,27 +350,28 @@ def ref_parse_float(path, lineno, text, what):
     return value
 
 
-def ref_parse_node_id(path, lineno, text):
-    i = ref_parse_int(path, lineno, text, "node id")
-    if not -(2**63) <= i < 2**63:
-        raise ValueError(f"{path}:{lineno}: node id {i} does not fit in 64 bits")
-    return i
-
-
 def ref_read_graph_csv(path):
+    rows = ref_read_rows(path, "i,j,w")
     triples = []
-    for lineno, (si, sj, sw) in ref_read_rows(path, "i,j,w"):
-        i = ref_parse_node_id(path, lineno, si)
-        j = ref_parse_node_id(path, lineno, sj)
+    for lineno, (si, sj, sw) in rows:
+        i = ref_parse_int(path, lineno, si, "node id")
+        j = ref_parse_int(path, lineno, sj, "node id")
         w = ref_parse_float(path, lineno, sw, "weight")
         triples.append((i, j, w))
     if not triples:
         raise ValueError(f"{path}: no edges")
     node_count = max(max(i, j) for i, j, _ in triples)
+    if node_count < 1:  # every id of the first edge is out of range
+        i, j, _ = triples[0]
+        raise ValueError(
+            f"{path}:{rows[0][0]}: node id out of range 1..{node_count}: ({i}, {j})"
+        )
     try:
         return build_graph(node_count, triples)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}")
+        # build_graph names the faulty edge by its position, a file by its line.
+        k, fault = re.fullmatch(r"edge #(\d+): (.*)", str(exc)).groups()
+        raise ValueError(f"{path}:{rows[int(k)][0]}: {fault}")
 
 
 def ref_read_per_node(path, header, kind, parse, what):
@@ -376,7 +402,7 @@ def ref_read_observations_csv(path):
     if not rows:
         raise ValueError(f"{path}: observations file has no rows")
     pairs = [
-        (ref_parse_node_id(path, lineno, si),
+        (ref_parse_int(path, lineno, si, "node id"),
          ref_parse_float(path, lineno, sx, "label"))
         for lineno, (si, sx) in rows
     ]
@@ -391,10 +417,7 @@ def ref_read_observations_csv(path):
 
 def ref_read_partition_csv(path):
     values = ref_read_per_node(path, "i,cluster", "partition", ref_parse_int, "cluster id")
-    ids = np.asarray(values)
-    if ids.dtype.kind != "i":
-        ids = np.asarray(values, dtype=object)
-    return Partition(np.unique(ids, return_inverse=True)[1])
+    return Partition(np.unique(np.asarray(values), return_inverse=True)[1])
 
 
 def ref_read_flow_csv(path, g):
@@ -505,8 +528,8 @@ LINE_MUTATIONS = [
     "blank", "duplicate", "shuffle", "header-only", "no-header", "break-between-rows",
     "bom",
 ]
-# Where str.splitlines, and so the row-by-row path, ends a line and a
-# text-mode file, and so np.loadtxt, does not.
+# Where str.splitlines ends a line and a text-mode file, and so np.loadtxt
+# and both paths of every reader, does not.
 OTHER_BREAKS = st.sampled_from(list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
 
 
@@ -687,6 +710,19 @@ class TestBulkReadersMatchRowReaders:
         assert read == reference
 
 
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_form_feed_between_rows_cites_line(tmp_path, kind):
+    # A line ends at \n, \r and \r\n only, so two rows joined by a form
+    # feed are one line with too many fields.
+    header, *rows = WELL_FORMED[kind]
+    path = tmp_path / "ff.csv"
+    path.write_text(f"{header}\n{rows[0]}\x0c" + "\n".join(rows[1:]) + "\n")
+    fields = header.count(",") + 1
+    message = f"ff.csv:2: expected {fields} fields, got {2 * fields - 1}$"
+    with pytest.raises(ValueError, match=message):
+        READERS[kind][3](path)
+
+
 class TestBulkPathTaken:
     """Both paths give the same results, so only a row-by-row path that
     cannot run shows which one read a file."""
@@ -761,6 +797,21 @@ class TestBulkPathTaken:
             (1, g.edge_count), (0, f.star.size)
         ]
         assert calls[0][0] == path and not isinstance(calls[1][0], (str, Path))
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_form_feed_at_field_edges_read_in_bulk(self, tmp_path, no_row_by_row, kind):
+        # Both paths strip a form feed from around a number as blank space.
+        header, *rows = WELL_FORMED[kind]
+        path = tmp_path / "data.csv"
+        rows = [
+            ",".join(f if f == "star" else f"\x0c{f}\x0c" for f in row.split(","))
+            for row in rows
+        ]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        want = tmp_path / "want.csv"
+        want.write_text("\n".join(WELL_FORMED[kind]) + "\n")
+        _, _, _, read, _ = READERS[kind]
+        assert read_outcome(read, path) == read_outcome(read, want)
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_wrong_header_read_row_by_row(self, tmp_path, no_row_by_row, kind):
