@@ -346,8 +346,7 @@ def certificate_from_partition(
     not connected in the graph, no sign fixpoint, or the failed check's
     ``failure_reason``.
     """
-    bmask, forest = _check_clusters(problem, partition)
-    certificate, reason, _ = _certify(problem, partition, bmask, forest, tol)
+    certificate, reason, _ = _certify(problem, partition, tol)
     if certificate is None:
         raise ValueError(reason)
     return certificate
@@ -358,19 +357,15 @@ def certificate_from_signal(
 ) -> tuple[Certificate | None, int]:
     """Certify the partition read off a signal near the optimum, as
     :func:`certificate_from_partition` does at ``tol``, and count the CG
-    iterations spent; None when a cluster has no label or it does not
+    iterations spent.  The certificate is None when a cluster has no
+    label, the boundary signs reach no fixpoint, or the flow does not
     verify.  The partition is the components of the edges on which x jumps
     by at most 1e-2 * max(1, label range); the boundary signs start from
     its clusters' mean labels, not from x."""
     g, obs = problem.graph, problem.obs
     eps = _JUMP_TOL * max(1.0, float(obs.labels.max() - obs.labels.min()))
     ci = components(g, np.abs(incidence_apply(g, x)) <= eps)
-    partition = Partition(ci)
-    try:
-        bmask, forest = _check_clusters(problem, partition)
-    except ValueError:
-        return None, 0
-    certificate, _, cg_iters = _certify(problem, partition, bmask, forest, tol)
+    certificate, _, cg_iters = _certify(problem, Partition(ci), tol)
     return certificate, cg_iters
 
 
@@ -411,17 +406,17 @@ def _check_clusters(
 
 
 def _certify(
-    problem: Problem,
-    partition: Partition,
-    bmask: np.ndarray,
-    forest: _Forest,
-    tol: float,
+    problem: Problem, partition: Partition, tol: float
 ) -> tuple[Certificate | None, str | None, int]:
-    """The certificate of connected, labeled clusters with boundary edges
-    ``bmask`` and interior forest ``forest`` (None and why not) and the CG
-    iterations spent: signs from the mean-label signs iterated to a
+    """The certificate of ``partition`` (None and why not) and the CG
+    iterations spent: :func:`_check_clusters`, whose ValueError message
+    becomes the reason, then signs from the mean-label signs iterated to a
     fixpoint of :func:`_boundary_signs`, :func:`_partition_flow`, and
     :func:`verify_certificate` at ``tol``."""
+    try:
+        bmask, forest = _check_clusters(problem, partition)
+    except ValueError as exc:
+        return None, str(exc), 0
     ci, count = partition.cluster_index, partition.cluster_count
     settled = _boundary_signs(problem, ci, count, bmask, np.zeros(bmask.sum()))
     seen = set()

@@ -220,7 +220,8 @@ def _read_csv(
     finite or ``bulk`` returns None, ``row_by_row(path, _read_rows(path,
     header, lines))`` parses the lines of those same bytes one row at a
     time, raising the error that cites file:line.  Those lines end at
-    ``\\n``, ``\\r`` and ``\\r\\n``, as loadtxt's do.
+    ``\\n``, ``\\r`` and ``\\r\\n``, as loadtxt's do.  Bytes that are not
+    UTF-8 fail there, citing the line of the first bad byte.
     """
     data = Path(path).read_bytes()
     if _bulk_readable(data, header):
@@ -237,7 +238,15 @@ def _read_csv(
             result = bulk(*tables)
             if result is not None:
                 return result
-    lines = StringIO(data.decode("utf-8"), newline=None).readlines()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        lineno = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise ValueError(
+            f"{path}:{lineno}: byte 0x{data[exc.start]:02x} is not UTF-8"
+        ) from None
+    lines = StringIO(text, newline=None).readlines()
     return row_by_row(path, _read_rows(path, header, lines))
 
 

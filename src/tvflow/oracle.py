@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import Flow
-from .graph import EmpiricalGraph, divergence, incidence_apply
+from .graph import EmpiricalGraph, _divergence, divergence, incidence_apply
 from .signal import Problem, primal_objective
 
 __all__ = [
@@ -172,10 +172,7 @@ def _subgradient(problem: Problem, x: np.ndarray) -> np.ndarray:
     g, obs = problem.graph, problem.obs
     diff = incidence_apply(g, x)
     edge_part = problem.lam * g.weights * np.sign(diff)  # 0 at kinks
-    sg = np.bincount(
-        g._head_idx, weights=edge_part, minlength=g.node_count
-    ).astype(np.float64, copy=False)
-    sg -= np.bincount(g._tail_idx, weights=edge_part, minlength=g.node_count)
+    sg = _divergence(g, edge_part)
     sg[obs.indices] += x[obs.indices] - obs.labels
     return sg
 

@@ -371,6 +371,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert f"{name}:3: node id {2**70} does not fit in 64 bits" in err
 
+    def test_non_utf8_byte_cites_line(self, tmp_path, instance_dir, capsys):
+        bad = tmp_path / "graph.csv"
+        bad.write_bytes(b"i,j,w\n1,2,1.0\n2,3,1.0\xff\n")
+        code = run_cli([
+            "solve", "--graph", str(bad),
+            "--observations", str(instance_dir / "observations.csv"),
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert code == 64
+        assert f"{bad}:3: byte 0xff is not UTF-8" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("gap_tol, code", [("1e-3", 64), ("0", 0)])
     def test_gap_mode_feas_tol_below_half_the_smallest_capacity(

@@ -24,7 +24,13 @@ from tvflow.flow import (
     construct_tree_certificate,
     verify_certificate,
 )
-from tvflow.graph import EmpiricalGraph, build_graph, components, divergence
+from tvflow.graph import (
+    EmpiricalGraph,
+    build_graph,
+    components,
+    divergence,
+    incidence_apply,
+)
 from tvflow.instances import (
     CHAIN_REF_DUAL,
     CHAIN_REF_PRIMAL,
@@ -796,18 +802,30 @@ class TestCertificateFromSignal:
     @given(
         seed=st.integers(0, 2**32 - 1),
         lam=st.floats(0.01, 3.0),
-        steps=st.sampled_from([50, 400]),
+        steps=st.sampled_from([1, 2, 4, 50, 400]),
     )
     @settings(max_examples=25, deadline=None)
     def test_verified_certificates_are_optimal(self, seed, lam, steps):
+        # The few-step iterates leave unlabeled clusters and sign failures
+        # common.  certificate_from_partition on the same jump partition
+        # gives the same flow, bit for bit, and raises exactly when
+        # certificate_from_signal returns None.
         g, obs = random_connected_instance(np.random.default_rng(seed))
         problem = Problem(g, obs, lam)
         state = init_state(problem)
         for _ in range(steps):
             state = pd_step(state, problem)
         cert, _ = certificate_from_signal(problem, state.x_curr)
+        eps = tvflow.flow._JUMP_TOL * max(1.0, float(np.ptp(obs.labels)))
+        jumps = np.abs(incidence_apply(g, state.x_curr))
+        partition = Partition(components(g, jumps <= eps))
         if cert is None:
+            with pytest.raises(ValueError):
+                certificate_from_partition(problem, partition)
             return
+        same = certificate_from_partition(problem, partition)
+        assert same.flow.base.tobytes() == cert.flow.base.tobytes()
+        assert same.flow.star.tobytes() == cert.flow.star.tobytes()
         value = primal_objective(problem, cert.report.reconstructed)
         oracle = oracle_nlasso(problem)
         lower = oracle.objective - oracle.certified_gap

@@ -723,6 +723,18 @@ def test_form_feed_between_rows_cites_line(tmp_path, kind):
         READERS[kind][3](path)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_non_utf8_byte_cites_line(tmp_path, kind, newline):
+    # The third line ends in byte 0xff; \n, \r and \r\n each end one line.
+    lines = [line.encode() for line in WELL_FORMED[kind]]
+    lines[2] += b"\xff"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(newline.encode().join(lines) + newline.encode())
+    with pytest.raises(ValueError, match=r"^\S*bad\.csv:3: byte 0xff is not UTF-8$"):
+        READERS[kind][3](path)
+
+
 class TestBulkPathTaken:
     """Both paths give the same results, so only a row-by-row path that
     cannot run shows which one read a file."""
